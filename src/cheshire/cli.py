@@ -11,7 +11,11 @@ experiment and writes two files into the output directory:
 - ``summary.json`` with keys ``config`` (the fully resolved configuration),
   ``expected`` (analytic weak values as {re, im} pairs, conditional outcome
   tables, pointer moments -- never derived from the samples), ``estimated``
-  (post_rate, per-axis means and standard errors) and ``diagnostics``.
+  (post_rate, per-axis means and standard errors) and ``diagnostics``
+  (g/s per axis, branch count, ``stream_version``, the cheshire, numpy and
+  python ``versions`` that byte identity depends on, and the readout
+  ``sampler`` attempts, accepted count and expected against observed
+  acceptance).
 
 Presets: ``weak-cheshire`` couples a which-path probe (vertical axis) and an
 arm-2 angular-momentum probe (horizontal axis), both weak; ``which-path``
@@ -20,27 +24,33 @@ coupling/width = 10; ``sweep`` repeats weak-cheshire at coupling/width
 ratios 0.1, 0.01, 0.001 (one subdirectory each) and aggregates the
 convergence of mean/coupling toward the weak values.
 
-Exit codes: 0 success, 1 runtime failure (impossible post-selection, too few
-post-selected shots, I/O), 2 usage error.
+Exit codes: 0 success, 1 runtime failure (impossible or near-null
+post-selection, too few post-selected shots, I/O), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
+from . import __version__
 from .montecarlo import (
+    STREAM_VERSION,
     Experiment,
+    ExperimentAnalysis,
     InsufficientData,
-    ShotRecord,
+    LowAcceptance,
+    ShotBatch,
     SummaryStats,
     analyze,
     estimate,
+    readout_acceptance,
     sample_shots,
 )
 from .pointer import Axis, GaussianPointer, NullPostSelection, mixture_moments
@@ -62,7 +72,6 @@ _CONFIG_KEYS = (
     "shots",
     "seed",
     "out_dir",
-    "format",
 )
 
 
@@ -105,7 +114,6 @@ class ExperimentConfig:
     shots: int
     seed: int
     out_dir: Path
-    format: str = "csv+json"
 
     def as_dict(self) -> dict:
         return {
@@ -116,7 +124,6 @@ class ExperimentConfig:
             "shots": self.shots,
             "seed": self.seed,
             "out_dir": str(self.out_dir),
-            "format": self.format,
         }
 
 
@@ -172,19 +179,18 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
         ratio = PRESETS["weak-cheshire" if preset == "sweep" else preset].default_ratio
         g_vertical = float(values.get("g_vertical", ratio * s))
         g_horizontal = float(values.get("g_horizontal", ratio * s))
-        fmt = str(values.get("format", "csv+json"))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config: {exc}") from exc
     if not s > 0:
         raise UsageError(f"s: pointer width must be > 0, got {s}")
     if shots < 1:
         raise UsageError(f"shots: need at least 1 shot, got {shots}")
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"seed: must be in [0, 2**64), got {seed}")
     if g_vertical < 0:
         raise UsageError(f"g_vertical: coupling must be >= 0, got {g_vertical}")
     if g_horizontal < 0:
         raise UsageError(f"g_horizontal: coupling must be >= 0, got {g_horizontal}")
-    if fmt != "csv+json":
-        raise UsageError(f"format: only 'csv+json' is supported, got {fmt!r}")
     return ExperimentConfig(
         preset=preset,
         g_vertical=g_vertical,
@@ -193,7 +199,6 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
         shots=shots,
         seed=seed,
         out_dir=Path(values.get("out_dir", DEFAULT_OUT_DIR)),
-        format=fmt,
     )
 
 
@@ -218,8 +223,13 @@ def _axis_dict(values: dict[Axis, float | None]) -> dict[str, float | None]:
     return {axis.value: value for axis, value in values.items()}
 
 
-def expected_summary(config: ExperimentConfig, experiment: Experiment) -> dict:
-    """Analytic predictions: computed from the state algebra, never from samples."""
+def expected_summary(
+    config: ExperimentConfig, experiment: Experiment, *, analysis: ExperimentAnalysis | None = None
+) -> dict:
+    """Analytic predictions: computed from the state algebra, never from samples.
+
+    ``analysis`` defaults to ``analyze(experiment)``.
+    """
     pre, post = canonical_states()
     observables = canonical_observables()
     weak_values = {
@@ -231,7 +241,8 @@ def expected_summary(config: ExperimentConfig, experiment: Experiment) -> dict:
         name: {f"{value:g}": prob for value, prob in abl_distribution(observables[name], pre, post).outcomes.items()}
         for name in coupled_names
     }
-    analysis = analyze(experiment)
+    if analysis is None:
+        analysis = analyze(experiment)
     moments = mixture_moments(analysis.mixture) if analysis.mixture is not None else {}
     means: dict[Axis, float | None] = {}
     ratios: dict[Axis, float | None] = {}
@@ -261,45 +272,72 @@ def estimated_summary(stats: SummaryStats) -> dict:
     }
 
 
-def _diagnostics(config: ExperimentConfig, experiment: Experiment) -> dict:
-    analysis = analyze(experiment)
+def _diagnostics(
+    experiment: Experiment, analysis: ExperimentAnalysis, stats: SummaryStats, batch: ShotBatch
+) -> dict:
+    expected = readout_acceptance(analysis.mixture) if analysis.mixture is not None else None
     return {
         "g_over_s": {
             pointer.axis.value: pointer.coupling / pointer.width
             for pointer in experiment.pointers()
         },
         "branch_count": len(analysis.mixture.weights) if analysis.mixture is not None else 0,
+        "stream_version": STREAM_VERSION,
+        "versions": {
+            "cheshire": __version__,
+            "numpy": np.__version__,
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        },
+        "sampler": {
+            "attempts": batch.attempts,
+            "accepted": stats.d1_count,
+            "expected_acceptance": expected,
+            "observed_acceptance": stats.d1_count / batch.attempts if batch.attempts else None,
+        },
     }
 
 
-def write_shots_csv(path: Path, records: list[ShotRecord], experiment: Experiment) -> None:
-    """CSV with one row per shot; x = horizontal readout, y = vertical readout."""
-    axes = experiment.axes()
-    column_of = {Axis.HORIZONTAL: "x", Axis.VERTICAL: "y"}
+#: Rows formatted and written together by write_shots_csv.
+_CSV_CHUNK = 1 << 16
+#: Detector name of each ``ShotBatch.detector`` code.
+_DETECTOR_NAMES = np.array([None, "D1", "D2", "D3"], dtype=object)
+
+
+def write_shots_csv(path: Path, batch: ShotBatch, experiment: Experiment) -> None:
+    """CSV with one row per shot; x = horizontal readout, y = vertical readout.
+
+    Readouts are written as ``repr`` of Python floats (shortest round-trip
+    form), so identical batches give byte-identical files.
+    """
+    column_of = {Axis.HORIZONTAL: 0, Axis.VERTICAL: 1}
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["shot_id", "detector", "x", "y"])
-        for record in records:
-            fields = {"x": "", "y": ""}
-            if record.readout is not None:
-                for axis, value in zip(axes, record.readout):
-                    fields[column_of[axis]] = repr(value)
-            writer.writerow([record.shot_id, record.detector.value, fields["x"], fields["y"]])
+        fh.write("shot_id,detector,x,y\n")
+        for start in range(0, len(batch), _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            detector = batch.detector[rows]
+            d1 = np.flatnonzero(detector == 1)
+            xy = np.full((2, detector.shape[0]), "", dtype=object)
+            for axis, values in zip(experiment.axes(), batch.readout[rows][d1].T):
+                xy[column_of[axis], d1] = [repr(v) for v in values.tolist()]
+            ids = map(str, batch.shot_id[rows].tolist())
+            lines = zip(ids, _DETECTOR_NAMES[detector].tolist(), *xy.tolist())
+            fh.write("\n".join(map(",".join, lines)) + "\n")
 
 
 def _run_single(config: ExperimentConfig) -> dict:
     """Sample one preset, write its files, and return its summary dict."""
     experiment = build_experiment(config)
-    records = sample_shots(experiment, config.shots, config.seed)
-    stats = estimate(records, experiment)
+    analysis = analyze(experiment)
+    batch = sample_shots(experiment, config.shots, config.seed, analysis=analysis)
+    stats = estimate(batch, experiment)
     summary = {
         "config": config.as_dict(),
-        "expected": expected_summary(config, experiment),
+        "expected": expected_summary(config, experiment, analysis=analysis),
         "estimated": estimated_summary(stats),
-        "diagnostics": _diagnostics(config, experiment),
+        "diagnostics": _diagnostics(experiment, analysis, stats, batch),
     }
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_shots_csv(config.out_dir / "shots.csv", records, experiment)
+    write_shots_csv(config.out_dir / "shots.csv", batch, experiment)
     with open(config.out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -360,7 +398,7 @@ def run_preset(config: ExperimentConfig) -> int:
             _run_sweep(config)
         else:
             _run_single(config)
-    except (NullPostSelection, InsufficientData) as exc:
+    except (NullPostSelection, InsufficientData, LowAcceptance) as exc:
         print(f"cheshire: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

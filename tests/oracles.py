@@ -53,13 +53,13 @@ def quadrature_grid(mixture, points_per_width=50, padding=8.0):
     return grids
 
 
-def quadrature_moments(mixture, density):
+def quadrature_moments(mixture, density, points_per_width=50):
     """Mass, per-axis mean and variance of ``density`` by trapezoid quadrature.
 
     ``density`` is a callable on (..., n_axes) arrays, normally the library's
     mixture density; only the *moments* are computed independently here.
     """
-    grids = quadrature_grid(mixture)
+    grids = quadrature_grid(mixture, points_per_width)
     if len(grids) == 1:
         (xs,) = grids
         dens = density(xs[:, None])

@@ -167,8 +167,8 @@ def test_criterion_9_monte_carlo_statistical_tier(tmp_path):
             (OBS["angular_momentum_arm2"], GaussianPointer(width=1.0, coupling=1e-2, axis=Axis.HORIZONTAL)),
         ),
     )
-    records = sample_shots(experiment, n, seed=0)
-    stats = estimate(records, experiment)
+    batch = sample_shots(experiment, n, seed=0)
+    stats = estimate(batch, experiment)
     binom_sigma = np.sqrt(0.25 * 0.75 / n)
     rate_ok = abs(stats.post_rate - 0.25) <= 3 * binom_sigma
     mean_ok = all(
@@ -178,17 +178,24 @@ def test_criterion_9_monte_carlo_statistical_tier(tmp_path):
 
     first_csv = tmp_path / "first.csv"
     second_csv = tmp_path / "second.csv"
-    write_shots_csv(first_csv, records, experiment)
+    write_shots_csv(first_csv, batch, experiment)
     write_shots_csv(second_csv, sample_shots(experiment, n, seed=0), experiment)
     csv_ok = first_csv.read_bytes() == second_csv.read_bytes()
 
     shard_ok = True
     for shards in (4, 16):
         chunk = n // shards
-        resampled = []
-        for k in range(shards):
-            resampled.extend(sample_shots(experiment, chunk, seed=0, first_shot=k * chunk))
-        shard_ok &= resampled == records
+        shards_run = [
+            sample_shots(experiment, chunk, seed=0, first_shot=k * chunk) for k in range(shards)
+        ]
+        shard_ok &= (
+            np.array_equal(np.concatenate([s.shot_id for s in shards_run]), batch.shot_id)
+            and np.array_equal(np.concatenate([s.detector for s in shards_run]), batch.detector)
+            and np.array_equal(
+                np.concatenate([s.readout for s in shards_run]), batch.readout, equal_nan=True
+            )
+            and sum(s.attempts for s in shards_run) == batch.attempts
+        )
 
     ok = rate_ok and mean_ok and csv_ok and shard_ok
     report(

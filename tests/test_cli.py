@@ -1,14 +1,18 @@
 import csv
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cheshire import Detector, sample_shots
+from cheshire import analyze, sample_shots
+from cheshire import cli, montecarlo
 from cheshire.cli import (
     ExperimentConfig,
     UsageError,
     build_experiment,
+    expected_summary,
     main,
     parse_config,
     run_preset,
@@ -43,7 +47,6 @@ def test_defaults():
     assert config.shots == 100_000
     assert config.seed == 0
     assert config.s == 1.0
-    assert config.format == "csv+json"
 
 
 def test_joint_strong_defaults_to_strong_coupling():
@@ -75,6 +78,8 @@ def test_unknown_config_key_rejected(tmp_path):
         (["--shots", "0"], "shots"),
         (["--g-vertical", "-0.5"], "g_vertical"),
         (["--preset", "bogus"], "preset"),
+        (["--seed", "-1"], "seed"),
+        (["--seed", str(2**64)], "seed"),
     ],
 )
 def test_invalid_values_name_the_key(argv, key):
@@ -82,11 +87,9 @@ def test_invalid_values_name_the_key(argv, key):
         parse_config(argv)
 
 
-def test_invalid_format_rejected(tmp_path):
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"format": "parquet"}))
-    with pytest.raises(UsageError, match="format"):
-        parse_config(["--config", str(config_file)])
+def test_seed_range_edges_accepted():
+    assert parse_config(["--seed", "0"]).seed == 0
+    assert parse_config(["--seed", str(2**64 - 1)]).seed == 2**64 - 1
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -95,6 +98,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "s" in err
     assert main(["--preset", "nope"]) == 2
     assert main(["--no-such-flag"]) == 2
+    assert main(["--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 # --- running presets ---------------------------------------------------------
@@ -128,26 +133,84 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert summary["estimated"]["post_rate"] == pytest.approx(0.25, abs=0.05)
     assert summary["diagnostics"]["g_over_s"] == {"vertical": 0.01, "horizontal": 0.01}
     assert summary["diagnostics"]["branch_count"] == 3
+    assert summary["diagnostics"]["stream_version"] == 2
+    assert set(summary["diagnostics"]["versions"]) == {"cheshire", "numpy", "python"}
+    assert summary["diagnostics"]["versions"]["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("preset, acceptance", [("weak-cheshire", 0.400), ("which-path", 1.0)])
+def test_summary_reports_sampler_acceptance(tmp_path, preset, acceptance):
+    config = run_config(tmp_path, preset=preset, shots=4000)
+    assert run_preset(config) == 0
+    summary = read_summary(config.out_dir / "summary.json")
+    sampler = summary["diagnostics"]["sampler"]
+    assert sampler["accepted"] == summary["estimated"]["d1_count"]
+    assert sampler["observed_acceptance"] == sampler["accepted"] / sampler["attempts"]
+    expected = sampler["expected_acceptance"]
+    assert expected == pytest.approx(acceptance, abs=5e-4)
+    sigma = math.sqrt(expected * (1 - expected) / sampler["attempts"])
+    assert abs(sampler["observed_acceptance"] - expected) <= 5 * sigma + 1e-12
+
+
+def test_single_run_analyzes_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_analyze(experiment):
+        calls.append(experiment)
+        return analyze(experiment)
+
+    monkeypatch.setattr(cli, "analyze", counting_analyze)
+    monkeypatch.setattr(montecarlo, "analyze", counting_analyze)
+    assert run_preset(run_config(tmp_path, shots=300)) == 0
+    assert len(calls) == 1
+
+
+def test_expected_summary_accepts_a_precomputed_analysis():
+    config = run_config(Path("."))
+    experiment = build_experiment(config)
+    assert expected_summary(config, experiment) == expected_summary(
+        config, experiment, analysis=analyze(experiment)
+    )
 
 
 def test_csv_round_trips_the_records(tmp_path):
     config = run_config(tmp_path)
     run_preset(config)
     experiment = build_experiment(config)
-    records = sample_shots(experiment, config.shots, config.seed)
+    batch = sample_shots(experiment, config.shots, config.seed)
     with open(config.out_dir / "shots.csv", newline="", encoding="ascii") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["shot_id", "detector", "x", "y"]
     assert len(rows) == config.shots + 1
-    for row, record in zip(rows[1:], records):
-        assert int(row[0]) == record.shot_id
-        assert row[1] == record.detector.value
-        if record.detector is Detector.D1:
+    for row, shot_id, code, readout in zip(
+        rows[1:], batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()
+    ):
+        assert int(row[0]) == shot_id
+        assert row[1] == f"D{code}"
+        if code == 1:
             # vertical pointer first in the preset, horizontal second
-            assert float(row[3]) == record.readout[0]
-            assert float(row[2]) == record.readout[1]
+            assert row[3] == repr(readout[0])
+            assert row[2] == repr(readout[1])
         else:
             assert row[2] == "" and row[3] == ""
+
+
+def test_csv_bytes_match_the_csv_module(tmp_path):
+    # The byte format of shots.csv: csv.writer rows of str(shot_id), the
+    # detector name and repr of each Python float readout.
+    config = run_config(tmp_path, shots=600)
+    experiment = build_experiment(config)
+    batch = sample_shots(experiment, config.shots, config.seed)
+    cli.write_shots_csv(tmp_path / "shots.csv", batch, experiment)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["shot_id", "detector", "x", "y"])
+        for shot_id, code, (y, x) in zip(
+            batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()
+        ):
+            fields = [repr(x), repr(y)] if code == 1 else ["", ""]
+            writer.writerow([shot_id, f"D{code}", *fields])
+    assert (tmp_path / "shots.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_single_axis_preset_leaves_other_column_empty(tmp_path):
@@ -206,6 +269,16 @@ def test_runtime_failures_exit_1(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main(["--shots", "50", "--out-dir", str(blocker / "sub")]) == 1
+
+
+def test_low_acceptance_exits_1(tmp_path, monkeypatch, capsys):
+    # weak-cheshire accepts 0.4 of its readout proposals; a floor above
+    # that stands in for a near-null post-selection.
+    monkeypatch.setattr(montecarlo, "MIN_ACCEPTANCE", 0.5)
+    assert main(["--shots", "200", "--out-dir", str(tmp_path / "low")]) == 1
+    err = capsys.readouterr().err
+    assert "cheshire:" in err and "acceptance" in err
+    assert not (tmp_path / "low" / "shots.csv").exists()
 
 
 def test_main_happy_path(tmp_path):

@@ -7,7 +7,8 @@ from cheshire import (
     Experiment,
     GaussianPointer,
     InsufficientData,
-    ShotRecord,
+    LowAcceptance,
+    ShotBatch,
     analyze,
     canonical_observables,
     canonical_states,
@@ -19,7 +20,8 @@ from cheshire import (
     sample_shots,
     shot_generator,
 )
-from cheshire.montecarlo import _ShotStream
+from cheshire import montecarlo
+from cheshire.montecarlo import STREAM_VERSION, _philox, _uniform
 
 OBS = canonical_observables()
 PRE, POST = canonical_states()
@@ -41,19 +43,35 @@ def single_probe_experiment(name, g, axis=Axis.HORIZONTAL, s=1.0):
     )
 
 
-# --- randomness contract -----------------------------------------------------
+# --- randomness contract (stream v2) ------------------------------------------
+
+
+def concatenate(batches) -> ShotBatch:
+    batches = list(batches)
+    return ShotBatch(
+        shot_id=np.concatenate([b.shot_id for b in batches]),
+        detector=np.concatenate([b.detector for b in batches]),
+        readout=np.concatenate([b.readout for b in batches]),
+        attempts=sum(b.attempts for b in batches),
+    )
+
+
+def assert_batches_equal(first: ShotBatch, second: ShotBatch) -> None:
+    assert np.array_equal(first.shot_id, second.shot_id)
+    assert np.array_equal(first.detector, second.detector)
+    assert np.array_equal(first.readout, second.readout, equal_nan=True)
+    assert first.attempts == second.attempts
 
 
 def test_same_seed_is_bit_identical():
     experiment = cheshire_experiment()
-    first = sample_shots(experiment, 3000, seed=11)
-    second = sample_shots(experiment, 3000, seed=11)
-    assert first == second
+    assert_batches_equal(sample_shots(experiment, 3000, seed=11), sample_shots(experiment, 3000, seed=11))
 
 
 def test_different_seeds_differ():
     experiment = cheshire_experiment()
-    assert sample_shots(experiment, 500, seed=0) != sample_shots(experiment, 500, seed=1)
+    first, second = sample_shots(experiment, 500, seed=0), sample_shots(experiment, 500, seed=1)
+    assert not np.array_equal(first.readout, second.readout, equal_nan=True)
 
 
 @pytest.mark.parametrize("shards", [1, 4, 16])
@@ -62,27 +80,99 @@ def test_shard_invariance(shards):
     n = 1600
     baseline = sample_shots(experiment, n, seed=5)
     chunk = n // shards
-    resampled = []
-    for k in range(shards):
-        resampled.extend(sample_shots(experiment, chunk, seed=5, first_shot=k * chunk))
-    assert resampled == baseline
+    resampled = concatenate(
+        sample_shots(experiment, chunk, seed=5, first_shot=k * chunk) for k in range(shards)
+    )
+    assert_batches_equal(resampled, baseline)
 
 
-def test_rekeyed_stream_equals_fresh_generator():
-    stream = _ShotStream(987654321)
-    for shot_id in (0, 1, 17, 2**40):
-        reused = stream.rekey(shot_id)
-        fresh = shot_generator(987654321, shot_id)
-        assert [reused.random(), *reused.standard_normal(2)] == [
-            fresh.random(),
-            *fresh.standard_normal(2),
-        ]
+def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
+    # Shot blocks of 7 and one readout attempt per pass give the same records.
+    experiment = cheshire_experiment()
+    baseline = sample_shots(experiment, 300, seed=13)
+    monkeypatch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
+    monkeypatch.setattr(montecarlo, "_PASS_ROWS", 1)
+    assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
+
+
+def test_philox_blocks_match_numpy_random_raw():
+    # Block j of shot i is numpy's j-th Philox block under key [seed, i].
+    ids = np.array([0, 1, 17, 2**40, 2**64 - 1], dtype=np.uint64)
+    for seed in (0, 1, 987654321, 2**64 - 1):
+        for block in (1, 2, 7):
+            words = _philox(seed, ids, block)
+            for row, shot_id in zip(words, ids):
+                bit_generator = np.random.Philox(key=np.array([seed, shot_id], dtype=np.uint64))
+                assert row.tolist() == bit_generator.random_raw(4 * block)[-4:].tolist()
+
+
+def test_detector_uniform_equals_shot_generator():
+    # Unchanged from stream v1: the detector column of shots.csv is the same.
+    seed = 2**64 - 1
+    ids = np.arange(2000, dtype=np.uint64)
+    uniforms = _uniform(_philox(seed, ids, 1)[:, 0]).tolist()
+    assert uniforms == [shot_generator(seed, int(i)).random() for i in ids]
+    experiment = cheshire_experiment()
+    probabilities = analyze(experiment).detector_probabilities
+    p_d1, p_d2 = probabilities[Detector.D1], probabilities[Detector.D2]
+    expected = [1 if u < p_d1 else 2 if u < p_d1 + p_d2 else 3 for u in uniforms]
+    assert sample_shots(experiment, 2000, seed=seed).detector.tolist() == expected
+
+
+# Stream v2 records of weak-cheshire shots 2**40 .. 2**40 + 23 at seed 2**63 + 12345.
+GOLDEN_DETECTORS = [2, 2, 1, 1, 2, 1, 2, 1, 3, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 1, 2, 3, 2, 2]
+GOLDEN_ATTEMPTS = 12
+GOLDEN_READOUTS = {  # shot offset -> (vertical, horizontal)
+    2: (-0.4935069912506649, -0.5197836397846228),
+    3: (0.4642296465045257, 0.441115557606227),
+    5: (1.3191625388176211, 1.2517272764323497),
+    7: (-0.05004707425807678, 1.051130150461994),
+    19: (0.1468724824922454, 1.1675233712703355),
+}
+
+
+def test_stream_v2_golden_vector():
+    # Any change to the stream layout changes these records; bump
+    # STREAM_VERSION and re-pin them together.  Readouts go through numpy's
+    # transcendental functions, whose last bits may vary by CPU, hence rtol.
+    assert STREAM_VERSION == 2
+    batch = sample_shots(cheshire_experiment(), 24, seed=2**63 + 12345, first_shot=2**40)
+    assert batch.detector.tolist() == GOLDEN_DETECTORS
+    assert batch.attempts == GOLDEN_ATTEMPTS
+    d1 = np.flatnonzero(batch.detector == 1)
+    assert d1.tolist() == sorted(GOLDEN_READOUTS)
+    expected = np.array([GOLDEN_READOUTS[k] for k in d1.tolist()])
+    np.testing.assert_allclose(batch.readout[d1], expected, rtol=1e-12, atol=0)
 
 
 def test_shot_ids_are_contiguous_from_first_shot():
     experiment = cheshire_experiment()
-    records = sample_shots(experiment, 10, seed=0, first_shot=40)
-    assert [r.shot_id for r in records] == list(range(40, 50))
+    batch = sample_shots(experiment, 10, seed=0, first_shot=40)
+    assert batch.shot_id.dtype == np.int64
+    assert batch.shot_id.tolist() == list(range(40, 50))
+
+
+@pytest.mark.parametrize(
+    "seed, first_shot", [(-1, 0), (2**64, 0), (0, -1), (0, 2**63)]
+)
+def test_sample_shots_rejects_out_of_range_keys(seed, first_shot):
+    with pytest.raises(ValueError):
+        sample_shots(cheshire_experiment(), 1, seed=seed, first_shot=first_shot)
+
+
+def test_near_null_postselection_fails_fast():
+    # Arm-1 and arm-2 amplitudes toward the post-state nearly cancel: the
+    # success probability is ~1e-5 and the expected acceptance ~1.5e-5.
+    arm1 = [p for value, p in OBS["photon_in_arm1"].branches if value == 1.0][0]
+    amps = arm1 @ POST.amps - (np.eye(4) - arm1) @ POST.amps + 1e-3 * POST.amps
+    experiment = Experiment(
+        pre=normalize(ket(amps)),
+        couplings=((OBS["photon_in_arm1"], GaussianPointer(width=1.0, coupling=1e-2, axis=Axis.VERTICAL)),),
+    )
+    analysis = analyze(experiment)
+    assert 0.0 < analysis.success_probability < 1e-4
+    with pytest.raises(LowAcceptance, match="near-null"):
+        sample_shots(experiment, 10, seed=0, analysis=analysis)
 
 
 # --- analysis ----------------------------------------------------------------
@@ -117,11 +207,12 @@ def test_impossible_postselection_rejects_every_shot():
     analysis = analyze(experiment)
     assert analysis.mixture is None
     assert analysis.success_probability == 0.0
-    records = sample_shots(experiment, 400, seed=2)
-    assert all(r.detector is not Detector.D1 for r in records)
-    assert all(r.readout is None for r in records)
+    batch = sample_shots(experiment, 400, seed=2)
+    assert not (batch.detector == 1).any()
+    assert np.isnan(batch.readout).all()
+    assert batch.attempts == 0
     with pytest.raises(InsufficientData):
-        estimate(records, experiment)
+        estimate(batch, experiment)
 
 
 # --- shot records and estimates -----------------------------------------------
@@ -129,15 +220,19 @@ def test_impossible_postselection_rejects_every_shot():
 
 def test_readout_present_exactly_for_d1():
     experiment = cheshire_experiment()
-    records = sample_shots(experiment, 2000, seed=3)
-    for record in records:
-        assert (record.readout is not None) == (record.detector is Detector.D1)
-        if record.readout is not None:
-            assert len(record.readout) == 2
+    batch = sample_shots(experiment, 2000, seed=3)
+    assert batch.readout.shape == (2000, 2)
+    assert np.array_equal(np.isnan(batch.readout).any(axis=1), batch.detector != 1)
+    assert np.isfinite(batch.readout[batch.detector == 1]).all()
+    ids = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError):
-        ShotRecord(0, Detector.D2, (0.1, 0.2))
+        ShotBatch(ids, np.array([2], dtype=np.uint8), np.array([[0.1, 0.2]]))
     with pytest.raises(ValueError):
-        ShotRecord(0, Detector.D1, None)
+        ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[np.nan, np.nan]]))
+    with pytest.raises(ValueError):
+        ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[0.1, np.nan]]))
+    with pytest.raises(ValueError):
+        ShotBatch(ids, np.array([4], dtype=np.uint8), np.array([[np.nan, np.nan]]))
 
 
 def test_sample_shots_rejects_empty_run():
@@ -148,21 +243,21 @@ def test_sample_shots_rejects_empty_run():
 def test_detector_rates_track_analysis():
     experiment = cheshire_experiment()
     n = 20000
-    records = sample_shots(experiment, n, seed=14)
+    batch = sample_shots(experiment, n, seed=14)
     analysis = analyze(experiment)
-    for detector in Detector:
+    for code, detector in enumerate(Detector, start=1):
         p = analysis.detector_probabilities[detector]
-        count = sum(r.detector is detector for r in records)
+        count = int(np.sum(batch.detector == code))
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(count / n - p) < 4 * sigma
 
 
 def test_estimate_interface():
     experiment = cheshire_experiment()
-    records = sample_shots(experiment, 5000, seed=8)
-    stats = estimate(records, experiment)
+    batch = sample_shots(experiment, 5000, seed=8)
+    stats = estimate(batch, experiment)
     assert stats.n_shots == 5000
-    assert stats.d1_count == sum(r.detector is Detector.D1 for r in records)
+    assert stats.d1_count == int(np.sum(batch.detector == 1))
     assert stats.post_rate == stats.d1_count / 5000
     assert set(stats.axes) == {Axis.VERTICAL, Axis.HORIZONTAL}
     for est in stats.axes.values():
@@ -170,22 +265,25 @@ def test_estimate_interface():
         assert est.mean_over_coupling == pytest.approx(est.mean / 1e-2)
     assert stats.config["n_shots"] == 5000
     assert stats.config["pointers"]["vertical"] == {"coupling": 1e-2, "width": 1.0}
+    empty = ShotBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), np.empty((0, 2)))
     with pytest.raises(ValueError):
-        estimate([], experiment)
+        estimate(empty, experiment)
 
 
 def test_estimate_requires_two_d1_shots():
     experiment = cheshire_experiment()
-    records = [ShotRecord(i, Detector.D2, None) for i in range(50)]
-    records.append(ShotRecord(50, Detector.D1, (0.0, 0.0)))
+    detector = np.full(51, 2, dtype=np.uint8)
+    detector[50] = 1
+    readout = np.full((51, 2), np.nan)
+    readout[50] = 0.0
+    batch = ShotBatch(np.arange(51, dtype=np.int64), detector, readout)
     with pytest.raises(InsufficientData):
-        estimate(records, experiment)
+        estimate(batch, experiment)
 
 
 def test_zero_coupling_mean_is_statistically_zero():
     experiment = cheshire_experiment(g=0.0, h=0.0)
-    records = sample_shots(experiment, 5000, seed=21)
-    stats = estimate(records, experiment)
+    stats = estimate(sample_shots(experiment, 5000, seed=21), experiment)
     for est in stats.axes.values():
         assert abs(est.mean) < 4 * est.stderr
         assert est.mean_over_coupling is None
@@ -194,8 +292,7 @@ def test_zero_coupling_mean_is_statistically_zero():
 def test_strong_probe_mean_matches_closed_form():
     # coupling/width = 10: sampled mean against the analytic mixture mean.
     experiment = single_probe_experiment("photon_in_arm1", 10.0, axis=Axis.VERTICAL)
-    records = sample_shots(experiment, 4000, seed=12)
-    stats = estimate(records, experiment)
+    stats = estimate(sample_shots(experiment, 4000, seed=12), experiment)
     analysis = analyze(experiment)
     expected = mixture_moments(analysis.mixture)[Axis.VERTICAL].mean
     assert expected == pytest.approx(10.0, abs=1e-12)  # single displaced Gaussian
@@ -207,8 +304,7 @@ def test_interference_regime_sampling_respects_envelope():
     # coupling ~ width maximises the cross terms; the envelope assertion
     # inside the sampler runs on every draw under pytest (__debug__).
     experiment = single_probe_experiment("angular_momentum_arm2", 1.0)
-    records = sample_shots(experiment, 3000, seed=9)
-    stats = estimate(records, experiment)
+    stats = estimate(sample_shots(experiment, 3000, seed=9), experiment)
     analysis = analyze(experiment)
     expected = mixture_moments(analysis.mixture)[Axis.HORIZONTAL]
     est = stats.axes[Axis.HORIZONTAL]
