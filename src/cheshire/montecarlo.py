@@ -63,6 +63,7 @@ drawing anything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,9 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_SHOTS = 1 << 16
 #: Readout attempts evaluated together once few shots are left pending.
 _PASS_ROWS = 1 << 12
+#: A pass gives a pending shot no more attempts than leave it still pending
+#: with probability below this (see ``_attempt_cap``).
+_PASS_MISS = 1e-3
 #: ``ShotBatch.detector`` code of a D1 click (D2 and D3 are 2 and 3).
 _D1 = 1
 
@@ -149,7 +153,7 @@ class ShotBatch:
             raise ValueError("shot_id must be int64 and detector uint8")
         if self.detector.shape != (n,) or self.readout.ndim != 2 or self.readout.shape[0] != n:
             raise ValueError("shot_id, detector and readout rows must agree")
-        if not np.isin(self.detector, (1, 2, 3)).all():
+        if n and not (self.detector.min() >= 1 and self.detector.max() <= 3):
             raise ValueError("detector codes must be 1, 2 or 3")
         missing = np.isnan(self.readout)
         off_d1 = self.detector != _D1
@@ -322,14 +326,18 @@ class _MidpointEnvelope:
 
         Each pass evaluates the next ``per_shot`` attempts of every pending
         shot and keeps the first accepted one, so the records match
-        one-attempt-at-a-time sampling; ``per_shot`` grows as shots finish
-        to keep the number of passes small.
+        one-attempt-at-a-time sampling.  ``per_shot`` grows as shots finish
+        to keep the number of passes small, up to ``_attempt_cap`` of the
+        expected acceptance: beyond that cap a shot is still pending with
+        probability below ``_PASS_MISS``, so further attempts in the same
+        pass would mostly be evaluated and discarded.
         """
         readout = np.empty((shot_ids.shape[0], self.widths.shape[0]))
         pending = np.arange(shot_ids.shape[0])
         attempts, block = 0, 2
+        cap = _attempt_cap(self.acceptance)
         while pending.size:
-            per_shot = max(1, _PASS_ROWS // pending.size)
+            per_shot = min(cap, max(1, _PASS_ROWS // pending.size))
             blocks = block + np.tile(np.arange(per_shot), pending.size)
             points, accepted = self._attempt(_philox(seed, np.repeat(shot_ids[pending], per_shot), blocks))
             accepted = accepted.reshape(pending.size, per_shot)
@@ -341,6 +349,17 @@ class _MidpointEnvelope:
             pending = pending[~done]
             block += per_shot
         return readout, attempts
+
+
+def _attempt_cap(acceptance: float) -> int:
+    """Attempts after which a shot is still pending with probability below ``_PASS_MISS``.
+
+    The smallest k with (1 - acceptance)**k < _PASS_MISS: 14 at acceptance
+    0.400, 1 at acceptance 1.
+    """
+    if acceptance >= 1.0:
+        return 1
+    return max(1, math.ceil(math.log(_PASS_MISS) / math.log1p(-acceptance)))
 
 
 def readout_acceptance(mixture: PointerMixture) -> float:

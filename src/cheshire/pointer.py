@@ -159,11 +159,15 @@ class Moments(NamedTuple):
 
 
 def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Gram matrix O_ij = prod_ax exp(-(d_i - d_j)^2 / (8 s^2)) of displaced Gaussians."""
+    """Gram matrix O_ij = prod_ax exp(-((d_i - d_j) / s)^2 / 8) of displaced Gaussians.
+
+    Dividing by s before squaring keeps the exponent accurate for widths
+    whose square is not a normal float64.
+    """
     if displacements.shape[1] == 0:
         return np.ones((displacements.shape[0], displacements.shape[0]))
     diff = displacements[:, None, :] - displacements[None, :, :]
-    return np.exp(-np.sum(diff**2 / (8.0 * widths**2), axis=-1))
+    return np.exp(-np.sum((diff / widths) ** 2 / 8.0, axis=-1))
 
 
 def branch_overlaps(coupled: CoupledState) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cheshire import analyze, sample_shots
+from cheshire import Axis, analyze, sample_shots
 from cheshire import cli, montecarlo
 from cheshire.cli import (
     ExperimentConfig,
@@ -22,6 +22,12 @@ from cheshire.cli import (
 def read_summary(path: Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def config_argv(config_file: Path, values: dict) -> list[str]:
+    """Arguments that read ``values`` from the JSON config file ``config_file``."""
+    config_file.write_text(json.dumps(values))
+    return ["--config", str(config_file)]
 
 
 # --- config parsing ----------------------------------------------------------
@@ -80,11 +86,34 @@ def test_unknown_config_key_rejected(tmp_path):
         (["--preset", "bogus"], "preset"),
         (["--seed", "-1"], "seed"),
         (["--seed", str(2**64)], "seed"),
+        (["--g-vertical", "inf"], "g_vertical"),
+        (["--g-vertical", "nan"], "g_vertical"),
+        (["--s", "inf"], "s"),
+        (["--s", "1e-170"], "s"),
+        (["--s", "1e200"], "s"),
+        # config-file values
+        ({"out_dir": 5}, "out_dir"),
+        ({"shots": 2.5}, "shots"),
+        ({"shots": True}, "shots"),
+        ({"seed": "x"}, "seed"),
+        ({"s": "wide"}, "s"),
+        ({"g_horizontal": float("inf")}, "g_horizontal"),
     ],
 )
-def test_invalid_values_name_the_key(argv, key):
-    with pytest.raises(UsageError, match=key):
+def test_invalid_values_name_the_key(tmp_path, argv, key):
+    if isinstance(argv, dict):
+        argv = config_argv(tmp_path / "run.json", argv)
+    with pytest.raises(UsageError, match=f"^{key}:"):
         parse_config(argv)
+
+
+def test_integral_float_shots_accepted(tmp_path):
+    assert parse_config(config_argv(tmp_path / "run.json", {"shots": 3000.0})).shots == 3000
+
+
+def test_width_range_edges_accepted():
+    assert parse_config(["--s", "1e-150"]).s == 1e-150
+    assert parse_config(["--s", "1e150"]).s == 1e150
 
 
 def test_seed_range_edges_accepted():
@@ -100,6 +129,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["--no-such-flag"]) == 2
     assert main(["--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+    for argv, key in (
+        (["--g-vertical", "inf"], "g_vertical"),
+        (["--g-vertical", "nan"], "g_vertical"),
+        (["--s", "inf"], "s"),
+        (["--s", "1e-170"], "s"),
+        (["--s", "1e200"], "s"),
+        (config_argv(tmp_path / "a.json", {"out_dir": 5}), "out_dir"),
+        (config_argv(tmp_path / "b.json", {"shots": 2.5}), "shots"),
+        (config_argv(tmp_path / "c.json", {"shots": True}), "shots"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"cheshire: {key}:")
 
 
 # --- running presets ---------------------------------------------------------
@@ -173,6 +215,27 @@ def test_expected_summary_accepts_a_precomputed_analysis():
     )
 
 
+def test_expected_summary_is_scale_free_at_the_smallest_width():
+    # At equal g/s only lengths depend on the width: pointer means scale
+    # with s and variances with s**2.  1e-150 is the smallest accepted width.
+    def summary(s):
+        config = run_config(Path("."), g_vertical=0.01 * s, g_horizontal=0.01 * s, s=s)
+        return expected_summary(config, build_experiment(config))
+
+    unit, tiny = summary(1.0), summary(1e-150)
+    assert tiny["weak_values"] == unit["weak_values"]
+    assert tiny["abl"] == unit["abl"]
+
+    def close(value, reference):
+        return value == pytest.approx(reference, rel=1e-12, abs=0)
+
+    assert close(tiny["success_probability"], unit["success_probability"])
+    for axis in ("vertical", "horizontal"):
+        assert close(tiny["pointer_mean_over_coupling"][axis], unit["pointer_mean_over_coupling"][axis])
+        assert close(tiny["pointer_mean"][axis] / 1e-150, unit["pointer_mean"][axis])
+        assert close(tiny["pointer_variance"][axis] / 1e-150**2, unit["pointer_variance"][axis])
+
+
 def test_csv_round_trips_the_records(tmp_path):
     config = run_config(tmp_path)
     run_preset(config)
@@ -195,22 +258,33 @@ def test_csv_round_trips_the_records(tmp_path):
             assert row[2] == "" and row[3] == ""
 
 
-def test_csv_bytes_match_the_csv_module(tmp_path):
+def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
     # The byte format of shots.csv: csv.writer rows of str(shot_id), the
-    # detector name and repr of each Python float readout.
-    config = run_config(tmp_path, shots=600)
-    experiment = build_experiment(config)
-    batch = sample_shots(experiment, config.shots, config.seed)
-    cli.write_shots_csv(tmp_path / "shots.csv", batch, experiment)
-    with open(tmp_path / "reference.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["shot_id", "detector", "x", "y"])
-        for shot_id, code, (y, x) in zip(
-            batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()
-        ):
-            fields = [repr(x), repr(y)] if code == 1 else ["", ""]
-            writer.writerow([shot_id, f"D{code}", *fields])
-    assert (tmp_path / "shots.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # detector name and repr of each Python float readout, x horizontal and
+    # y vertical, for every column layout and across chunk boundaries.
+    chunks = (7, cli._CSV_CHUNK)
+    for preset in ("weak-cheshire", "which-path", "smile-only", "joint-strong"):
+        config = run_config(tmp_path, preset=preset, shots=600)
+        experiment = build_experiment(config)
+        batch = sample_shots(experiment, config.shots, config.seed, first_shot=2**40 - 300)
+        assert (batch.detector == 1).any()
+        with open(tmp_path / "reference.csv", "w", newline="", encoding="ascii") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["shot_id", "detector", "x", "y"])
+            for shot_id, code, readout in zip(
+                batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()
+            ):
+                by_axis = dict(zip(experiment.axes(), readout)) if code == 1 else {}
+                fields = [
+                    repr(by_axis[axis]) if axis in by_axis else ""
+                    for axis in (Axis.HORIZONTAL, Axis.VERTICAL)
+                ]
+                writer.writerow([shot_id, f"D{code}", *fields])
+        reference = (tmp_path / "reference.csv").read_bytes()
+        for chunk in chunks:
+            monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+            cli.write_shots_csv(tmp_path / "shots.csv", batch, experiment)
+            assert (tmp_path / "shots.csv").read_bytes() == reference, (preset, chunk)
 
 
 def test_single_axis_preset_leaves_other_column_empty(tmp_path):

@@ -87,9 +87,18 @@ def test_shard_invariance(shards):
 
 
 def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
-    # Shot blocks of 7 and one readout attempt per pass give the same records.
+    # Shot blocks of 7, one readout attempt per pass, and the per-pass
+    # attempt cap at 1 or binding at its derived value give the same records.
     experiment = cheshire_experiment()
     baseline = sample_shots(experiment, 300, seed=13)
+    assert montecarlo._attempt_cap(montecarlo.readout_acceptance(analyze(experiment).mixture)) == 14
+    assert montecarlo._attempt_cap(1.0) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_PASS_ROWS", 1 << 20)  # the cap binds on every pass
+        assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_attempt_cap", lambda acceptance: 1)
+        assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
     monkeypatch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
     monkeypatch.setattr(montecarlo, "_PASS_ROWS", 1)
     assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
@@ -231,8 +240,9 @@ def test_readout_present_exactly_for_d1():
         ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[np.nan, np.nan]]))
     with pytest.raises(ValueError):
         ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[0.1, np.nan]]))
-    with pytest.raises(ValueError):
-        ShotBatch(ids, np.array([4], dtype=np.uint8), np.array([[np.nan, np.nan]]))
+    for code in (0, 4, 255):
+        with pytest.raises(ValueError, match="detector codes"):
+            ShotBatch(ids, np.array([code], dtype=np.uint8), np.array([[np.nan, np.nan]]))
 
 
 def test_sample_shots_rejects_empty_run():

@@ -136,6 +136,20 @@ def test_success_probability_approaches_undisturbed_overlap(pre_post, observable
     assert deviations[-1] < 1e-6
 
 
+@pytest.mark.parametrize("width", [1e-160, 1e160])
+def test_success_probability_is_scale_free_at_extreme_widths(pre_post, observables, width):
+    # At equal g/s the Gram sum depends only on g/s.  Here s**2 is not a
+    # normal float64, so the overlap exponent must not be formed from it.
+    pre, post = pre_post
+
+    def success(s):
+        coupled = couple(pre, observables["photon_in_arm1"], vertical(0.01 * s, s))
+        coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(0.01 * s, s))
+        return postselect_pointer(coupled, post)[1]
+
+    assert success(width) == pytest.approx(success(1.0), rel=1e-12, abs=0)
+
+
 # --- moments ----------------------------------------------------------------
 
 
