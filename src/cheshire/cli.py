@@ -36,7 +36,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -68,17 +68,8 @@ DEFAULT_OUT_DIR = "out"
 SWEEP_RATIOS = (1e-1, 1e-2, 1e-3)
 #: Accepted pointer widths s.  Inside this range s**2, 1/s**2 and the
 #: two-axis density normalisation 1/(2 pi s**2) are normal float64 numbers.
+#: Couplings are capped at its upper end, so squared displacements are finite.
 WIDTH_RANGE = (1e-150, 1e150)
-
-_CONFIG_KEYS = (
-    "preset",
-    "g_vertical",
-    "g_horizontal",
-    "s",
-    "shots",
-    "seed",
-    "out_dir",
-)
 
 
 class UsageError(Exception):
@@ -122,15 +113,13 @@ class ExperimentConfig:
     out_dir: Path
 
     def as_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "g_vertical": self.g_vertical,
-            "g_horizontal": self.g_horizontal,
-            "s": self.s,
-            "shots": self.shots,
-            "seed": self.seed,
-            "out_dir": str(self.out_dir),
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["out_dir"] = str(self.out_dir)
+        return values
+
+
+#: Config-file keys and flag destinations, in ``summary.json`` order.
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,7 +159,7 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"config: unknown key {key!r}")
         values.update(file_values)
-    for key in ("preset", "g_vertical", "g_horizontal", "s", "shots", "seed", "out_dir"):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -193,10 +182,9 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
         raise UsageError(f"shots: need at least 1 shot, got {shots}")
     if not 0 <= seed < 2**64:
         raise UsageError(f"seed: must be in [0, 2**64), got {seed}")
-    if g_vertical < 0:
-        raise UsageError(f"g_vertical: coupling must be >= 0, got {g_vertical}")
-    if g_horizontal < 0:
-        raise UsageError(f"g_horizontal: coupling must be >= 0, got {g_horizontal}")
+    for key, g in (("g_vertical", g_vertical), ("g_horizontal", g_horizontal)):
+        if not 0 <= g <= high:
+            raise UsageError(f"{key}: coupling must lie in [0, {high:g}], got {g}")
     if not isinstance(out_dir, str):
         raise UsageError(f"out_dir: must be a path string, got {out_dir!r}")
     return ExperimentConfig(

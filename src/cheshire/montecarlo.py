@@ -39,23 +39,17 @@ their last bits may differ between numpy builds and CPUs.
 
 Envelope
 --------
-The post-selected density is exactly a signed mixture of midpoint Gaussians,
-
-    f(x) = sum_ij Re(c_ij) N(x; m_ij, s^2),
-    c_ij = conj(w_i) w_j O_ij / Z,   m_ij = (d_i + d_j) / 2,
-
-with O the pointer overlap Gram matrix and Z the Gram sum (the identity
-behind ``pointer.mixture_moments``).  Dropping the negative terms gives the
-envelope ``E(x) = sum_ij max(Re c_ij, 0) N(x; m_ij, s^2) >= f(x)``, which
-dominates termwise and has mass ``sum_ij max(Re c_ij, 0) >= 1``.  An attempt
-picks a pair with probability proportional to ``max(Re c_ij, 0)``, draws
-``x ~ N(m_ij, s^2)`` and accepts with probability ``f(x) / E(x)``, so the
-expected acceptance is ``1 / sum_ij max(Re c_ij, 0)``: 0.400 for the
-weak-cheshire preset, 1 for a single post-selected branch.  Pairs ``(i, j)``
-and ``(j, i)`` share the midpoint and the real part, so the pair list is
-``i <= j`` in row-major branch order with off-diagonal weights doubled, and
-only pairs of positive weight are kept.  ``f`` is evaluated independently as
-``|sum_i w_i A_i(x)|^2 / Z``, and envelope domination is asserted on every
+The sampler reads the mixture's pair expansion (``PointerMixture.expansion``),
+which writes the post-selected density as a signed sum of midpoint Gaussians,
+``f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2)``.  Dropping the negative
+terms gives the envelope ``E(x) = sum max(Re c_ij, 0) N(x; m_ij, s^2)
+>= f(x)``, which dominates termwise and has mass ``sum max(Re c_ij, 0) >= 1``.
+An attempt picks a pair of positive weight with probability proportional to
+that weight, draws ``x ~ N(m_ij, s^2)`` and accepts with probability
+``f(x) / E(x)``, so the expected acceptance is ``1 / sum max(Re c_ij, 0)``:
+0.400 for the weak-cheshire preset, 1 for a single post-selected branch.
+``f`` is evaluated in its amplitude form ``|sum_i w_i A_i(x)|^2 / Z`` by
+``pointer.mixture_density``, and envelope domination is asserted on every
 proposal in debug mode.  Runs whose expected acceptance is below
 ``MIN_ACCEPTANCE`` (near-null post-selection) raise LowAcceptance before
 drawing anything.
@@ -75,10 +69,11 @@ from .pointer import (
     GaussianPointer,
     NullPostSelection,
     PointerMixture,
-    _mixture_arrays,
-    _overlap_matrix,
+    _gaussian_kernels,
+    _gaussian_norm,
     branch_overlaps,
     couple,
+    mixture_density,
     postselect_pointer,
 )
 from .qstate import Ket, SpectralObservable
@@ -268,46 +263,20 @@ class _MidpointEnvelope:
     """Rejection sampler for a post-selected pointer mixture (module docstring)."""
 
     def __init__(self, mixture: PointerMixture) -> None:
-        weights, displacements, self.widths = _mixture_arrays(mixture)
-        overlap = _overlap_matrix(displacements, self.widths)
-        gram = (weights.conj()[:, None] * weights[None, :] * overlap).real
-        z = float(gram.sum())
-        i, j = np.triu_indices(len(weights))
-        coefficients = np.where(i == j, 1.0, 2.0) * gram[i, j] / z
-        keep = coefficients > 0
-        self.pair_weights = coefficients[keep]
-        self.midpoints = 0.5 * (displacements[i[keep]] + displacements[j[keep]])
+        pairs = mixture.expansion
+        keep = pairs.coefficients > 0
+        self.mixture = mixture
+        self.widths = pairs.widths
+        self.pair_weights = pairs.coefficients[keep]
+        self.midpoints = pairs.midpoints[keep]
         total = float(self.pair_weights.sum())
         self.pair_cdf = np.cumsum(self.pair_weights) / total
         self.acceptance = min(1.0, 1.0 / total)
-        self.weights = weights
-        self.displacements = displacements
-        self._norm = float(np.prod(1.0 / np.sqrt(2.0 * np.pi * self.widths**2)))
-        self._z = z
-
-    def _kernels(self, points: np.ndarray, centres: np.ndarray, scale: float) -> np.ndarray:
-        """exp(-sum_ax (x - c)^2 / (scale s^2)), shape (centres, points).
-
-        Sums run in a fixed order over axes and centres (no BLAS), so a
-        row's value does not depend on how many rows are evaluated with it.
-        """
-        exponent = np.zeros((centres.shape[0], points.shape[0]))
-        for k, width in enumerate(self.widths.tolist()):
-            delta = points[:, k] - centres[:, k, None]
-            exponent += delta * delta / (scale * width * width)
-        return np.exp(-exponent)
-
-    def density(self, points: np.ndarray) -> np.ndarray:
-        """f(x) = |sum_i w_i A_i(x)|^2 / Z at points of shape (n, axes)."""
-        amps = self._kernels(points, self.displacements, 4.0)
-        real = (self.weights.real[:, None] * amps).sum(axis=0)
-        imag = (self.weights.imag[:, None] * amps).sum(axis=0)
-        return (self._norm / self._z) * (real * real + imag * imag)
 
     def envelope(self, points: np.ndarray) -> np.ndarray:
         """E(x) = sum over kept pairs of max(Re c_ij, 0) N(x; m_ij, s^2), points (n, axes)."""
-        terms = self._kernels(points, self.midpoints, 2.0)
-        return self._norm * (self.pair_weights[:, None] * terms).sum(axis=0)
+        terms = _gaussian_kernels(points, self.midpoints, self.widths, 2.0)
+        return _gaussian_norm(self.widths) * (self.pair_weights[:, None] * terms).sum(axis=0)
 
     def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Proposals and accept flags of one attempt per row of Philox words."""
@@ -317,7 +286,7 @@ class _MidpointEnvelope:
         theta = (2.0 * np.pi) * _uniform(words[:, 2])
         normals = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
         points = self.midpoints[pair] + self.widths * normals[:, : self.widths.shape[0]]
-        target, envelope = self.density(points), self.envelope(points)
+        target, envelope = mixture_density(self.mixture, points), self.envelope(points)
         assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
         return points, _uniform(words[:, 3]) * envelope < target
 

@@ -8,6 +8,10 @@ terms and the post-selected pointer state is an exact complex-weighted
 mixture of displaced Gaussians.  All readout statistics then reduce to
 Gaussian overlap (Gram) sums in closed form; no wavepacket grid is evolved.
 
+Each mixture computes these sums once, as its pair expansion
+(:attr:`PointerMixture.expansion`); the success probability, the moments,
+the density and the readout sampler in ``cheshire.montecarlo`` all read it.
+
 The pointer wavefunction is G(x) = (2 pi s^2)^(-1/4) exp(-x^2 / (4 s^2)),
 i.e. ``width`` s is the standard deviation of the position *density*.  Two
 displaced copies overlap as <G_d1|G_d2> = exp(-(d1-d2)^2 / (8 s^2)); every
@@ -21,8 +25,10 @@ value, at the price of needing many repetitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +133,17 @@ def couple(
     return CoupledState(branches=tuple(branches), pointers=coupled.pointers + (pointer,))
 
 
+class PairExpansion(NamedTuple):
+    """A mixture's density as a signed sum of midpoint Gaussians (see PointerMixture)."""
+
+    weights: np.ndarray  # complex w_i, shape (branches,)
+    displacements: np.ndarray  # d_i, shape (branches, axes)
+    widths: np.ndarray  # s, shape (axes,)
+    total: float  # Z, the Gram sum
+    coefficients: np.ndarray  # Re c_ij for i <= j, off-diagonal doubled
+    midpoints: np.ndarray  # m_ij, shape (pairs, axes)
+
+
 @dataclass(frozen=True)
 class PointerMixture:
     """Post-selected pointer state: complex weights on displaced Gaussians.
@@ -152,6 +169,36 @@ class PointerMixture:
             if len(d) != len(self.axes):
                 raise ValueError("displacement dimension must match axis count")
 
+    @cached_property
+    def expansion(self) -> PairExpansion:
+        """The density as a signed sum of midpoint Gaussians (Gaussian product rule):
+
+            f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2),
+            c_ij = conj(w_i) w_j O_ij / Z,   m_ij = (d_i + d_j) / 2,
+
+        with O the overlap Gram matrix and Z = sum_ij conj(w_i) w_j O_ij.
+        Pairs (i, j) and (j, i) share the midpoint and the real part, so
+        off-diagonal coefficients are doubled; pairs are in row-major branch
+        order.  Sums run in a fixed order: sampled readouts depend on these
+        bits.  Raises NullPostSelection when Z < NULL_TOLERANCE.
+        """
+        weights = np.asarray(self.weights, dtype=np.complex128)
+        displacements = np.asarray(self.displacements, dtype=float).reshape(len(self.weights), len(self.axes))
+        widths = np.asarray(self.widths, dtype=float)
+        products = (weights.conj()[:, None] * weights[None, :] * _overlap_matrix(displacements, widths)).real
+        total = float(products.sum())
+        if total < NULL_TOLERANCE:
+            raise NullPostSelection("post-selected pointer state has vanishing norm")
+        i, j = np.triu_indices(len(weights))
+        return PairExpansion(
+            weights=weights,
+            displacements=displacements,
+            widths=widths,
+            total=total,
+            coefficients=np.where(i == j, 1.0, 2.0) * products[i, j] / total,
+            midpoints=0.5 * (displacements[i] + displacements[j]),
+        )
+
 
 class Moments(NamedTuple):
     mean: float
@@ -162,12 +209,32 @@ def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray
     """Gram matrix O_ij = prod_ax exp(-((d_i - d_j) / s)^2 / 8) of displaced Gaussians.
 
     Dividing by s before squaring keeps the exponent accurate for widths
-    whose square is not a normal float64.
+    whose square is not a normal float64.  An overflowing exponent is a sum
+    of squares, so exp(-inf) = 0 is exact and the overflow is not reported.
     """
-    if displacements.shape[1] == 0:
-        return np.ones((displacements.shape[0], displacements.shape[0]))
     diff = displacements[:, None, :] - displacements[None, :, :]
-    return np.exp(-np.sum((diff / widths) ** 2 / 8.0, axis=-1))
+    with np.errstate(over="ignore"):
+        return np.exp(-np.sum((diff / widths) ** 2 / 8.0, axis=-1))
+
+
+def _gaussian_kernels(points: np.ndarray, centres: np.ndarray, widths: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-sum_ax (x - c)^2 / (scale s^2)), shape (centres, points).
+
+    Sums run in a fixed order over axes (no BLAS), so a row's value does not
+    depend on how many rows are evaluated with it.  Overflowing exponents
+    give the exact limit 0, as in :func:`_overlap_matrix`.
+    """
+    exponent = np.zeros((centres.shape[0], points.shape[0]))
+    with np.errstate(over="ignore"):
+        for k, width in enumerate(widths.tolist()):
+            delta = points[:, k] - centres[:, k, None]
+            exponent += delta * delta / (scale * width * width)
+        return np.exp(-exponent)
+
+
+def _gaussian_norm(widths: np.ndarray) -> float:
+    """prod_ax 1 / sqrt(2 pi s^2): the peak of a unit-mass Gaussian over the axes."""
+    return float(np.prod(1.0 / np.sqrt(2.0 * np.pi * widths**2)))
 
 
 def branch_overlaps(coupled: CoupledState) -> np.ndarray:
@@ -182,87 +249,61 @@ def branch_overlaps(coupled: CoupledState) -> np.ndarray:
 def postselect_pointer(coupled: CoupledState, post: Ket) -> tuple[PointerMixture, float]:
     """Project the system on a post-state, leaving the pointers' mixed state.
 
-    Branch i keeps weight <post|branch_i>; the success probability is the
-    Gram form sum_ij conj(w_i) w_j O_ij, which is real and nonnegative.
-    Raises NullPostSelection when that probability is below NULL_TOLERANCE.
+    Branch i keeps weight <post|branch_i>, and branches of negligible weight
+    are dropped.  The success probability is the mixture's Gram sum Z =
+    sum_ij conj(w_i) w_j O_ij, which is real and nonnegative.  Raises
+    NullPostSelection when it is below NULL_TOLERANCE.
     """
     weights = np.array([inner(post, system) for system, _ in coupled.branches])
-    gram = branch_overlaps(coupled)
-    success = float(np.real(weights.conj() @ gram @ weights))
-    if success < NULL_TOLERANCE:
-        raise NullPostSelection("post-state is orthogonal to every surviving branch")
-    displacements = [d for _, d in coupled.branches]
     keep = np.abs(weights) > _PRUNE * max(1.0, float(np.max(np.abs(weights))))
+    if not keep.any():
+        raise NullPostSelection("post-state is orthogonal to every surviving branch")
     mixture = PointerMixture(
         weights=tuple(complex(w) for w, k in zip(weights, keep) if k),
-        displacements=tuple(d for d, k in zip(displacements, keep) if k),
+        displacements=tuple(d for (_, d), k in zip(coupled.branches, keep) if k),
         widths=tuple(p.width for p in coupled.pointers),
         axes=coupled.axes(),
     )
-    return mixture, success
-
-
-def _mixture_arrays(m: PointerMixture) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    weights = np.asarray(m.weights, dtype=np.complex128)
-    displacements = np.asarray(m.displacements, dtype=float).reshape(len(m.weights), len(m.axes))
-    widths = np.asarray(m.widths, dtype=float)
-    return weights, displacements, widths
-
-
-def _gram_total(weights: np.ndarray, gram: np.ndarray) -> float:
-    total = weights.conj() @ gram @ weights
-    if total.real < NULL_TOLERANCE:
-        raise NullPostSelection("mixture has vanishing normalization")
-    return float(total.real)
+    return mixture, mixture.expansion.total
 
 
 def mixture_moments(m: PointerMixture) -> dict[Axis, Moments]:
     """Per-axis mean and variance of the pointer density, in closed form.
 
-    Uses the Gaussian product rule: the cross term of branches i and j
-    contributes overlap O_ij centred at the midpoint (d_i + d_j)/2 with the
-    single-Gaussian variance, so
+    Each term of the pair expansion (:attr:`PointerMixture.expansion`) is a
+    Gaussian of variance s^2 centred at its midpoint m_p, so
 
-        mean  = sum_ij conj(w_i) w_j O_ij (d_i + d_j)/2   / Z
-        E[x^2] = sum_ij conj(w_i) w_j O_ij [((d_i + d_j)/2)^2 + s^2] / Z
+        mean   = sum_p c_p m_p
+        E[x^2] = sum_p c_p (m_p^2 + s^2)
 
-    with Z the Gram sum.  Both are hermitian forms, hence real.
+    with c_p the real pair coefficients, which sum to 1.
     """
-    weights, displacements, widths = _mixture_arrays(m)
-    gram = _overlap_matrix(displacements, widths)
-    z = _gram_total(weights, gram)
-    coeff = np.einsum("i,ij,j->ij", weights.conj(), gram, weights)
-    result: dict[Axis, Moments] = {}
-    for k, axis in enumerate(m.axes):
-        mid = 0.5 * (displacements[:, k][:, None] + displacements[:, k][None, :])
-        mean = np.sum(coeff * mid) / z
-        second = np.sum(coeff * (mid**2 + widths[k] ** 2)) / z
-        assert abs(mean.imag) <= 1e-12 * max(1.0, abs(mean.real))
-        assert abs(second.imag) <= 1e-12 * max(1.0, abs(second.real))
-        variance = second.real - mean.real**2
-        result[axis] = Moments(mean=float(mean.real), variance=float(variance))
-    return result
+    pairs = m.expansion
+    coefficients = pairs.coefficients[:, None]
+    # Fixed-order sums: symmetric terms cancel exactly, as BLAS may not.
+    means = (coefficients * pairs.midpoints).sum(axis=0)
+    seconds = (coefficients * (pairs.midpoints**2 + pairs.widths**2)).sum(axis=0)
+    return {
+        axis: Moments(mean=float(means[k]), variance=float(seconds[k] - means[k] ** 2))
+        for k, axis in enumerate(m.axes)
+    }
 
 
 def mixture_density(m: PointerMixture, point) -> float | np.ndarray:
-    """Normalized probability density of the pointer readout.
+    """Normalized probability density of the pointer readout, |sum_i w_i A_i(x)|^2 / Z.
 
+    A_i is the branch's Gaussian amplitude prod_ax G(x_ax - d_i_ax).
     ``point`` is one displacement-space point of dimension len(axes), or an
     array of shape (..., len(axes)) for batched evaluation.
     """
-    weights, displacements, widths = _mixture_arrays(m)
-    gram = _overlap_matrix(displacements, widths)
-    z = _gram_total(weights, gram)
+    pairs = m.expansion
     points = np.asarray(point, dtype=float)
-    batch_shape = points.shape[:-1]
-    scalar = points.ndim == 1
-    points = points.reshape(-1, points.shape[-1]) if points.ndim > 0 else points
-    if points.ndim != 2 or points.shape[-1] != len(m.axes):
+    if points.ndim == 0 or points.shape[-1] != len(m.axes):
         raise ValueError(f"point dimension must be {len(m.axes)}")
-    # Gaussian amplitudes per branch: prod_ax (2 pi s^2)^(-1/4) exp(-(x-d)^2/(4 s^2))
-    norm_const = float(np.prod((2.0 * np.pi * widths**2) ** -0.25))
-    delta = points[..., None, :] - displacements  # (..., branch, axis)
-    amps = norm_const * np.exp(-np.sum(delta**2 / (4.0 * widths**2), axis=-1))
-    psi = amps @ weights
-    density = np.abs(psi) ** 2 / z
-    return float(density[0]) if scalar else density.reshape(batch_shape)
+    batch_shape = points.shape[:-1]
+    flat = points.reshape(math.prod(batch_shape), len(m.axes))
+    amps = _gaussian_kernels(flat, pairs.displacements, pairs.widths, 4.0)
+    real = (pairs.weights.real[:, None] * amps).sum(axis=0)
+    imag = (pairs.weights.imag[:, None] * amps).sum(axis=0)
+    density = (_gaussian_norm(pairs.widths) / pairs.total) * (real * real + imag * imag)
+    return float(density[0]) if points.ndim == 1 else density.reshape(batch_shape)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cheshire import Axis, analyze, sample_shots
-from cheshire import cli, montecarlo
+from cheshire import cli, montecarlo, pointer
 from cheshire.cli import (
     ExperimentConfig,
     UsageError,
@@ -98,6 +98,10 @@ def test_unknown_config_key_rejected(tmp_path):
         ({"seed": "x"}, "seed"),
         ({"s": "wide"}, "s"),
         ({"g_horizontal": float("inf")}, "g_horizontal"),
+        # couplings above the largest width
+        (["--g-vertical", "1e200"], "g_vertical"),
+        (["--g-horizontal", "1.1e150"], "g_horizontal"),
+        ({"g_vertical": 1e151}, "g_vertical"),
     ],
 )
 def test_invalid_values_name_the_key(tmp_path, argv, key):
@@ -114,6 +118,8 @@ def test_integral_float_shots_accepted(tmp_path):
 def test_width_range_edges_accepted():
     assert parse_config(["--s", "1e-150"]).s == 1e-150
     assert parse_config(["--s", "1e150"]).s == 1e150
+    config = parse_config(["--g-vertical", "1e150", "--g-horizontal", "1e150"])
+    assert config.g_vertical == config.g_horizontal == 1e150
 
 
 def test_seed_range_edges_accepted():
@@ -135,6 +141,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["--s", "inf"], "s"),
         (["--s", "1e-170"], "s"),
         (["--s", "1e200"], "s"),
+        (["--g-vertical", "1e200"], "g_vertical"),
+        (["--g-horizontal", "1.1e150"], "g_horizontal"),
         (config_argv(tmp_path / "a.json", {"out_dir": 5}), "out_dir"),
         (config_argv(tmp_path / "b.json", {"shots": 2.5}), "shots"),
         (config_argv(tmp_path / "c.json", {"shots": True}), "shots"),
@@ -196,15 +204,31 @@ def test_summary_reports_sampler_acceptance(tmp_path, preset, acceptance):
 
 def test_single_run_analyzes_once(tmp_path, monkeypatch):
     calls = []
+    grams = []
+    overlap_matrix = pointer._overlap_matrix
 
     def counting_analyze(experiment):
         calls.append(experiment)
         return analyze(experiment)
 
+    def counting_overlaps(displacements, widths):
+        grams.append(displacements)
+        return overlap_matrix(displacements, widths)
+
     monkeypatch.setattr(cli, "analyze", counting_analyze)
     monkeypatch.setattr(montecarlo, "analyze", counting_analyze)
-    assert run_preset(run_config(tmp_path, shots=300)) == 0
+    monkeypatch.setattr(pointer, "_overlap_matrix", counting_overlaps)
+    assert main(["--preset", "weak-cheshire", "--shots", "300", "--out-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
+    # One Gram matrix for the detector probabilities, one for the mixture.
+    assert len(grams) <= 2
+
+
+def test_extreme_coupling_over_width_runs_quietly(tmp_path, capsys):
+    # g/s = 1e160 overflows the Gaussian exponents; exp(-inf) = 0 is exact.
+    argv = ["--g-vertical", "1e10", "--s", "1e-150", "--shots", "2000", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_expected_summary_accepts_a_precomputed_analysis():

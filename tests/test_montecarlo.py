@@ -206,6 +206,13 @@ def test_zero_coupling_reproduces_bare_optics():
         )
 
 
+def test_experiment_without_pointers_samples_detectors_only():
+    batch = sample_shots(Experiment(pre=PRE, couplings=()), 400, seed=3)
+    assert batch.readout.shape == (400, 0)
+    # One branch: its single pair accepts every proposal.
+    assert batch.attempts == np.count_nonzero(batch.detector == 1) > 0
+
+
 def test_impossible_postselection_rejects_every_shot():
     # Arm-1 V-polarised light never reaches D1; all shots land on D2/D3.
     pre = normalize(ket([1, -1, 0, 0]))
