@@ -17,7 +17,8 @@ experiment and writes two files into the output directory:
   (g/s per axis, branch count, ``stream_version``, the cheshire, numpy and
   python ``versions`` that byte identity depends on, and the readout
   ``sampler`` attempts, accepted count and expected against observed
-  acceptance).
+  acceptance, and the ``checks`` z-scores of the estimates against their
+  analytic values).
 
 Presets: ``weak-cheshire`` couples a which-path probe (vertical axis) and an
 arm-2 angular-momentum probe (horizontal axis), both weak; ``which-path``
@@ -27,7 +28,13 @@ ratios 0.1, 0.01, 0.001 (one subdirectory each) and aggregates the
 convergence of mean/coupling toward the weak values.
 
 Exit codes: 0 success, 1 runtime failure (impossible or near-null
-post-selection, too few post-selected shots, I/O), 2 usage error.
+post-selection, too few post-selected shots, out of memory, I/O), 2 usage
+error.
+
+The weak values and ABL tables of ``expected`` depend only on the canonical
+states and the preset's observables, which are constants, so each preset's
+blocks are computed once per process and copied into every summary.  The
+rest of ``expected`` reads the experiment's memoised analysis.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +54,6 @@ from . import __version__
 from .montecarlo import (
     STREAM_VERSION,
     Experiment,
-    ExperimentAnalysis,
     InsufficientData,
     LowAcceptance,
     ShotBatch,
@@ -180,6 +187,8 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
     out_dir = values.get("out_dir", DEFAULT_OUT_DIR)
     if shots < 1:
         raise UsageError(f"shots: need at least 1 shot, got {shots}")
+    if shots >= 2**63:
+        raise UsageError(f"shots: must be below 2**63, got {shots}")
     if not 0 <= seed < 2**64:
         raise UsageError(f"seed: must be in [0, 2**64), got {seed}")
     for key, g in (("g_vertical", g_vertical), ("g_horizontal", g_horizontal)):
@@ -242,26 +251,31 @@ def _axis_dict(values: dict[Axis, float | None]) -> dict[str, float | None]:
     return {axis.value: value for axis, value in values.items()}
 
 
-def expected_summary(
-    config: ExperimentConfig, experiment: Experiment, *, analysis: ExperimentAnalysis | None = None
-) -> dict:
-    """Analytic predictions: computed from the state algebra, never from samples.
-
-    ``analysis`` defaults to ``analyze(experiment)``.
-    """
+@cache
+def _constant_blocks(preset: str) -> tuple[dict, dict]:
+    """The weak-value and ABL blocks of a preset's summary, which depend on constants only."""
     pre, post = canonical_states()
     observables = canonical_observables()
     weak_values = {
         name: _complex_pair(weak_value(observable_operator(observables[name]), pre, post))
         for name in _REPORTED_WEAK_VALUES
     }
-    coupled_names = [name for name, _ in PRESETS[config.preset].couplings]
+    coupled_names = [name for name, _ in PRESETS[preset].couplings]
     abl_tables = {
         name: {f"{value:g}": prob for value, prob in abl_distribution(observables[name], pre, post).outcomes.items()}
         for name in coupled_names
     }
-    if analysis is None:
-        analysis = analyze(experiment)
+    return weak_values, abl_tables
+
+
+def expected_summary(config: ExperimentConfig, experiment: Experiment) -> dict:
+    """Analytic predictions: computed from the state algebra, never from samples.
+
+    The weak-value and ABL blocks are computed once per preset and returned
+    as new dicts, so a caller that edits a summary cannot change the next.
+    """
+    weak_values, abl_tables = _constant_blocks(config.preset)
+    analysis = analyze(experiment)
     moments = mixture_moments(analysis.mixture) if analysis.mixture is not None else {}
     means: dict[Axis, float | None] = {}
     ratios: dict[Axis, float | None] = {}
@@ -272,8 +286,8 @@ def expected_summary(
         variances[pointer.axis] = m.variance if m else None
         ratios[pointer.axis] = (m.mean / pointer.coupling) if m and pointer.coupling > 0 else None
     return {
-        "weak_values": weak_values,
-        "abl": abl_tables,
+        "weak_values": {name: dict(pair) for name, pair in weak_values.items()},
+        "abl": {name: dict(table) for name, table in abl_tables.items()},
         "success_probability": analysis.success_probability,
         "pointer_mean": _axis_dict(means),
         "pointer_variance": _axis_dict(variances),
@@ -291,10 +305,27 @@ def estimated_summary(stats: SummaryStats) -> dict:
     }
 
 
-def _diagnostics(
-    experiment: Experiment, analysis: ExperimentAnalysis, stats: SummaryStats, batch: ShotBatch
-) -> dict:
-    expected = readout_acceptance(analysis.mixture) if analysis.mixture is not None else None
+def _checks(expected: dict, stats: SummaryStats) -> dict:
+    """z-scores of the estimates against the analytic values, with analytic standard errors.
+
+    ``post_rate`` uses the binomial standard error sqrt(p (1 - p) / shots),
+    with p the success probability, and each axis mean
+    sqrt(pointer_variance / N_D1).
+    """
+    p = expected["success_probability"]
+    return {
+        "post_rate_z": (stats.post_rate - p) / math.sqrt(p * (1.0 - p) / stats.n_shots),
+        "mean_z": {
+            axis.value: (est.mean - expected["pointer_mean"][axis.value])
+            / math.sqrt(expected["pointer_variance"][axis.value] / stats.d1_count)
+            for axis, est in stats.axes.items()
+        },
+    }
+
+
+def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, batch: ShotBatch) -> dict:
+    analysis = analyze(experiment)
+    acceptance = readout_acceptance(analysis.mixture) if analysis.mixture is not None else None
     return {
         "g_over_s": {
             pointer.axis.value: pointer.coupling / pointer.width
@@ -310,9 +341,10 @@ def _diagnostics(
         "sampler": {
             "attempts": batch.attempts,
             "accepted": stats.d1_count,
-            "expected_acceptance": expected,
+            "expected_acceptance": acceptance,
             "observed_acceptance": stats.d1_count / batch.attempts if batch.attempts else None,
         },
+        "checks": _checks(expected, stats),
     }
 
 
@@ -367,14 +399,14 @@ def write_shots_csv(path: Path, batch: ShotBatch, experiment: Experiment) -> Non
 def _run_single(config: ExperimentConfig) -> dict:
     """Sample one preset, write its files, and return its summary dict."""
     experiment = build_experiment(config)
-    analysis = analyze(experiment)
-    batch = sample_shots(experiment, config.shots, config.seed, analysis=analysis)
+    batch = sample_shots(experiment, config.shots, config.seed)
     stats = estimate(batch, experiment)
+    expected = expected_summary(config, experiment)
     summary = {
         "config": config.as_dict(),
-        "expected": expected_summary(config, experiment, analysis=analysis),
+        "expected": expected,
         "estimated": estimated_summary(stats),
-        "diagnostics": _diagnostics(experiment, analysis, stats, batch),
+        "diagnostics": _diagnostics(experiment, expected, stats, batch),
     }
     config.out_dir.mkdir(parents=True, exist_ok=True)
     write_shots_csv(config.out_dir / "shots.csv", batch, experiment)
@@ -443,6 +475,9 @@ def run_preset(config: ExperimentConfig) -> int:
         return 1
     except OSError as exc:
         print(f"cheshire: cannot write outputs: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"cheshire: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     return 0
 

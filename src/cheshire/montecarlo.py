@@ -8,6 +8,10 @@ readout, drawn from the post-selected mixture density by rejection sampling.
 All shots of a run are evaluated together as numpy arrays, in blocks of
 ``_BLOCK_SHOTS`` shots so that transient arrays stay bounded.
 
+An :class:`Experiment` is immutable (its kets, observables and circuit are
+frozen), so :func:`analyze` computes its analysis once and returns the same
+:class:`ExperimentAnalysis` on every later call; the analysis is frozen too.
+
 Random stream, ``STREAM_VERSION = 2``
 -------------------------------------
 Randomness is counter-based.  Shot ``i`` of a run with seed ``seed`` (both in
@@ -59,6 +63,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -126,6 +133,10 @@ class Experiment:
     def axes(self) -> tuple[Axis, ...]:
         return tuple(pointer.axis for pointer in self.pointers())
 
+    @cached_property
+    def _analysis(self) -> ExperimentAnalysis:
+        return _analyze(self)
+
 
 @dataclass(frozen=True, eq=False)
 class ShotBatch:
@@ -166,7 +177,7 @@ class ExperimentAnalysis:
     """Analytic quantities a run is sampled from (and later checked against)."""
 
     coupled: CoupledState
-    detector_probabilities: dict[Detector, float]
+    detector_probabilities: Mapping[Detector, float]  # read-only
     mixture: PointerMixture | None
     success_probability: float
 
@@ -179,7 +190,14 @@ def analyze(experiment: Experiment) -> ExperimentAnalysis:
     and O the pointer overlap Gram matrix, so measurement disturbance is
     included.  A post-selection that can never succeed yields mixture None
     and success probability 0 rather than an exception.
+
+    Computed on the first call for an experiment; later calls return the
+    same object.
     """
+    return experiment._analysis
+
+
+def _analyze(experiment: Experiment) -> ExperimentAnalysis:
     coupled: Ket | CoupledState = experiment.pre
     for obs, pointer in experiment.couplings:
         coupled = couple(coupled, obs, pointer)
@@ -198,7 +216,7 @@ def analyze(experiment: Experiment) -> ExperimentAnalysis:
     probabilities[Detector.D1] = success
     return ExperimentAnalysis(
         coupled=coupled,
-        detector_probabilities=probabilities,
+        detector_probabilities=MappingProxyType(probabilities),
         mixture=mixture,
         success_probability=success,
     )
@@ -341,8 +359,6 @@ def sample_shots(
     n: int,
     seed: int,
     first_shot: int = 0,
-    *,
-    analysis: ExperimentAnalysis | None = None,
 ) -> ShotBatch:
     """Simulate shots ``first_shot .. first_shot + n - 1``.
 
@@ -352,7 +368,7 @@ def sample_shots(
     post-selection that can never succeed is not an error here: every shot
     is simply rejected to D2/D3.  A near-null one, whose expected readout
     acceptance is below MIN_ACCEPTANCE, raises LowAcceptance before any
-    shot is drawn.  ``analysis`` defaults to ``analyze(experiment)``.
+    shot is drawn.
     """
     if n < 1:
         raise ValueError("need at least one shot")
@@ -360,8 +376,7 @@ def sample_shots(
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if first_shot < 0 or first_shot + n > 2**63:
         raise ValueError("shot ids must lie in [0, 2**63)")
-    if analysis is None:
-        analysis = analyze(experiment)
+    analysis = analyze(experiment)
     p_d1 = analysis.detector_probabilities[Detector.D1]
     p_d12 = p_d1 + analysis.detector_probabilities[Detector.D2]
     sampler = None

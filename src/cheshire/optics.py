@@ -16,12 +16,19 @@ Beamsplitters use the real balanced (Hadamard-like) convention
 |1> -> (|L> + |R>)/sqrt(2), |2> -> (|L> - |R>)/sqrt(2).  Any other 50:50
 convention differs only by compensating phases; the convention-independent
 contract is P(D1) = |<post|state>|^2, which the tests check directly.
+
+A circuit is immutable, so its unitary, detector projectors and
+post-selected state are computed once per circuit, as read-only arrays, and
+:func:`standard_circuit` returns one shared instance: the standard chain is
+built once per process.  :func:`detector_projectors` returns a new dict of
+the shared projectors on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -111,9 +118,48 @@ class Circuit:
             raise ValueError("detector map must be a bijection from the three output modes onto D1-D3")
         object.__setattr__(self, "detector_map", MappingProxyType(dmap))
 
+    @cached_property
+    def _unitary(self) -> np.ndarray:
+        """Product of the element unitaries, first element applied first; read-only."""
+        total = identity()
+        for element in self.elements:
+            total = element_unitary(element) @ total
+        total.setflags(write=False)
+        return total
+
+    @cached_property
+    def _projectors(self) -> Mapping[Detector, np.ndarray]:
+        """Read-only detector projectors; see :func:`detector_projectors`."""
+        projectors: dict[Detector, np.ndarray] = {}
+        for mode, detector in self.detector_map.items():
+            rows = self._unitary[list(_MODE_INDICES[mode]), :]
+            proj = rows.conj().T @ rows
+            projectors[detector] = projectors.get(detector, 0) + proj
+        for proj in projectors.values():
+            proj.setflags(write=False)
+        return MappingProxyType(projectors)
+
+    @cached_property
+    def _post_state(self) -> Ket:
+        """The post-selected state; see :func:`postselected_state`."""
+        d1_modes = [mode for mode, det in self.detector_map.items() if det is Detector.D1]
+        indices = [i for mode in d1_modes for i in _MODE_INDICES[mode]]
+        if len(indices) != 1:
+            raise ValueError("D1 must cover exactly one output mode to define a post-selection")
+        return normalize(ket(self._unitary.conj().T[:, indices[0]]))
+
 
 def standard_circuit() -> Circuit:
-    """The detection chain that post-selects the canonical post-state at D1."""
+    """The detection chain that post-selects the canonical post-state at D1.
+
+    Every call returns the same immutable instance, so its cached unitary,
+    projectors and post-state are computed once per process.
+    """
+    return _standard_circuit()
+
+
+@cache
+def _standard_circuit() -> Circuit:
     return Circuit(
         elements=(
             OpticalElement(ElementKind.HALF_WAVE_PLATE, arm=2),
@@ -129,12 +175,8 @@ def standard_circuit() -> Circuit:
 
 
 def circuit_unitary(circuit: Circuit | None = None) -> np.ndarray:
-    """Product of the circuit's element unitaries, first element applied first."""
-    circuit = circuit or standard_circuit()
-    total = identity()
-    for element in circuit.elements:
-        total = element_unitary(element) @ total
-    return total
+    """Product of the circuit's element unitaries, first element applied first (read-only)."""
+    return (circuit or standard_circuit())._unitary
 
 
 def detector_projectors(circuit: Circuit | None = None) -> dict[Detector, np.ndarray]:
@@ -143,15 +185,9 @@ def detector_projectors(circuit: Circuit | None = None) -> dict[Detector, np.nda
     ``M_k = U^dag P_k U`` with U the circuit unitary and P_k the projector
     onto the detector's output modes.  A click at detector k on state s has
     probability <s|M_k|s>, and the D1 projector is rank one: post-selection.
+    The projectors are the circuit's cached read-only arrays, in a new dict.
     """
-    circuit = circuit or standard_circuit()
-    unitary = circuit_unitary(circuit)
-    projectors: dict[Detector, np.ndarray] = {}
-    for mode, detector in circuit.detector_map.items():
-        rows = unitary[list(_MODE_INDICES[mode]), :]
-        proj = rows.conj().T @ rows
-        projectors[detector] = projectors.get(detector, 0) + proj
-    return projectors
+    return dict((circuit or standard_circuit())._projectors)
 
 
 def postselected_state(circuit: Circuit | None = None) -> Ket:
@@ -160,13 +196,7 @@ def postselected_state(circuit: Circuit | None = None) -> Ket:
     Traced back through the circuit as U^dag |D1 mode>; with the standard
     circuit this is the canonical post-state.
     """
-    circuit = circuit or standard_circuit()
-    d1_modes = [mode for mode, det in circuit.detector_map.items() if det is Detector.D1]
-    indices = [i for mode in d1_modes for i in _MODE_INDICES[mode]]
-    if len(indices) != 1:
-        raise ValueError("D1 must cover exactly one output mode to define a post-selection")
-    amps = circuit_unitary(circuit).conj().T[:, indices[0]]
-    return normalize(ket(amps))
+    return (circuit or standard_circuit())._post_state
 
 
 @dataclass(frozen=True)

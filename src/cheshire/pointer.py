@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ATOL, Ket, SpectralObservable, inner, validate_spectral
+from .qstate import ATOL, Ket, SpectralObservable, inner
 
 #: Post-selection success probabilities below this are treated as impossible.
 NULL_TOLERANCE = 1e-15
@@ -110,9 +110,10 @@ def couple(
     Every existing branch splits per eigenspace: the projected system picks
     up an extra displacement ``coupling * eigenvalue`` on the new axis.
     Branches projected to (near) zero are dropped.  Raises DuplicateAxis if
-    the axis is already in use.
+    the axis is already in use, and ValueError if ``obs`` is not a valid
+    spectral observable (checked once per observable).
     """
-    violation = validate_spectral(obs)
+    violation = obs.violation
     if violation is not None:
         raise ValueError(f"invalid spectral observable: {violation}")
     if isinstance(state_or_coupled, Ket):
@@ -180,7 +181,8 @@ class PointerMixture:
         Pairs (i, j) and (j, i) share the midpoint and the real part, so
         off-diagonal coefficients are doubled; pairs are in row-major branch
         order.  Sums run in a fixed order: sampled readouts depend on these
-        bits.  Raises NullPostSelection when Z < NULL_TOLERANCE.
+        bits.  The arrays are read-only, as the expansion is shared by every
+        user of the mixture.  Raises NullPostSelection when Z < NULL_TOLERANCE.
         """
         weights = np.asarray(self.weights, dtype=np.complex128)
         displacements = np.asarray(self.displacements, dtype=float).reshape(len(self.weights), len(self.axes))
@@ -190,14 +192,11 @@ class PointerMixture:
         if total < NULL_TOLERANCE:
             raise NullPostSelection("post-selected pointer state has vanishing norm")
         i, j = np.triu_indices(len(weights))
-        return PairExpansion(
-            weights=weights,
-            displacements=displacements,
-            widths=widths,
-            total=total,
-            coefficients=np.where(i == j, 1.0, 2.0) * products[i, j] / total,
-            midpoints=0.5 * (displacements[i] + displacements[j]),
-        )
+        coefficients = np.where(i == j, 1.0, 2.0) * products[i, j] / total
+        midpoints = 0.5 * (displacements[i] + displacements[j])
+        for array in (weights, displacements, widths, coefficients, midpoints):
+            array.setflags(write=False)
+        return PairExpansion(weights, displacements, widths, total, coefficients, midpoints)
 
 
 class Moments(NamedTuple):

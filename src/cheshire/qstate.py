@@ -15,11 +15,18 @@ coefficients in the canonical basis.
 Operators are plain 4x4 complex numpy arrays; states carry an explicit
 ``normalized`` flag because intermediate results of projections are
 deliberately left unnormalized.
+
+Kets and spectral observables freeze their arrays read-only, so values
+derived from them alone are computed once: the canonical states and
+observables once per process (the observables come in a new dict on each
+call) and an observable's spectral check once per observable
+(:attr:`SpectralObservable.violation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -162,6 +169,11 @@ class SpectralObservable:
                 return proj
         raise ValueError(f"{eigenvalue!r} is not an eigenvalue of this observable")
 
+    @cached_property
+    def violation(self) -> SpectralViolation | None:
+        """``validate_spectral(self)``, run once: the projectors are read-only."""
+        return validate_spectral(self)
+
 
 def observable_operator(obs: SpectralObservable) -> np.ndarray:
     """The operator sum_a a * P_a of a spectral observable."""
@@ -229,7 +241,14 @@ def canonical_states() -> tuple[Ket, Ket]:
 
     pre  = (|1> + |2>)(|+> + |->)/2            -- arms superposed, H polarised
     post = (|1>(|+> + |->) + |2>(|+> - |->))/2 -- H in arm 1, V in arm 2
+
+    Built once per process; Kets are immutable, and so is the tuple.
     """
+    return _canonical_states()
+
+
+@cache
+def _canonical_states() -> tuple[Ket, Ket]:
     pre = ket(np.full(DIM, 0.5))
     post = ket([0.5, 0.5, 0.5, -0.5])
     return pre, post
@@ -245,7 +264,15 @@ def canonical_observables() -> dict[str, SpectralObservable]:
     - ``angular_momentum_arm1`` / ``angular_momentum_arm2``: polarisation
       detector restricted to one arm; eigenvalues {+1, -1, 0} with the 0
       eigenspace spanned by both polarisations of the other arm.
+
+    The observables are built once per process; each call returns a new
+    dict of them, so a caller that edits the dict cannot change the next.
     """
+    return dict(_canonical_observables())
+
+
+@cache
+def _canonical_observables() -> dict[str, SpectralObservable]:
     arm1 = _diag_projector([1, 1, 0, 0])
     arm2 = _diag_projector([0, 0, 1, 1])
     plus = _diag_projector([1, 0, 1, 0])

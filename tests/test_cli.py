@@ -9,6 +9,7 @@ import pytest
 from cheshire import Axis, analyze, sample_shots
 from cheshire import cli, montecarlo, pointer
 from cheshire.cli import (
+    PRESETS,
     ExperimentConfig,
     UsageError,
     build_experiment,
@@ -102,6 +103,9 @@ def test_unknown_config_key_rejected(tmp_path):
         (["--g-vertical", "1e200"], "g_vertical"),
         (["--g-horizontal", "1.1e150"], "g_horizontal"),
         ({"g_vertical": 1e151}, "g_vertical"),
+        # shot ids must fit in int64
+        (["--shots", str(2**63)], "shots"),
+        (["--shots", str(2**63 + 1)], "shots"),
     ],
 )
 def test_invalid_values_name_the_key(tmp_path, argv, key):
@@ -127,6 +131,10 @@ def test_seed_range_edges_accepted():
     assert parse_config(["--seed", str(2**64 - 1)]).seed == 2**64 - 1
 
 
+def test_largest_shot_count_accepted():
+    assert parse_config(["--shots", str(2**63 - 1)]).shots == 2**63 - 1
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["--s", "-1"]) == 2
     err = capsys.readouterr().err
@@ -146,6 +154,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (config_argv(tmp_path / "a.json", {"out_dir": 5}), "out_dir"),
         (config_argv(tmp_path / "b.json", {"shots": 2.5}), "shots"),
         (config_argv(tmp_path / "c.json", {"shots": True}), "shots"),
+        (["--shots", "9223372036854775809"], "shots"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -202,21 +211,44 @@ def test_summary_reports_sampler_acceptance(tmp_path, preset, acceptance):
     assert abs(sampler["observed_acceptance"] - expected) <= 5 * sigma + 1e-12
 
 
+@pytest.mark.parametrize("preset", [*PRESETS, "sweep"])
+def test_summary_checks_are_within_5_sigma(tmp_path, preset):
+    shots = 4000
+    assert main(["--preset", preset, "--shots", str(shots), "--seed", "17", "--out-dir", str(tmp_path)]) == 0
+    runs = sorted(tmp_path.glob("g_over_s_*")) if preset == "sweep" else [tmp_path]
+    assert runs
+    for run in runs:
+        summary = read_summary(run / "summary.json")
+        expected, estimated = summary["expected"], summary["estimated"]
+        checks = summary["diagnostics"]["checks"]
+        p = expected["success_probability"]
+        assert checks["post_rate_z"] == pytest.approx(
+            (estimated["post_rate"] - p) / math.sqrt(p * (1 - p) / shots), rel=1e-12
+        )
+        assert abs(checks["post_rate_z"]) < 5
+        assert set(checks["mean_z"]) == set(expected["pointer_mean"])
+        for axis, z in checks["mean_z"].items():
+            stderr = math.sqrt(expected["pointer_variance"][axis] / estimated["d1_count"])
+            deviation = estimated["means"][axis] - expected["pointer_mean"][axis]
+            assert z == pytest.approx(deviation / stderr, rel=1e-12)
+            assert abs(z) < 5
+
+
 def test_single_run_analyzes_once(tmp_path, monkeypatch):
     calls = []
     grams = []
+    compute = montecarlo._analyze
     overlap_matrix = pointer._overlap_matrix
 
     def counting_analyze(experiment):
         calls.append(experiment)
-        return analyze(experiment)
+        return compute(experiment)
 
     def counting_overlaps(displacements, widths):
         grams.append(displacements)
         return overlap_matrix(displacements, widths)
 
-    monkeypatch.setattr(cli, "analyze", counting_analyze)
-    monkeypatch.setattr(montecarlo, "analyze", counting_analyze)
+    monkeypatch.setattr(montecarlo, "_analyze", counting_analyze)
     monkeypatch.setattr(pointer, "_overlap_matrix", counting_overlaps)
     assert main(["--preset", "weak-cheshire", "--shots", "300", "--out-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
@@ -231,12 +263,41 @@ def test_extreme_coupling_over_width_runs_quietly(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_expected_summary_accepts_a_precomputed_analysis():
+def test_expected_summary_reuses_the_memoised_analysis(monkeypatch):
+    calls = []
+    compute = montecarlo._analyze
+
+    def counting_analyze(experiment):
+        calls.append(experiment)
+        return compute(experiment)
+
+    monkeypatch.setattr(montecarlo, "_analyze", counting_analyze)
     config = run_config(Path("."))
     experiment = build_experiment(config)
-    assert expected_summary(config, experiment) == expected_summary(
-        config, experiment, analysis=analyze(experiment)
-    )
+    first = expected_summary(config, experiment)
+    analysis = analyze(experiment)
+    assert expected_summary(config, experiment) == first
+    assert analyze(experiment) is analysis
+    assert calls == [experiment]
+
+
+def test_separately_built_experiments_give_bit_equal_summaries():
+    for preset in PRESETS:
+        config = run_config(Path("."), preset=preset)
+        first, second = build_experiment(config), build_experiment(config)
+        assert first is not second
+        # json text compares floats bit for bit (repr) and keeps key order
+        assert json.dumps(expected_summary(config, first)) == json.dumps(expected_summary(config, second))
+
+
+def test_edited_summary_does_not_change_the_next():
+    config = run_config(Path("."))
+    summary = expected_summary(config, build_experiment(config))
+    pristine = json.dumps(summary)
+    summary["weak_values"]["photon_in_arm1"]["re"] = 42.0
+    summary["abl"]["photon_in_arm1"].clear()
+    summary["weak_values"].clear()
+    assert json.dumps(expected_summary(config, build_experiment(config))) == pristine
 
 
 def test_expected_summary_is_scale_free_at_the_smallest_width():
@@ -367,6 +428,14 @@ def test_runtime_failures_exit_1(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     assert main(["--shots", "50", "--out-dir", str(blocker / "sub")]) == 1
+
+
+def test_unallocatable_shot_count_exits_1(tmp_path, capsys):
+    # 1e15 shot ids need 8 PB: the allocation fails at once.
+    assert main(["--shots", str(10**15), "--out-dir", str(tmp_path / "huge")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("cheshire: out of memory")
+    assert not (tmp_path / "huge").exists()
 
 
 def test_low_acceptance_exits_1(tmp_path, monkeypatch, capsys):

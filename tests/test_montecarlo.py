@@ -181,7 +181,7 @@ def test_near_null_postselection_fails_fast():
     analysis = analyze(experiment)
     assert 0.0 < analysis.success_probability < 1e-4
     with pytest.raises(LowAcceptance, match="near-null"):
-        sample_shots(experiment, 10, seed=0, analysis=analysis)
+        sample_shots(experiment, 10, seed=0)
 
 
 # --- analysis ----------------------------------------------------------------
@@ -194,6 +194,19 @@ def test_detector_probabilities_sum_to_one():
         assert analysis.detector_probabilities[Detector.D1] == pytest.approx(
             analysis.success_probability, abs=1e-12
         )
+
+
+def test_analysis_is_memoised_per_experiment_and_read_only():
+    experiment = cheshire_experiment()
+    analysis = analyze(experiment)
+    assert analyze(experiment) is analysis
+    with pytest.raises(TypeError):
+        analysis.detector_probabilities[Detector.D1] = 0.0
+    with pytest.raises(ValueError):
+        analysis.mixture.expansion.coefficients[:] = 0.0
+    other = cheshire_experiment()
+    assert analyze(other) is not analysis
+    assert dict(analyze(other).detector_probabilities) == dict(analysis.detector_probabilities)
 
 
 def test_zero_coupling_reproduces_bare_optics():

@@ -19,6 +19,7 @@ from cheshire import (
     run_interferometer,
     standard_circuit,
 )
+from cheshire.optics import circuit_unitary
 
 SQ2 = np.sqrt(2.0)
 
@@ -163,3 +164,40 @@ def test_detector_map_must_be_bijection():
         )
     with pytest.raises(ValueError):
         Circuit(elements=elements, detector_map={OutputMode.LEFT_H: Detector.D1})
+
+
+def test_circuit_constants_are_cached_read_only():
+    assert standard_circuit() is standard_circuit()
+    projectors = detector_projectors()
+    pristine = {detector: proj.copy() for detector, proj in projectors.items()}
+    projectors[Detector.D1] = np.zeros((4, 4))
+    del projectors[Detector.D2]
+    again = detector_projectors()
+    assert set(again) == set(Detector)
+    for detector, proj in again.items():
+        assert not proj.flags.writeable
+        np.testing.assert_array_equal(proj, pristine[detector])
+        with pytest.raises(ValueError):
+            proj[0, 0] = 1.0
+    assert not circuit_unitary().flags.writeable
+    assert circuit_unitary() is circuit_unitary(standard_circuit())
+    assert not postselected_state().amps.flags.writeable
+
+
+def test_each_circuit_caches_its_own_projectors():
+    # D1 and D3 swapped: D1 now post-selects the V output of the left port.
+    swapped = Circuit(
+        elements=standard_circuit().elements,
+        detector_map={
+            OutputMode.LEFT_H: Detector.D3,
+            OutputMode.LEFT_V: Detector.D1,
+            OutputMode.RIGHT: Detector.D2,
+        },
+    )
+    standard = detector_projectors()
+    projectors = detector_projectors(swapped)
+    np.testing.assert_array_equal(projectors[Detector.D1], standard[Detector.D3])
+    np.testing.assert_array_equal(projectors[Detector.D3], standard[Detector.D1])
+    post = postselected_state(swapped)
+    assert abs(inner(post, postselected_state())) < ATOL
+    assert np.vdot(post.amps, projectors[Detector.D1] @ post.amps).real == pytest.approx(1.0, abs=ATOL)

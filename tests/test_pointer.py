@@ -18,6 +18,7 @@ from cheshire import (
     postselect_pointer,
     weak_value,
 )
+from cheshire import qstate
 from oracles import lobe_masses, quadrature_moments
 
 SQ2 = np.sqrt(2.0)
@@ -83,6 +84,29 @@ def test_couple_rejects_bad_inputs(pre_post, observables):
         GaussianPointer(width=0.0, coupling=0.1, axis=Axis.VERTICAL)
     with pytest.raises(ValueError):
         GaussianPointer(width=1.0, coupling=-0.1, axis=Axis.VERTICAL)
+
+
+def test_couple_validates_each_observable_once(pre_post, observables, monkeypatch):
+    calls = []
+    validate = qstate.validate_spectral
+
+    def counting_validate(obs, *args):
+        calls.append(obs)
+        return validate(obs, *args)
+
+    monkeypatch.setattr(qstate, "validate_spectral", counting_validate)
+    pre, _ = pre_post
+    arm1 = observables["photon_in_arm1"].projector(1.0)
+    arm2 = observables["photon_in_arm2"].projector(1.0)
+    fresh = SpectralObservable(((1.0, arm1), (0.0, arm2)))
+    couple(pre, fresh, vertical(0.1))
+    couple(pre, fresh, vertical(0.2))
+    assert len(calls) == 1 and calls[0] is fresh
+    # A new invalid observable is still rejected, on every call.
+    invalid = SpectralObservable(((1.0, arm1), (0.0, arm1)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid spectral observable"):
+            couple(pre, invalid, vertical(0.1))
 
 
 # --- post-selection ---------------------------------------------------------

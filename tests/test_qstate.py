@@ -212,3 +212,36 @@ def test_validate_spectral_violations(observables):
     assert violation is not None
     assert "identity" in violation.reason
     assert str(violation)  # report renders
+
+
+def test_canonical_constants_are_shared_read_only_and_freshly_contained():
+    observables = canonical_observables()
+    observables["photon_in_arm1"] = observables.pop("photon_in_arm2")
+    observables.clear()
+    fresh = canonical_observables()
+    assert set(fresh) == {
+        "photon_in_arm1",
+        "photon_in_arm2",
+        "angular_momentum",
+        "angular_momentum_arm1",
+        "angular_momentum_arm2",
+    }
+    again = canonical_observables()
+    assert again is not fresh
+    for name, obs in fresh.items():
+        assert again[name] is obs
+        for _, proj in obs.branches:
+            assert not proj.flags.writeable
+    pre, post = canonical_states()
+    again_pre, again_post = canonical_states()
+    assert again_pre is pre and again_post is post
+    assert not pre.amps.flags.writeable and not post.amps.flags.writeable
+    np.testing.assert_array_equal(fresh["photon_in_arm1"].projector(1.0), np.diag([1, 1, 0, 0]))
+
+
+def test_violation_is_the_spectral_check(observables):
+    assert observables["angular_momentum_arm2"].violation is None
+    arm1 = observables["photon_in_arm1"].projector(1.0)
+    repeated = SpectralObservable(((1.0, arm1), (0.0, arm1)))
+    assert repeated.violation == validate_spectral(repeated)
+    assert "orthogonal" in repeated.violation.reason
