@@ -305,19 +305,37 @@ def estimated_summary(stats: SummaryStats) -> dict:
     }
 
 
+def _z_score(deviation: float, variance: float, count: int) -> float | None:
+    """deviation / sqrt(variance / count), or None where that is not a finite number.
+
+    A variance that rounding has left at 0 or below (which-path at large
+    g/s keeps one branch, whose variance s^2 is lost next to g^2) gives no
+    standard error, so the check is left out rather than failing the run.
+    """
+    stderr = math.sqrt(variance / count) if variance > 0 else 0.0
+    if not (math.isfinite(stderr) and stderr > 0):
+        return None
+    z = deviation / stderr
+    return z if math.isfinite(z) else None
+
+
 def _checks(expected: dict, stats: SummaryStats) -> dict:
     """z-scores of the estimates against the analytic values, with analytic standard errors.
 
     ``post_rate`` uses the binomial standard error sqrt(p (1 - p) / shots),
     with p the success probability, and each axis mean
-    sqrt(pointer_variance / N_D1).
+    sqrt(pointer_variance / N_D1).  A z-score is null where its standard
+    error is not finite and positive.
     """
     p = expected["success_probability"]
     return {
-        "post_rate_z": (stats.post_rate - p) / math.sqrt(p * (1.0 - p) / stats.n_shots),
+        "post_rate_z": _z_score(stats.post_rate - p, p * (1.0 - p), stats.n_shots),
         "mean_z": {
-            axis.value: (est.mean - expected["pointer_mean"][axis.value])
-            / math.sqrt(expected["pointer_variance"][axis.value] / stats.d1_count)
+            axis.value: _z_score(
+                est.mean - expected["pointer_mean"][axis.value],
+                expected["pointer_variance"][axis.value],
+                stats.d1_count,
+            )
             for axis, est in stats.axes.items()
         },
     }

@@ -149,17 +149,13 @@ class Circuit:
         return normalize(ket(self._unitary.conj().T[:, indices[0]]))
 
 
+@cache
 def standard_circuit() -> Circuit:
     """The detection chain that post-selects the canonical post-state at D1.
 
     Every call returns the same immutable instance, so its cached unitary,
     projectors and post-state are computed once per process.
     """
-    return _standard_circuit()
-
-
-@cache
-def _standard_circuit() -> Circuit:
     return Circuit(
         elements=(
             OpticalElement(ElementKind.HALF_WAVE_PLATE, arm=2),

@@ -236,6 +236,7 @@ def _diag_projector(diagonal) -> np.ndarray:
     return np.diag(np.asarray(diagonal, dtype=np.complex128))
 
 
+@cache
 def canonical_states() -> tuple[Ket, Ket]:
     """The pre- and post-selected states of the experiment.
 
@@ -244,11 +245,6 @@ def canonical_states() -> tuple[Ket, Ket]:
 
     Built once per process; Kets are immutable, and so is the tuple.
     """
-    return _canonical_states()
-
-
-@cache
-def _canonical_states() -> tuple[Ket, Ket]:
     pre = ket(np.full(DIM, 0.5))
     post = ket([0.5, 0.5, 0.5, -0.5])
     return pre, post

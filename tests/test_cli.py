@@ -263,6 +263,25 @@ def test_extreme_coupling_over_width_runs_quietly(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_checks_without_a_standard_error_are_null(tmp_path, capsys):
+    # which-path keeps one branch; at g/s = 1e9 its variance g^2 + s^2 - g^2 rounds to 0.
+    argv = ["--preset", "which-path", "--g-vertical", "1e9", "--shots", "2000", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_summary(tmp_path / "summary.json")
+    assert summary["expected"]["pointer_variance"]["vertical"] == 0.0
+    assert summary["diagnostics"]["checks"]["mean_z"] == {"vertical": None}
+    assert abs(summary["diagnostics"]["checks"]["post_rate_z"]) < 5
+
+
+@pytest.mark.parametrize(
+    "deviation, variance, count",
+    [(1.0, 0.0, 10), (1.0, -1e-300, 10), (1.0, math.inf, 10), (1.0, math.nan, 10), (1e300, 1e-300, 1), (0.0, 5e-324, 10)],
+)
+def test_z_score_is_null_without_a_finite_standard_error(deviation, variance, count):
+    assert cli._z_score(deviation, variance, count) is None
+
+
 def test_expected_summary_reuses_the_memoised_analysis(monkeypatch):
     calls = []
     compute = montecarlo._analyze
