@@ -7,9 +7,7 @@ experiment and writes two files into the output directory:
   horizontal readout, ``y`` the vertical one, both empty for shots that did
   not reach D1 (and for axes the preset does not couple).  Floats use
   ``repr`` (shortest round-trip form), so identical configs give
-  byte-identical files.  A row is the shot id followed by a tail that is a
-  constant off D1 and one f-string of the readouts on D1; calling ``repr``
-  on each readout is the floor of the writer's cost.
+  byte-identical files.
 - ``summary.json`` with keys ``config`` (the fully resolved configuration),
   ``expected`` (analytic weak values as {re, im} pairs, conditional outcome
   tables, pointer moments -- never derived from the samples), ``estimated``
@@ -25,16 +23,12 @@ arm-2 angular-momentum probe (horizontal axis), both weak; ``which-path``
 and ``smile-only`` couple one of them; ``joint-strong`` runs both at
 coupling/width = 10; ``sweep`` repeats weak-cheshire at coupling/width
 ratios 0.1, 0.01, 0.001 (one subdirectory each) and aggregates the
-convergence of mean/coupling toward the weak values.
+convergence of mean/coupling toward the weak values (the
+``weak_limit_error`` |mean/coupling - Re A_w| per point and axis).
 
 Exit codes: 0 success, 1 runtime failure (impossible or near-null
 post-selection, too few post-selected shots, out of memory, I/O), 2 usage
 error.
-
-The weak values and ABL tables of ``expected`` depend only on the canonical
-states and the preset's observables, which are constants, so each preset's
-blocks are computed once per process and copied into every summary.  The
-rest of ``expected`` reads the experiment's memoised analysis.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ from .montecarlo import (
     readout_acceptance,
     sample_shots,
 )
-from .pointer import Axis, GaussianPointer, NullPostSelection, mixture_moments
+from .pointer import Axis, GaussianPointer, NullPostSelection, mixture_moments, weak_limit_error
 from .postselect import abl_distribution, weak_value
 from .qstate import canonical_observables, canonical_states, observable_operator
 
@@ -414,9 +408,8 @@ def write_shots_csv(path: Path, batch: ShotBatch, experiment: Experiment) -> Non
             fh.write(("%d%s" * detector.shape[0]) % tuple(fields))
 
 
-def _run_single(config: ExperimentConfig) -> dict:
-    """Sample one preset, write its files, and return its summary dict."""
-    experiment = build_experiment(config)
+def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
+    """Sample the configured experiment, write its files, and return its summary dict."""
     batch = sample_shots(experiment, config.shots, config.seed)
     stats = estimate(batch, experiment)
     expected = expected_summary(config, experiment)
@@ -436,6 +429,7 @@ def _run_single(config: ExperimentConfig) -> dict:
 
 def _run_sweep(config: ExperimentConfig) -> dict:
     """Weak-cheshire at each sweep ratio, plus a convergence aggregate."""
+    observables = [name for name, _ in PRESETS["weak-cheshire"].couplings]
     points = []
     for ratio in SWEEP_RATIOS:
         point_config = replace(
@@ -445,17 +439,20 @@ def _run_sweep(config: ExperimentConfig) -> dict:
             g_horizontal=ratio * config.s,
             out_dir=config.out_dir / f"g_over_s_{ratio:g}",
         )
-        summary = _run_single(point_config)
-        expected_ratio = summary["expected"]["pointer_mean_over_coupling"]
+        experiment = build_experiment(point_config)
+        summary = _run_single(point_config, experiment)
+        weak_values = [summary["expected"]["weak_values"][name]["re"] for name in observables]
+        errors = weak_limit_error(
+            analyze(experiment).mixture, [p.coupling for p in experiment.pointers()], weak_values
+        )
         points.append(
             {
                 "g_over_s": ratio,
                 "out_dir": str(point_config.out_dir),
-                "expected_mean_over_coupling": expected_ratio,
+                "expected_mean_over_coupling": summary["expected"]["pointer_mean_over_coupling"],
                 "estimated_mean_over_coupling": summary["estimated"]["mean_over_coupling"],
                 "weak_limit_error": {
-                    axis: abs(value - 1.0) if value is not None else None
-                    for axis, value in expected_ratio.items()
+                    axis.value: float(error) for axis, error in zip(experiment.axes(), errors)
                 },
             }
         )
@@ -487,7 +484,7 @@ def run_preset(config: ExperimentConfig) -> int:
         if config.preset == "sweep":
             _run_sweep(config)
         else:
-            _run_single(config)
+            _run_single(config, build_experiment(config))
     except (NullPostSelection, InsufficientData, LowAcceptance) as exc:
         print(f"cheshire: {exc}", file=sys.stderr)
         return 1

@@ -8,9 +8,10 @@ readout, drawn from the post-selected mixture density by rejection sampling.
 All shots of a run are evaluated together as numpy arrays, in blocks of
 ``_BLOCK_SHOTS`` shots so that transient arrays stay bounded.
 
-An :class:`Experiment` is immutable (its kets, observables and circuit are
-frozen), so :func:`analyze` computes its analysis once and returns the same
-:class:`ExperimentAnalysis` on every later call; the analysis is frozen too.
+An :class:`Experiment` is immutable (its kets and observables are frozen,
+and every experiment uses the standard detection chain), so :func:`analyze`
+computes its analysis once and returns the same :class:`ExperimentAnalysis`
+on every later call; the analysis is frozen too.
 
 Random stream, ``STREAM_VERSION = 2``
 -------------------------------------
@@ -24,8 +25,9 @@ uniform in [0, 1) as ``(w >> 11) * 2**-53``, numpy's ``random()`` transform.
 
 - Block 1, word 0: the detector uniform ``u``.  The shot clicks D1 when
   ``u < P(D1)``, D2 when ``u < P(D1) + P(D2)``, D3 otherwise.  ``u`` equals
-  ``shot_generator(seed, i).random()`` bit for bit, as in stream v1, so the
-  detector column did not change between the versions.
+  the first ``random()`` of ``np.random.Generator(np.random.Philox(key=[seed,
+  i]))`` bit for bit, as in stream v1, so the detector column did not change
+  between the versions.
 - Block ``k + 2``: readout attempt ``k = 0, 1, ...`` of a D1 shot.  ``w0``
   picks the envelope pair (below) by inverse CDF.  ``w1`` and ``w2`` give
   standard normals by Box-Muller: ``r = sqrt(-2 ln v)`` with
@@ -62,14 +64,14 @@ drawing anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .optics import Circuit, Detector, detector_projectors, postselected_state, standard_circuit
+from .optics import Detector, detector_projectors, postselected_state
 from .pointer import (
     Axis,
     CoupledState,
@@ -78,7 +80,7 @@ from .pointer import (
     PointerMixture,
     _gaussian_kernels,
     _gaussian_norm,
-    branch_overlaps,
+    _overlap_matrix,
     couple,
     mixture_density,
     postselect_pointer,
@@ -121,11 +123,10 @@ class LowAcceptance(ValueError):
 
 @dataclass(frozen=True)
 class Experiment:
-    """Pre-state, pointer couplings (applied in order), and detection chain."""
+    """Pre-state and pointer couplings (applied in order) ahead of the standard detection chain."""
 
     pre: Ket
     couplings: tuple[tuple[SpectralObservable, GaussianPointer], ...]
-    circuit: Circuit = field(default_factory=standard_circuit)
 
     def pointers(self) -> tuple[GaussianPointer, ...]:
         return tuple(pointer for _, pointer in self.couplings)
@@ -176,7 +177,6 @@ class ShotBatch:
 class ExperimentAnalysis:
     """Analytic quantities a run is sampled from (and later checked against)."""
 
-    coupled: CoupledState
     detector_probabilities: Mapping[Detector, float]  # read-only
     mixture: PointerMixture | None
     success_probability: float
@@ -189,43 +189,31 @@ def analyze(experiment: Experiment) -> ExperimentAnalysis:
     sum_ij <b_i| M |b_j> O_ij with M the detector's traced-back projector
     and O the pointer overlap Gram matrix, so measurement disturbance is
     included.  A post-selection that can never succeed yields mixture None
-    and success probability 0 rather than an exception.
-
-    Computed on the first call for an experiment; later calls return the
-    same object.
+    and success probability 0 rather than an exception.  Computed once per
+    experiment (module docstring).
     """
     return experiment._analysis
 
 
 def _analyze(experiment: Experiment) -> ExperimentAnalysis:
-    coupled: Ket | CoupledState = experiment.pre
+    coupled = CoupledState(experiment.pre.amps[None, :], np.zeros((1, 0)), ())
     for obs, pointer in experiment.couplings:
         coupled = couple(coupled, obs, pointer)
-    if isinstance(coupled, Ket):
-        coupled = CoupledState(branches=((coupled, ()),), pointers=())
     try:
-        mixture, success = postselect_pointer(coupled, postselected_state(experiment.circuit))
+        mixture, success = postselect_pointer(coupled, postselected_state())
     except NullPostSelection:
         mixture, success = None, 0.0
-    systems = np.array([system.amps for system, _ in coupled.branches])
-    gram = branch_overlaps(coupled)
+    gram = _overlap_matrix(coupled.displacements, coupled.widths())
     probabilities: dict[Detector, float] = {}
-    for detector, projector in detector_projectors(experiment.circuit).items():
-        cross = systems.conj() @ projector @ systems.T
+    for detector, projector in detector_projectors().items():
+        cross = coupled.systems.conj() @ projector @ coupled.systems.T
         probabilities[detector] = min(1.0, max(0.0, float(np.sum(cross * gram).real)))
     probabilities[Detector.D1] = success
     return ExperimentAnalysis(
-        coupled=coupled,
         detector_probabilities=MappingProxyType(probabilities),
         mixture=mixture,
         success_probability=success,
     )
-
-
-def shot_generator(seed: int, shot_id: int) -> np.random.Generator:
-    """Numpy generator on the stream of one shot: its first ``random()`` is the detector uniform."""
-    key = np.array([seed & _MASK64, shot_id & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +272,7 @@ class _MidpointEnvelope:
         pairs = mixture.expansion
         keep = pairs.coefficients > 0
         self.mixture = mixture
-        self.widths = pairs.widths
+        self.widths = mixture.widths
         self.pair_weights = pairs.coefficients[keep]
         self.midpoints = pairs.midpoints[keep]
         total = float(self.pair_weights.sum())

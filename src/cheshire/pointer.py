@@ -8,7 +8,8 @@ terms and the post-selected pointer state is an exact complex-weighted
 mixture of displaced Gaussians.  All readout statistics then reduce to
 Gaussian overlap (Gram) sums in closed form; no wavepacket grid is evolved.
 
-Each mixture computes these sums once, as its pair expansion
+Branches are array rows from :func:`couple` to the sampler, and each mixture
+computes the Gram sums once, as its pair expansion
 (:attr:`PointerMixture.expansion`); the success probability, the moments,
 the density and the readout sampler in ``cheshire.montecarlo`` all read it.
 
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ATOL, Ket, SpectralObservable, inner
+from .qstate import ATOL, DIM, Ket, SpectralObservable
 
 #: Post-selection success probabilities below this are treated as impossible.
 NULL_TOLERANCE = 1e-15
@@ -72,32 +73,47 @@ class GaussianPointer:
             raise ValueError("pointer coupling must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
+def _freeze(obj, name: str, dtype) -> np.ndarray:
+    """Set field ``name`` of frozen ``obj`` to a read-only copy, which the caller cannot edit."""
+    array = np.array(getattr(obj, name), dtype=dtype)
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class CoupledState:
     """Photon entangled with one or more pointers.
 
-    Each branch pairs an (unnormalized) system ket with its accumulated
-    pointer displacements, one per attached pointer in ``pointers`` order.
+    Row i of ``systems`` (complex, branches x 4) is branch i's unnormalized
+    system ket, and row i of ``displacements`` (branches x pointers) its
+    pointer displacements in ``pointers`` order; both are read-only copies.
     Branch squared norms sum to 1: the coupling is unitary.
     """
 
-    branches: tuple[tuple[Ket, tuple[float, ...]], ...]
+    systems: np.ndarray
+    displacements: np.ndarray
     pointers: tuple[GaussianPointer, ...]
 
     def __post_init__(self) -> None:
-        axes = [p.axis for p in self.pointers]
+        axes = self.axes()
         if len(set(axes)) != len(axes):
             raise DuplicateAxis("each pointer axis may be used at most once")
-        total = 0.0
-        for system, displacements in self.branches:
-            if len(displacements) != len(self.pointers):
-                raise ValueError("each branch needs one displacement per pointer")
-            total += system.norm() ** 2
-        if abs(total - 1.0) > ATOL:
+        systems = _freeze(self, "systems", np.complex128)
+        displacements = _freeze(self, "displacements", float)
+        if systems.ndim != 2 or systems.shape[1] != DIM:
+            raise ValueError(f"systems must have shape (branches, {DIM}), got {systems.shape}")
+        if displacements.shape != (systems.shape[0], len(axes)):
+            raise ValueError("each branch needs one displacement per pointer")
+        total = float(np.vdot(systems, systems).real)
+        if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"branch squared norms must sum to 1, got {total!r}")
 
     def axes(self) -> tuple[Axis, ...]:
         return tuple(p.axis for p in self.pointers)
+
+    def widths(self) -> np.ndarray:
+        return np.array([p.width for p in self.pointers], dtype=float)
 
 
 def couple(
@@ -105,7 +121,7 @@ def couple(
     obs: SpectralObservable,
     pointer: GaussianPointer,
 ) -> CoupledState:
-    """Attach a pointer measuring ``obs`` to a state or an existing coupling.
+    """Attach a pointer measuring ``obs`` to a normalized state or an existing coupling.
 
     Every existing branch splits per eigenspace: the projected system picks
     up an extra displacement ``coupling * eigenvalue`` on the new axis.
@@ -116,59 +132,53 @@ def couple(
     violation = obs.violation
     if violation is not None:
         raise ValueError(f"invalid spectral observable: {violation}")
-    if isinstance(state_or_coupled, Ket):
-        if abs(state_or_coupled.norm() - 1.0) > ATOL:
-            raise ValueError("couple requires a normalized initial state")
-        coupled = CoupledState(branches=((state_or_coupled, ()),), pointers=())
-    else:
-        coupled = state_or_coupled
-    if pointer.axis in coupled.axes():
-        raise DuplicateAxis(f"axis {pointer.axis.value} already carries a pointer")
-    branches: list[tuple[Ket, tuple[float, ...]]] = []
-    for system, displacements in coupled.branches:
-        for value, proj in obs.branches:
-            projected = Ket(proj @ system.amps, normalized=False)
-            if projected.norm() < _PRUNE:
-                continue
-            branches.append((projected, displacements + (pointer.coupling * value,)))
-    return CoupledState(branches=tuple(branches), pointers=coupled.pointers + (pointer,))
+    coupled = state_or_coupled
+    if isinstance(coupled, Ket):
+        coupled = CoupledState(coupled.amps[None, :], np.zeros((1, 0)), ())
+    values = np.array([value for value, _ in obs.branches])
+    projectors = np.stack([proj for _, proj in obs.branches])
+    # Row (b, e) in row-major order is branch b projected on eigenspace e.
+    systems = np.einsum("eij,bj->bei", projectors, coupled.systems).reshape(-1, DIM)
+    repeated = np.repeat(coupled.displacements, len(values), axis=0)
+    displacements = np.column_stack([repeated, np.tile(pointer.coupling * values, len(coupled.systems))])
+    keep = np.sum(systems.real**2 + systems.imag**2, axis=1) >= _PRUNE**2
+    return CoupledState(systems[keep], displacements[keep], coupled.pointers + (pointer,))
 
 
 class PairExpansion(NamedTuple):
     """A mixture's density as a signed sum of midpoint Gaussians (see PointerMixture)."""
 
-    weights: np.ndarray  # complex w_i, shape (branches,)
-    displacements: np.ndarray  # d_i, shape (branches, axes)
-    widths: np.ndarray  # s, shape (axes,)
     total: float  # Z, the Gram sum
     coefficients: np.ndarray  # Re c_ij for i <= j, off-diagonal doubled
     midpoints: np.ndarray  # m_ij, shape (pairs, axes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerMixture:
     """Post-selected pointer state: complex weights on displaced Gaussians.
 
-    The (unnormalized) position density is |sum_i w_i prod_ax G(x_ax -
-    d_i_ax)|^2; the normalization constant is the Gram sum returned by
-    :func:`postselect_pointer` as the success probability.
+    ``weights`` (complex, branches), ``displacements`` (branches x axes) and
+    ``widths`` (axes) may be any sequences; they are stored as read-only
+    array copies.  The unnormalized density is |sum_i w_i prod_ax G(x_ax -
+    d_i_ax)|^2, whose norm is the success probability :func:`postselect_pointer`
+    returns.
     """
 
-    weights: tuple[complex, ...]
-    displacements: tuple[tuple[float, ...], ...]
-    widths: tuple[float, ...]
+    weights: np.ndarray
+    displacements: np.ndarray
+    widths: np.ndarray
     axes: tuple[Axis, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights:
-            raise ValueError("mixture needs at least one branch")
-        if len(self.displacements) != len(self.weights):
-            raise ValueError("one displacement vector per weight required")
-        if not (len(self.widths) == len(self.axes)):
+        weights = _freeze(self, "weights", np.complex128)
+        displacements = _freeze(self, "displacements", float)
+        widths = _freeze(self, "widths", float)
+        if weights.ndim != 1 or not weights.size:
+            raise ValueError("mixture needs a 1-d array of at least one weight")
+        if displacements.shape != (weights.size, len(self.axes)):
+            raise ValueError("one displacement vector per weight, one entry per axis, required")
+        if widths.shape != (len(self.axes),):
             raise ValueError("one width per axis required")
-        for d in self.displacements:
-            if len(d) != len(self.axes):
-                raise ValueError("displacement dimension must match axis count")
 
     @cached_property
     def expansion(self) -> PairExpansion:
@@ -184,19 +194,17 @@ class PointerMixture:
         bits.  The arrays are read-only, as the expansion is shared by every
         user of the mixture.  Raises NullPostSelection when Z < NULL_TOLERANCE.
         """
-        weights = np.asarray(self.weights, dtype=np.complex128)
-        displacements = np.asarray(self.displacements, dtype=float).reshape(len(self.weights), len(self.axes))
-        widths = np.asarray(self.widths, dtype=float)
-        products = (weights.conj()[:, None] * weights[None, :] * _overlap_matrix(displacements, widths)).real
+        weights, displacements = self.weights, self.displacements
+        products = (weights.conj()[:, None] * weights[None, :] * _overlap_matrix(displacements, self.widths)).real
         total = float(products.sum())
         if total < NULL_TOLERANCE:
             raise NullPostSelection("post-selected pointer state has vanishing norm")
         i, j = np.triu_indices(len(weights))
         coefficients = np.where(i == j, 1.0, 2.0) * products[i, j] / total
         midpoints = 0.5 * (displacements[i] + displacements[j])
-        for array in (weights, displacements, widths, coefficients, midpoints):
+        for array in (coefficients, midpoints):
             array.setflags(write=False)
-        return PairExpansion(weights, displacements, widths, total, coefficients, midpoints)
+        return PairExpansion(total, coefficients, midpoints)
 
 
 class Moments(NamedTuple):
@@ -204,8 +212,8 @@ class Moments(NamedTuple):
     variance: float
 
 
-def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Gram matrix O_ij = prod_ax exp(-((d_i - d_j) / s)^2 / 8) of displaced Gaussians.
+def _overlap_exponent(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """sum_ax ((d_i - d_j) / s)^2 / 8 for every pair of branches.
 
     Dividing by s before squaring keeps the exponent accurate for widths
     whose square is not a normal float64.  An overflowing exponent is a sum
@@ -213,7 +221,12 @@ def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray
     """
     diff = displacements[:, None, :] - displacements[None, :, :]
     with np.errstate(over="ignore"):
-        return np.exp(-np.sum((diff / widths) ** 2 / 8.0, axis=-1))
+        return np.sum((diff / widths) ** 2 / 8.0, axis=-1)
+
+
+def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Gram matrix O_ij = exp(-_overlap_exponent) of displaced Gaussians."""
+    return np.exp(-_overlap_exponent(displacements, widths))
 
 
 def _gaussian_kernels(points: np.ndarray, centres: np.ndarray, widths: np.ndarray, scale: float) -> np.ndarray:
@@ -236,15 +249,6 @@ def _gaussian_norm(widths: np.ndarray) -> float:
     return float(np.prod(1.0 / np.sqrt(2.0 * np.pi * widths**2)))
 
 
-def branch_overlaps(coupled: CoupledState) -> np.ndarray:
-    """Pointer-overlap Gram matrix between the branches of a coupled state."""
-    displacements = np.array([d for _, d in coupled.branches], dtype=float).reshape(
-        len(coupled.branches), len(coupled.pointers)
-    )
-    widths = np.array([p.width for p in coupled.pointers], dtype=float)
-    return _overlap_matrix(displacements, widths)
-
-
 def postselect_pointer(coupled: CoupledState, post: Ket) -> tuple[PointerMixture, float]:
     """Project the system on a post-state, leaving the pointers' mixed state.
 
@@ -253,16 +257,12 @@ def postselect_pointer(coupled: CoupledState, post: Ket) -> tuple[PointerMixture
     sum_ij conj(w_i) w_j O_ij, which is real and nonnegative.  Raises
     NullPostSelection when it is below NULL_TOLERANCE.
     """
-    weights = np.array([inner(post, system) for system, _ in coupled.branches])
-    keep = np.abs(weights) > _PRUNE * max(1.0, float(np.max(np.abs(weights))))
+    weights = coupled.systems @ post.amps.conj()
+    magnitudes = np.abs(weights)
+    keep = magnitudes > _PRUNE * max(1.0, float(magnitudes.max()))
     if not keep.any():
         raise NullPostSelection("post-state is orthogonal to every surviving branch")
-    mixture = PointerMixture(
-        weights=tuple(complex(w) for w, k in zip(weights, keep) if k),
-        displacements=tuple(d for (_, d), k in zip(coupled.branches, keep) if k),
-        widths=tuple(p.width for p in coupled.pointers),
-        axes=coupled.axes(),
-    )
+    mixture = PointerMixture(weights[keep], coupled.displacements[keep], coupled.widths(), coupled.axes())
     return mixture, mixture.expansion.total
 
 
@@ -281,11 +281,28 @@ def mixture_moments(m: PointerMixture) -> dict[Axis, Moments]:
     coefficients = pairs.coefficients[:, None]
     # Fixed-order sums: symmetric terms cancel exactly, as BLAS may not.
     means = (coefficients * pairs.midpoints).sum(axis=0)
-    seconds = (coefficients * (pairs.midpoints**2 + pairs.widths**2)).sum(axis=0)
+    seconds = (coefficients * (pairs.midpoints**2 + m.widths**2)).sum(axis=0)
     return {
         axis: Moments(mean=float(means[k]), variance=float(seconds[k] - means[k] ** 2))
         for k, axis in enumerate(m.axes)
     }
+
+
+def weak_limit_error(m: PointerMixture, couplings, weak_values) -> np.ndarray:
+    """|mean / g - Re A_w| per axis, without the cancellation of forming mean / g first.
+
+    Per axis in ``m.axes`` order, ``couplings`` holds the nonzero coupling g
+    and ``weak_values`` Re A_w of the observable coupled on it; the weights
+    must be those observables' post-selected branches.  With O_ij = 1 +
+    expm1(-_overlap_exponent), the terms of the 1 sum to 0 exactly (they
+    define the weak value), which leaves a sum without cancellation:
+
+        mean / g - Re A_w = sum_ij Re(conj(w_i) w_j) expm1(...) (m_ij / g - Re A_w) / Z.
+    """
+    d = m.displacements
+    factors = (m.weights.conj()[:, None] * m.weights[None, :]).real * np.expm1(-_overlap_exponent(d, m.widths))
+    deviations = 0.5 * (d[:, None, :] + d[None, :, :]) / np.asarray(couplings) - np.asarray(weak_values)
+    return np.abs((factors[:, :, None] * deviations).sum(axis=(0, 1))) / m.expansion.total
 
 
 def mixture_density(m: PointerMixture, point) -> float | np.ndarray:
@@ -295,14 +312,13 @@ def mixture_density(m: PointerMixture, point) -> float | np.ndarray:
     ``point`` is one displacement-space point of dimension len(axes), or an
     array of shape (..., len(axes)) for batched evaluation.
     """
-    pairs = m.expansion
     points = np.asarray(point, dtype=float)
     if points.ndim == 0 or points.shape[-1] != len(m.axes):
         raise ValueError(f"point dimension must be {len(m.axes)}")
     batch_shape = points.shape[:-1]
     flat = points.reshape(math.prod(batch_shape), len(m.axes))
-    amps = _gaussian_kernels(flat, pairs.displacements, pairs.widths, 4.0)
-    real = (pairs.weights.real[:, None] * amps).sum(axis=0)
-    imag = (pairs.weights.imag[:, None] * amps).sum(axis=0)
-    density = (_gaussian_norm(pairs.widths) / pairs.total) * (real * real + imag * imag)
+    amps = _gaussian_kernels(flat, m.displacements, m.widths, 4.0)
+    real = (m.weights.real[:, None] * amps).sum(axis=0)
+    imag = (m.weights.imag[:, None] * amps).sum(axis=0)
+    density = (_gaussian_norm(m.widths) / m.expansion.total) * (real * real + imag * imag)
     return float(density[0]) if points.ndim == 1 else density.reshape(batch_shape)

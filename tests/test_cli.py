@@ -18,6 +18,7 @@ from cheshire.cli import (
     parse_config,
     run_preset,
 )
+from oracles import weak_limit_error as oracle_weak_limit_error
 
 
 def read_summary(path: Path) -> dict:
@@ -250,6 +251,7 @@ def test_single_run_analyzes_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_analyze", counting_analyze)
     monkeypatch.setattr(pointer, "_overlap_matrix", counting_overlaps)
+    monkeypatch.setattr(montecarlo, "_overlap_matrix", counting_overlaps)
     assert main(["--preset", "weak-cheshire", "--shots", "300", "--out-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
     # One Gram matrix for the detector probabilities, one for the mixture.
@@ -437,6 +439,20 @@ def test_sweep_writes_points_and_convergence(tmp_path):
     for axis in ("vertical", "horizontal"):
         for ratio in summary["expected"]["weak_limit_error_ratio_per_decade"][axis]:
             assert 50 < ratio < 200
+
+
+def test_sweep_weak_limit_error_matches_mpmath_oracle(tmp_path):
+    # |mean/g - 1| of the rounded ratio was off by up to 1.4e-9 relative at
+    # g/s = 1e-3; the sweep now reports the error to a few ulp.
+    assert main(["--preset", "sweep", "--shots", "400", "--out-dir", str(tmp_path)]) == 0
+    points = read_summary(tmp_path / "summary.json")["estimated"]["points"]
+    for point in points:
+        g = point["g_over_s"]
+        config = parse_config(["--g-vertical", str(g), "--g-horizontal", str(g)])
+        mixture = analyze(build_experiment(config)).mixture
+        for k, axis in enumerate(mixture.axes):
+            exact = oracle_weak_limit_error(mixture, k, g, 1.0)
+            assert point["weak_limit_error"][axis.value] == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_runtime_failures_exit_1(tmp_path, capsys):

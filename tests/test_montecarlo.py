@@ -18,10 +18,10 @@ from cheshire import (
     normalize,
     run_interferometer,
     sample_shots,
-    shot_generator,
 )
 from cheshire import montecarlo
 from cheshire.montecarlo import STREAM_VERSION, _philox, _uniform
+from oracles import shot_generator
 
 OBS = canonical_observables()
 PRE, POST = canonical_states()

@@ -4,6 +4,7 @@ import pytest
 from cheshire import (
     ATOL,
     Axis,
+    CoupledState,
     DuplicateAxis,
     GaussianPointer,
     NullPostSelection,
@@ -19,7 +20,9 @@ from cheshire import (
     weak_value,
 )
 from cheshire import qstate
+from cheshire.pointer import weak_limit_error
 from oracles import lobe_masses, quadrature_moments
+from oracles import weak_limit_error as oracle_weak_limit_error
 
 SQ2 = np.sqrt(2.0)
 
@@ -43,13 +46,9 @@ def test_couple_path_probe_splits_in_two(pre_post, observables):
     pre, _ = pre_post
     coupled = couple(pre, observables["photon_in_arm1"], vertical(0.3))
     assert coupled.axes() == (Axis.VERTICAL,)
-    assert len(coupled.branches) == 2
-    (b1, d1), (b2, d2) = coupled.branches
-    np.testing.assert_allclose(b1.amps, [0.5, 0.5, 0, 0], atol=ATOL)
-    assert d1 == (0.3,)
-    np.testing.assert_allclose(b2.amps, [0, 0, 0.5, 0.5], atol=ATOL)
-    assert d2 == (0.0,)
-    total = sum(b.norm() ** 2 for b, _ in coupled.branches)
+    np.testing.assert_allclose(coupled.systems, [[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]], atol=ATOL)
+    assert coupled.displacements.tolist() == [[0.3], [0.0]]
+    total = float(np.sum(np.abs(coupled.systems) ** 2))
     assert total == pytest.approx(1.0, abs=ATOL)
 
 
@@ -60,9 +59,10 @@ def test_couple_twice_keeps_only_consistent_branches(pre_post, observables):
     coupled = couple(pre, observables["photon_in_arm1"], vertical(0.3))
     coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(0.2))
     assert coupled.axes() == (Axis.VERTICAL, Axis.HORIZONTAL)
-    displacements = sorted(d for _, d in coupled.branches)
+    displacements = sorted(map(tuple, coupled.displacements.tolist()))
     assert displacements == [(0.0, -0.2), (0.0, 0.2), (0.3, 0.0)]
-    total = sum(b.norm() ** 2 for b, _ in coupled.branches)
+    assert coupled.systems.shape == (3, 4)
+    total = float(np.sum(np.abs(coupled.systems) ** 2))
     assert total == pytest.approx(1.0, abs=ATOL)
 
 
@@ -109,6 +109,121 @@ def test_couple_validates_each_observable_once(pre_post, observables, monkeypatc
             couple(pre, invalid, vertical(0.1))
 
 
+# --- array boundary ---------------------------------------------------------
+
+
+def test_coupled_state_rejects_malformed_arrays():
+    half = np.full((2, 4), 0.5)
+    with pytest.raises(ValueError, match="systems must have shape"):
+        CoupledState(np.full((2, 3), 0.5), np.zeros((2, 0)), ())
+    with pytest.raises(ValueError, match="systems must have shape"):
+        CoupledState(np.full(4, 0.5), np.zeros((1, 0)), ())
+    with pytest.raises(ValueError, match="one displacement per pointer"):
+        CoupledState(half / SQ2, np.zeros((2, 1)), ())
+    with pytest.raises(ValueError, match="one displacement per pointer"):
+        CoupledState(half / SQ2, np.zeros((3, 1)), (vertical(0.1),))
+    with pytest.raises(ValueError, match="sum to 1"):
+        CoupledState(half, np.zeros((2, 0)), ())
+    with pytest.raises(ValueError, match="sum to 1"):
+        CoupledState(np.array([[np.nan, 0, 0, 0]]), np.zeros((1, 0)), ())
+    with pytest.raises(ValueError, match="sum to 1"):
+        couple(ket([1, 1, 0, 0]), SpectralObservable(((1.0, np.eye(4)),)), vertical(0.1))
+    with pytest.raises(DuplicateAxis):
+        CoupledState(half / SQ2, np.zeros((2, 2)), (vertical(0.1), vertical(0.2)))
+
+
+def test_mixture_rejects_malformed_arrays():
+    axes = (Axis.HORIZONTAL,)
+    with pytest.raises(ValueError, match="at least one weight"):
+        PointerMixture(weights=(), displacements=np.zeros((0, 1)), widths=(1.0,), axes=axes)
+    with pytest.raises(ValueError, match="one displacement vector per weight"):
+        PointerMixture(weights=(1.0, 1.0), displacements=((0.0,),), widths=(1.0,), axes=axes)
+    with pytest.raises(ValueError, match="one displacement vector per weight"):
+        PointerMixture(weights=(1.0,), displacements=(0.0,), widths=(1.0,), axes=axes)
+    with pytest.raises(ValueError, match="one width per axis"):
+        PointerMixture(weights=(1.0,), displacements=((0.0,),), widths=(1.0, 1.0), axes=axes)
+
+
+def test_branch_arrays_are_read_only_copies(pre_post, observables):
+    pre, post = pre_post
+    systems = np.array([[0.5, 0.5, 0.5, 0.5]], dtype=complex)
+    displacements = np.zeros((1, 0))
+    coupled = CoupledState(systems, displacements, ())
+    systems[0, 0] = 7.0
+    assert coupled.systems[0, 0] == 0.5
+    coupled = couple(coupled, observables["photon_in_arm1"], vertical(0.1))
+    for array in (coupled.systems, coupled.displacements):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+    weights = np.array([0.5, -0.25])
+    shifts = np.array([[0.0], [1.0]])
+    widths = np.array([1.0])
+    mixture = PointerMixture(weights=weights, displacements=shifts, widths=widths, axes=(Axis.HORIZONTAL,))
+    before = mixture_moments(mixture)
+    weights[0], shifts[1, 0], widths[0] = 9.0, 9.0, 9.0
+    assert mixture.weights.tolist() == [0.5, -0.25]
+    assert mixture.displacements.tolist() == [[0.0], [1.0]]
+    assert mixture.widths.tolist() == [1.0]
+    assert mixture_moments(mixture) == before
+    mixture, _ = postselect_pointer(coupled, post)
+    for array in (mixture.weights, mixture.displacements, mixture.widths):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def loop_couple(branches, obs, coupling):
+    """Per-branch reference for couple: (system amplitudes, displacement tuple) pairs."""
+    split = []
+    for amps, shifts in branches:
+        for value, proj in obs.branches:
+            projected = proj @ amps
+            if np.linalg.norm(projected) >= 1e-14:
+                split.append((projected, shifts + (coupling * value,)))
+    return split
+
+
+def random_observable(rng):
+    """Eigenvalues +1 and -1 on a random rank-2 projector and its complement."""
+    basis, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    proj = basis[:, :2] @ basis[:, :2].conj().T
+    return SpectralObservable(((1.0, proj), (-1.0, np.eye(4) - proj)))
+
+
+def test_couple_and_postselect_match_a_per_branch_loop(pre_post, observables, random_state):
+    rng = np.random.default_rng(3)
+    _, post = pre_post
+    for trial in range(20):
+        pre = random_state(rng)
+        pair = (observables["photon_in_arm1"], observables["angular_momentum_arm2"])
+        if trial % 2:
+            pair = (random_observable(rng), random_observable(rng))
+        coupled, branches = pre, [(pre.amps, ())]
+        for obs, pointer in zip(pair, (vertical(0.3), horizontal(0.2))):
+            coupled = couple(coupled, obs, pointer)
+            branches = loop_couple(branches, obs, pointer.coupling)
+        assert coupled.displacements.tolist() == [list(shifts) for _, shifts in branches]
+        np.testing.assert_allclose(coupled.systems, [amps for amps, _ in branches], rtol=0, atol=1e-15)
+        mixture, _ = postselect_pointer(coupled, post)
+        weights = [np.vdot(post.amps, amps) for amps, _ in branches]
+        kept = [w for w in weights if abs(w) > 1e-14 * max(1.0, max(map(abs, weights)))]
+        np.testing.assert_allclose(mixture.weights, kept, rtol=0, atol=1e-15)
+        if not trial % 2:  # diagonal projectors: the arithmetic is exact either way
+            np.testing.assert_array_equal(coupled.systems, [amps for amps, _ in branches])
+            assert mixture.weights.tolist() == kept
+
+
+def test_couple_and_postselect_build_no_kets(pre_post, observables, monkeypatch):
+    pre, post = pre_post
+    built = []
+    check = qstate.Ket.__post_init__
+    monkeypatch.setattr(qstate.Ket, "__post_init__", lambda self: built.append(self) or check(self))
+    coupled = couple(pre, observables["photon_in_arm1"], vertical(0.1))
+    coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(0.1))
+    postselect_pointer(coupled, post)
+    assert built == []
+
+
 # --- post-selection ---------------------------------------------------------
 
 
@@ -134,10 +249,11 @@ def test_arm2_momentum_probe_weights(pre_post, observables):
     g = 0.4
     coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(g))
     mixture, _ = postselect_pointer(coupled, post)
-    by_displacement = dict(zip(mixture.displacements, mixture.weights))
-    assert by_displacement[(g,)] == pytest.approx(0.25, abs=ATOL)
-    assert by_displacement[(-g,)] == pytest.approx(-0.25, abs=ATOL)
-    assert by_displacement[(0.0,)] == pytest.approx(0.5, abs=ATOL)
+    assert mixture.displacements.shape == (3, 1)
+    by_displacement = dict(zip(mixture.displacements[:, 0].tolist(), mixture.weights.tolist()))
+    assert by_displacement[g] == pytest.approx(0.25, abs=ATOL)
+    assert by_displacement[-g] == pytest.approx(-0.25, abs=ATOL)
+    assert by_displacement[0.0] == pytest.approx(0.5, abs=ATOL)
 
 
 def test_orthogonal_postselection_raises(observables):
@@ -236,6 +352,32 @@ def test_weak_limit_convergence_all_canonical_observables(pre_post, observables)
             assert 50 < errors[1] / errors[2] < 200
         else:
             assert max(errors) < 1e-12, name
+
+
+WEAK_LIMIT_CASES = {
+    "smile-only": [("angular_momentum_arm2", horizontal)],
+    "weak-cheshire": [("photon_in_arm1", vertical), ("angular_momentum_arm2", horizontal)],
+}
+
+
+@pytest.mark.parametrize("g", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("case", sorted(WEAK_LIMIT_CASES))
+def test_weak_limit_error_matches_mpmath_oracle(pre_post, observables, case, g):
+    # |mean/g - Re A_w| is ~(g/s)^2: forming mean/g first loses up to 1e-9
+    # of it at g/s = 1e-3, the expm1 sum keeps it to a few ulp.
+    pre, post = pre_post
+    coupled = pre
+    for name, pointer in WEAK_LIMIT_CASES[case]:
+        coupled = couple(coupled, observables[name], pointer(g))
+    mixture, _ = postselect_pointer(coupled, post)
+    weak_values = [weak_value(observable_operator(observables[name]), pre, post).real
+                   for name, _ in WEAK_LIMIT_CASES[case]]
+    couplings = [g] * len(weak_values)
+    errors = weak_limit_error(mixture, couplings, weak_values)
+    for k, value in enumerate(weak_values):
+        exact = oracle_weak_limit_error(mixture, k, g, value)
+        assert exact > 0
+        assert errors[k] == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_moments_match_quadrature_oracle(pre_post, observables):
