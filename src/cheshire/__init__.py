@@ -12,35 +12,19 @@ __version__ = "0.1.0"
 
 from .montecarlo import (
     Experiment,
-    ExperimentAnalysis,
     InsufficientData,
     LowAcceptance,
     ShotBatch,
-    SummaryStats,
     analyze,
     estimate,
-    readout_acceptance,
     sample_shots,
 )
-from .optics import (
-    Circuit,
-    DetectionResult,
-    Detector,
-    ElementKind,
-    OpticalElement,
-    OutputMode,
-    detector_projectors,
-    element_unitary,
-    postselected_state,
-    run_interferometer,
-    standard_circuit,
-)
+from .optics import Detector, run_interferometer
 from .pointer import (
     Axis,
     CoupledState,
     DuplicateAxis,
     GaussianPointer,
-    Moments,
     NullPostSelection,
     PointerMixture,
     couple,
@@ -49,7 +33,6 @@ from .pointer import (
     postselect_pointer,
 )
 from .postselect import (
-    ConditionalDistribution,
     ImpossibleOutcome,
     NoValidHistory,
     OrthogonalSelection,
@@ -59,89 +42,45 @@ from .postselect import (
     weak_value,
 )
 from .qstate import (
-    ATOL,
-    BASIS,
-    DIM,
-    BasisLabel,
     Ket,
     SpectralObservable,
-    SpectralViolation,
-    apply,
-    basis_index,
-    basis_ket,
     canonical_observables,
     canonical_states,
-    identity,
-    inner,
-    is_hermitian,
-    is_projector,
-    is_unitary,
-    ket,
-    normalize,
     observable_operator,
     validate_spectral,
 )
 
 __all__ = [
-    "ATOL",
-    "BASIS",
-    "DIM",
     "Axis",
-    "BasisLabel",
-    "Circuit",
-    "ConditionalDistribution",
     "CoupledState",
-    "DetectionResult",
     "Detector",
     "DuplicateAxis",
-    "ElementKind",
     "Experiment",
-    "ExperimentAnalysis",
     "GaussianPointer",
     "ImpossibleOutcome",
     "InsufficientData",
     "Ket",
     "LowAcceptance",
-    "Moments",
     "NoValidHistory",
     "NullPostSelection",
-    "OpticalElement",
     "OrthogonalSelection",
-    "OutputMode",
     "PointerMixture",
     "ShotBatch",
     "SpectralObservable",
-    "SpectralViolation",
-    "SummaryStats",
     "abl_distribution",
     "analyze",
-    "apply",
-    "basis_index",
-    "basis_ket",
     "canonical_observables",
     "canonical_states",
     "collapse",
     "couple",
-    "detector_projectors",
-    "element_unitary",
     "estimate",
-    "identity",
-    "inner",
-    "is_hermitian",
-    "is_projector",
-    "is_unitary",
-    "ket",
     "mixture_density",
     "mixture_moments",
-    "normalize",
     "observable_operator",
     "postselect_pointer",
-    "postselected_state",
-    "readout_acceptance",
     "run_interferometer",
     "sample_shots",
     "sequential_distribution",
-    "standard_circuit",
     "validate_spectral",
     "weak_value",
 ]

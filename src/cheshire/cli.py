@@ -57,6 +57,7 @@ from .montecarlo import (
     readout_acceptance,
     sample_shots,
 )
+from .optics import Detector
 from .pointer import Axis, GaussianPointer, NullPostSelection, mixture_moments, weak_limit_error
 from .postselect import abl_distribution, weak_value
 from .qstate import canonical_observables, canonical_states, observable_operator
@@ -282,7 +283,7 @@ def expected_summary(config: ExperimentConfig, experiment: Experiment) -> dict:
     return {
         "weak_values": {name: dict(pair) for name, pair in weak_values.items()},
         "abl": {name: dict(table) for name, table in abl_tables.items()},
-        "success_probability": analysis.success_probability,
+        "success_probability": analysis.detector_probabilities[Detector.D1],
         "pointer_mean": _axis_dict(means),
         "pointer_variance": _axis_dict(variances),
         "pointer_mean_over_coupling": _axis_dict(ratios),

@@ -9,7 +9,7 @@ All shots of a run are evaluated together as numpy arrays, in blocks of
 ``_BLOCK_SHOTS`` shots so that transient arrays stay bounded.
 
 An :class:`Experiment` is immutable (its kets and observables are frozen,
-and every experiment uses the standard detection chain), so :func:`analyze`
+and every experiment uses the fixed detection chain), so :func:`analyze`
 computes its analysis once and returns the same :class:`ExperimentAnalysis`
 on every later call; the analysis is frozen too.
 
@@ -121,9 +121,9 @@ class LowAcceptance(ValueError):
     """The readout sampler's expected acceptance is below MIN_ACCEPTANCE."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Experiment:
-    """Pre-state and pointer couplings (applied in order) ahead of the standard detection chain."""
+    """Pre-state and pointer couplings (applied in order) ahead of the fixed detection chain."""
 
     pre: Ket
     couplings: tuple[tuple[SpectralObservable, GaussianPointer], ...]
@@ -179,7 +179,6 @@ class ExperimentAnalysis:
 
     detector_probabilities: Mapping[Detector, float]  # read-only
     mixture: PointerMixture | None
-    success_probability: float
 
 
 def analyze(experiment: Experiment) -> ExperimentAnalysis:
@@ -188,9 +187,10 @@ def analyze(experiment: Experiment) -> ExperimentAnalysis:
     Detector probabilities come from the full entangled state: P(detector) =
     sum_ij <b_i| M |b_j> O_ij with M the detector's traced-back projector
     and O the pointer overlap Gram matrix, so measurement disturbance is
-    included.  A post-selection that can never succeed yields mixture None
-    and success probability 0 rather than an exception.  Computed once per
-    experiment (module docstring).
+    included; P(D1) is the post-selected mixture's normalisation Z.  A
+    post-selection that can never succeed yields mixture None and P(D1) = 0
+    rather than an exception.  Computed once per experiment (module
+    docstring).
     """
     return experiment._analysis
 
@@ -204,16 +204,12 @@ def _analyze(experiment: Experiment) -> ExperimentAnalysis:
     except NullPostSelection:
         mixture, success = None, 0.0
     gram = _overlap_matrix(coupled.displacements, coupled.widths())
-    probabilities: dict[Detector, float] = {}
-    for detector, projector in detector_projectors().items():
-        cross = coupled.systems.conj() @ projector @ coupled.systems.T
+    projectors = detector_projectors()
+    probabilities = {Detector.D1: success}
+    for detector in (Detector.D2, Detector.D3):
+        cross = coupled.systems.conj() @ projectors[detector] @ coupled.systems.T
         probabilities[detector] = min(1.0, max(0.0, float(np.sum(cross * gram).real)))
-    probabilities[Detector.D1] = success
-    return ExperimentAnalysis(
-        detector_probabilities=MappingProxyType(probabilities),
-        mixture=mixture,
-        success_probability=success,
-    )
+    return ExperimentAnalysis(detector_probabilities=MappingProxyType(probabilities), mixture=mixture)
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,7 +404,6 @@ class SummaryStats:
     d1_count: int
     post_rate: float
     axes: dict[Axis, AxisEstimate]
-    config: dict
 
 
 def estimate(batch: ShotBatch, experiment: Experiment) -> SummaryStats:
@@ -432,13 +427,4 @@ def estimate(batch: ShotBatch, experiment: Experiment) -> SummaryStats:
         stderr = float(values.std(ddof=1) / np.sqrt(d1_count))
         ratio = mean / pointer.coupling if pointer.coupling > 0 else None
         axes[pointer.axis] = AxisEstimate(mean=mean, stderr=stderr, mean_over_coupling=ratio)
-    config = {
-        "n_shots": n,
-        "pointers": {
-            pointer.axis.value: {"coupling": pointer.coupling, "width": pointer.width}
-            for pointer in experiment.pointers()
-        },
-    }
-    return SummaryStats(
-        n_shots=n, d1_count=d1_count, post_rate=post_rate, axes=axes, config=config
-    )
+    return SummaryStats(n_shots=n, d1_count=d1_count, post_rate=post_rate, axes=axes)

@@ -142,7 +142,7 @@ def is_projector(op: np.ndarray, atol: float = ATOL) -> bool:
     return is_hermitian(op, atol) and bool(np.all(np.abs(op @ op - op) <= atol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralObservable:
     """Observable given by its spectral data: (eigenvalue, eigenspace projector) pairs.
 

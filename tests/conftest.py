@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cheshire import canonical_observables, canonical_states, ket, normalize
+from cheshire import canonical_observables, canonical_states
+from cheshire.qstate import ket, normalize
 
 
 def pytest_addoption(parser):

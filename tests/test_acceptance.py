@@ -18,7 +18,6 @@ from cheshire import (
     canonical_states,
     couple,
     estimate,
-    inner,
     mixture_density,
     mixture_moments,
     observable_operator,
@@ -29,6 +28,7 @@ from cheshire import (
     weak_value,
 )
 from cheshire.cli import write_shots_csv
+from cheshire.qstate import inner, ket, normalize
 from oracles import collapse_chain_distribution, lobe_masses, quadrature_moments
 
 PRE, POST = canonical_states()
@@ -99,8 +99,6 @@ def test_criterion_5_postselection_equivalence():
     worst = 0.0
     for _ in range(120):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        from cheshire import ket, normalize
-
         state = normalize(ket(amps))
         p_d1 = run_interferometer(state).probabilities[Detector.D1]
         worst = max(worst, abs(p_d1 - abs(inner(POST, state)) ** 2))

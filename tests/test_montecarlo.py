@@ -9,18 +9,18 @@ from cheshire import (
     InsufficientData,
     LowAcceptance,
     ShotBatch,
+    SpectralObservable,
     analyze,
     canonical_observables,
     canonical_states,
     estimate,
-    ket,
     mixture_moments,
-    normalize,
     run_interferometer,
     sample_shots,
 )
 from cheshire import montecarlo
 from cheshire.montecarlo import STREAM_VERSION, _philox, _uniform
+from cheshire.qstate import ket, normalize
 from oracles import shot_generator
 
 OBS = canonical_observables()
@@ -179,7 +179,7 @@ def test_near_null_postselection_fails_fast():
         couplings=((OBS["photon_in_arm1"], GaussianPointer(width=1.0, coupling=1e-2, axis=Axis.VERTICAL)),),
     )
     analysis = analyze(experiment)
-    assert 0.0 < analysis.success_probability < 1e-4
+    assert 0.0 < analysis.detector_probabilities[Detector.D1] < 1e-4
     with pytest.raises(LowAcceptance, match="near-null"):
         sample_shots(experiment, 10, seed=0)
 
@@ -192,7 +192,7 @@ def test_detector_probabilities_sum_to_one():
         analysis = analyze(experiment)
         assert sum(analysis.detector_probabilities.values()) == pytest.approx(1.0, abs=1e-12)
         assert analysis.detector_probabilities[Detector.D1] == pytest.approx(
-            analysis.success_probability, abs=1e-12
+            analysis.mixture.expansion.total, abs=1e-12
         )
 
 
@@ -207,6 +207,16 @@ def test_analysis_is_memoised_per_experiment_and_read_only():
     other = cheshire_experiment()
     assert analyze(other) is not analysis
     assert dict(analyze(other).detector_probabilities) == dict(analysis.detector_probabilities)
+
+
+def test_observables_and_experiments_compare_by_identity():
+    # Equal content does not make equal objects, as with the per-instance analysis memo.
+    obs = OBS["photon_in_arm1"]
+    twin_obs = SpectralObservable(obs.branches)
+    experiment, twin = cheshire_experiment(), cheshire_experiment()
+    assert twin_obs != obs and twin_obs == twin_obs
+    assert twin != experiment and twin == twin
+    assert len({obs, twin_obs, experiment, twin}) == 4
 
 
 def test_zero_coupling_reproduces_bare_optics():
@@ -235,7 +245,7 @@ def test_impossible_postselection_rejects_every_shot():
     )
     analysis = analyze(experiment)
     assert analysis.mixture is None
-    assert analysis.success_probability == 0.0
+    assert analysis.detector_probabilities[Detector.D1] == 0.0
     batch = sample_shots(experiment, 400, seed=2)
     assert not (batch.detector == 1).any()
     assert np.isnan(batch.readout).all()
@@ -293,8 +303,6 @@ def test_estimate_interface():
     for est in stats.axes.values():
         assert est.stderr > 0
         assert est.mean_over_coupling == pytest.approx(est.mean / 1e-2)
-    assert stats.config["n_shots"] == 5000
-    assert stats.config["pointers"]["vertical"] == {"coupling": 1e-2, "width": 1.0}
     empty = ShotBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), np.empty((0, 2)))
     with pytest.raises(ValueError):
         estimate(empty, experiment)

@@ -1,72 +1,51 @@
 import numpy as np
 import pytest
 
-from cheshire import (
-    ATOL,
-    Circuit,
-    Detector,
-    ElementKind,
-    OpticalElement,
-    OutputMode,
-    apply,
+from cheshire import Detector, run_interferometer
+from cheshire.optics import (
+    BEAMSPLITTER,
+    CHAIN,
+    HALF_WAVE_PLATE_ARM2,
+    POLARISING_BS,
+    circuit_unitary,
     detector_projectors,
-    element_unitary,
-    inner,
-    is_projector,
-    is_unitary,
-    ket,
     postselected_state,
-    run_interferometer,
-    standard_circuit,
 )
-from cheshire.optics import circuit_unitary
+from cheshire.qstate import ATOL, apply, inner, is_projector, is_unitary, ket
 
 SQ2 = np.sqrt(2.0)
 
-ALL_ELEMENTS = [
-    OpticalElement(ElementKind.BEAMSPLITTER_IN),
-    OpticalElement(ElementKind.BEAMSPLITTER_OUT),
-    OpticalElement(ElementKind.HALF_WAVE_PLATE, arm=1),
-    OpticalElement(ElementKind.HALF_WAVE_PLATE, arm=2),
-    OpticalElement(ElementKind.POLARISING_BS),
-]
 
-
-@pytest.mark.parametrize("element", ALL_ELEMENTS, ids=lambda e: f"{e.kind.value}-{e.arm}")
+@pytest.mark.parametrize(
+    "element",
+    [
+        pytest.param(HALF_WAVE_PLATE_ARM2, id="half_wave_plate-2"),
+        pytest.param(BEAMSPLITTER, id="beamsplitter_out-None"),
+        pytest.param(POLARISING_BS, id="polarising_bs-None"),
+    ],
+)
 def test_every_element_is_unitary(element):
-    u = element_unitary(element)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=ATOL)
-
-
-def test_element_argument_validation():
-    with pytest.raises(ValueError):
-        OpticalElement(ElementKind.HALF_WAVE_PLATE)
-    with pytest.raises(ValueError):
-        OpticalElement(ElementKind.HALF_WAVE_PLATE, arm=3)
-    with pytest.raises(ValueError):
-        OpticalElement(ElementKind.BEAMSPLITTER_OUT, arm=1)
+    np.testing.assert_allclose(element @ element.conj().T, np.eye(4), atol=ATOL)
 
 
 def test_input_beamsplitter_prepares_pre_state(pre_post):
-    # A horizontally polarised photon entering one port comes out as the pre-state.
+    # A horizontally polarised photon entering one port of a balanced
+    # beamsplitter comes out as the pre-state.
     pre, _ = pre_post
-    bs_in = element_unitary(OpticalElement(ElementKind.BEAMSPLITTER_IN))
     arm1_h = ket([1 / SQ2, 1 / SQ2, 0, 0])
-    np.testing.assert_allclose(apply(bs_in, arm1_h).amps, pre.amps, atol=ATOL)
+    np.testing.assert_allclose(apply(BEAMSPLITTER, arm1_h).amps, pre.amps, atol=ATOL)
 
 
 def test_balanced_input_leaves_left_port():
-    bs = element_unitary(OpticalElement(ElementKind.BEAMSPLITTER_OUT))
     balanced_h = ket([0.5, 0.5, 0.5, 0.5])
-    out = apply(bs, balanced_h).amps
+    out = apply(BEAMSPLITTER, balanced_h).amps
     np.testing.assert_allclose(out, [1 / SQ2, 1 / SQ2, 0, 0], atol=ATOL)
     assert abs(out[0]) ** 2 + abs(out[1]) ** 2 == pytest.approx(1.0, abs=ATOL)
 
 
 def test_wave_plate_turns_post_state_into_pre_state(pre_post):
     pre, post = pre_post
-    hwp = element_unitary(OpticalElement(ElementKind.HALF_WAVE_PLATE, arm=2))
-    np.testing.assert_allclose(apply(hwp, post).amps, pre.amps, atol=ATOL)
+    np.testing.assert_allclose(apply(HALF_WAVE_PLATE_ARM2, post).amps, pre.amps, atol=ATOL)
 
 
 def test_post_state_reaches_d1_with_certainty(pre_post):
@@ -128,9 +107,11 @@ def test_conditional_states_are_normalized_projections(pre_post, random_state):
 
 
 def test_full_chain_is_unitary():
+    assert CHAIN == (HALF_WAVE_PLATE_ARM2, BEAMSPLITTER, POLARISING_BS)
     total = np.eye(4, dtype=complex)
-    for element in standard_circuit().elements:
-        total = element_unitary(element) @ total
+    for element in CHAIN:
+        total = element @ total
+    np.testing.assert_array_equal(total, circuit_unitary())
     assert is_unitary(total)
 
 
@@ -151,23 +132,7 @@ def test_postselected_state_is_canonical_post(pre_post):
     np.testing.assert_allclose(postselected_state().amps, post.amps, atol=ATOL)
 
 
-def test_detector_map_must_be_bijection():
-    elements = standard_circuit().elements
-    with pytest.raises(ValueError):
-        Circuit(
-            elements=elements,
-            detector_map={
-                OutputMode.LEFT_H: Detector.D1,
-                OutputMode.LEFT_V: Detector.D1,
-                OutputMode.RIGHT: Detector.D2,
-            },
-        )
-    with pytest.raises(ValueError):
-        Circuit(elements=elements, detector_map={OutputMode.LEFT_H: Detector.D1})
-
-
 def test_circuit_constants_are_cached_read_only():
-    assert standard_circuit() is standard_circuit()
     projectors = detector_projectors()
     pristine = {detector: proj.copy() for detector, proj in projectors.items()}
     projectors[Detector.D1] = np.zeros((4, 4))
@@ -179,25 +144,9 @@ def test_circuit_constants_are_cached_read_only():
         np.testing.assert_array_equal(proj, pristine[detector])
         with pytest.raises(ValueError):
             proj[0, 0] = 1.0
+    for element in CHAIN:
+        assert not element.flags.writeable
     assert not circuit_unitary().flags.writeable
-    assert circuit_unitary() is circuit_unitary(standard_circuit())
+    assert circuit_unitary() is circuit_unitary()
+    assert postselected_state() is postselected_state()
     assert not postselected_state().amps.flags.writeable
-
-
-def test_each_circuit_caches_its_own_projectors():
-    # D1 and D3 swapped: D1 now post-selects the V output of the left port.
-    swapped = Circuit(
-        elements=standard_circuit().elements,
-        detector_map={
-            OutputMode.LEFT_H: Detector.D3,
-            OutputMode.LEFT_V: Detector.D1,
-            OutputMode.RIGHT: Detector.D2,
-        },
-    )
-    standard = detector_projectors()
-    projectors = detector_projectors(swapped)
-    np.testing.assert_array_equal(projectors[Detector.D1], standard[Detector.D3])
-    np.testing.assert_array_equal(projectors[Detector.D3], standard[Detector.D1])
-    post = postselected_state(swapped)
-    assert abs(inner(post, postselected_state())) < ATOL
-    assert np.vdot(post.amps, projectors[Detector.D1] @ post.amps).real == pytest.approx(1.0, abs=ATOL)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cheshire import (
-    ATOL,
     Axis,
     CoupledState,
     DuplicateAxis,
@@ -12,7 +11,6 @@ from cheshire import (
     SpectralObservable,
     abl_distribution,
     couple,
-    ket,
     mixture_density,
     mixture_moments,
     observable_operator,
@@ -21,6 +19,7 @@ from cheshire import (
 )
 from cheshire import qstate
 from cheshire.pointer import weak_limit_error
+from cheshire.qstate import ATOL, ket
 from oracles import lobe_masses, quadrature_moments
 from oracles import weak_limit_error as oracle_weak_limit_error
 

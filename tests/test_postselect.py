@@ -5,21 +5,16 @@ import numpy as np
 import pytest
 
 from cheshire import (
-    ATOL,
     ImpossibleOutcome,
     NoValidHistory,
     OrthogonalSelection,
     abl_distribution,
-    apply,
-    basis_ket,
     collapse,
-    inner,
-    ket,
-    normalize,
     observable_operator,
     sequential_distribution,
     weak_value,
 )
+from cheshire.qstate import ATOL, apply, basis_ket, inner, ket, normalize
 from oracles import collapse_chain_distribution
 
 SQ2 = np.sqrt(2.0)

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from cheshire import (
+    Ket,
+    SpectralObservable,
+    canonical_observables,
+    canonical_states,
+    observable_operator,
+    validate_spectral,
+)
+from cheshire.qstate import (
     ATOL,
     BASIS,
     BasisLabel,
-    Ket,
-    SpectralObservable,
     apply,
     basis_index,
     basis_ket,
-    canonical_observables,
-    canonical_states,
     identity,
     inner,
     is_hermitian,
@@ -19,8 +23,6 @@ from cheshire import (
     is_unitary,
     ket,
     normalize,
-    observable_operator,
-    validate_spectral,
 )
 
 SQ2 = np.sqrt(2.0)
