@@ -13,10 +13,10 @@ experiment and writes two files into the output directory:
   tables, pointer moments -- never derived from the samples), ``estimated``
   (post_rate, per-axis means and standard errors) and ``diagnostics``
   (g/s per axis, branch count, ``stream_version``, the cheshire, numpy and
-  python ``versions`` that byte identity depends on, and the readout
-  ``sampler`` attempts, accepted count and expected against observed
-  acceptance, and the ``checks`` z-scores of the estimates against their
-  analytic values).
+  python ``versions`` that byte identity depends on, the readout
+  ``sampler``: its ``envelope`` (``midpoint`` or ``centre``), attempts,
+  accepted count and expected against observed acceptance, and the
+  ``checks`` z-scores of the estimates against their analytic values).
 
 Presets: ``weak-cheshire`` couples a which-path probe (vertical axis) and an
 arm-2 angular-momentum probe (horizontal axis), both weak; ``which-path``
@@ -54,7 +54,6 @@ from .montecarlo import (
     SummaryStats,
     analyze,
     estimate,
-    readout_acceptance,
     sample_shots,
 )
 from .optics import Detector
@@ -338,7 +337,7 @@ def _checks(expected: dict, stats: SummaryStats) -> dict:
 
 def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, batch: ShotBatch) -> dict:
     analysis = analyze(experiment)
-    acceptance = readout_acceptance(analysis.mixture) if analysis.mixture is not None else None
+    envelope = analysis.envelope
     return {
         "g_over_s": {
             pointer.axis.value: pointer.coupling / pointer.width
@@ -352,9 +351,10 @@ def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, ba
             "python": "{}.{}.{}".format(*sys.version_info[:3]),
         },
         "sampler": {
+            "envelope": envelope.name if envelope is not None else None,
             "attempts": batch.attempts,
             "accepted": stats.d1_count,
-            "expected_acceptance": acceptance,
+            "expected_acceptance": envelope.acceptance if envelope is not None else None,
             "observed_acceptance": stats.d1_count / batch.attempts if batch.attempts else None,
         },
         "checks": _checks(expected, stats),

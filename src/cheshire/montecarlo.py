@@ -13,7 +13,7 @@ and every experiment uses the fixed detection chain), so :func:`analyze`
 computes its analysis once and returns the same :class:`ExperimentAnalysis`
 on every later call; the analysis is frozen too.
 
-Random stream, ``STREAM_VERSION = 2``
+Random stream, ``STREAM_VERSION = 3``
 -------------------------------------
 Randomness is counter-based.  Shot ``i`` of a run with seed ``seed`` (both in
 [0, 2**64)) owns the Philox4x64-10 key ``[seed, i]``.  Block ``j`` of the
@@ -26,16 +26,21 @@ uniform in [0, 1) as ``(w >> 11) * 2**-53``, numpy's ``random()`` transform.
 - Block 1, word 0: the detector uniform ``u``.  The shot clicks D1 when
   ``u < P(D1)``, D2 when ``u < P(D1) + P(D2)``, D3 otherwise.  ``u`` equals
   the first ``random()`` of ``np.random.Generator(np.random.Philox(key=[seed,
-  i]))`` bit for bit, as in stream v1, so the detector column did not change
-  between the versions.
-- Block ``k + 2``: readout attempt ``k = 0, 1, ...`` of a D1 shot.  ``w0``
-  picks the envelope pair (below) by inverse CDF.  ``w1`` and ``w2`` give
-  standard normals by Box-Muller: ``r = sqrt(-2 ln v)`` with
+  i]))`` bit for bit, as in stream v1, so the detector column has not
+  changed between the versions.
+- Block ``k + 2``: readout attempt ``k = 0, 1, ...`` of a D1 shot, drawn
+  from the mixture's envelope (below).  ``w1`` and ``w2`` give standard
+  normals ``n`` by Box-Muller: ``r = sqrt(-2 ln v)`` with
   ``v = ((w1 >> 12) + 1/2) * 2**-52``, which lies in the open interval
-  (0, 1), and ``theta = 2 pi (w2 >> 11) * 2**-53``; the proposal is
-  ``m + s * (r cos theta, r sin theta)`` over the axes in pointer order.
-  ``w3`` is the accept test: the uniform ``u3`` accepts when
-  ``u3 * E(x) < f(x)``.
+  (0, 1), and ``theta = 2 pi (w2 >> 11) * 2**-53``; ``n = (r cos theta,
+  r sin theta)`` over the axes in pointer order.  ``w3`` is the accept test:
+  the uniform ``u3`` accepts the proposal ``x`` when ``u3 * E(x) < f(x)``.
+
+  - Midpoint envelope: ``w0`` picks the envelope pair by inverse CDF, and
+    the proposal is ``m_ij + s * n``.  These records are the same as in
+    stream v2.
+  - Centre envelope (new in v3): ``w0`` is unused, the proposal is
+    ``c + sigma' s * n`` and ``E(x) = M q(x)``.
 
 Records therefore depend only on ``(experiment, seed, shot_id)``: any
 sharding of a shot range reproduces the same records bit for bit.  The
@@ -43,17 +48,30 @@ Philox words and the detector uniforms are exact integer arithmetic; the
 readouts also go through numpy's ``log``, ``cos``, ``sin`` and ``exp``, so
 their last bits may differ between numpy builds and CPUs.
 
-Envelope
---------
-The sampler reads the mixture's pair expansion (``PointerMixture.expansion``),
-which writes the post-selected density as a signed sum of midpoint Gaussians,
-``f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2)``.  Dropping the negative
-terms gives the envelope ``E(x) = sum max(Re c_ij, 0) N(x; m_ij, s^2)
->= f(x)``, which dominates termwise and has mass ``sum max(Re c_ij, 0) >= 1``.
-An attempt picks a pair of positive weight with probability proportional to
-that weight, draws ``x ~ N(m_ij, s^2)`` and accepts with probability
-``f(x) / E(x)``, so the expected acceptance is ``1 / sum max(Re c_ij, 0)``:
-0.400 for the weak-cheshire preset, 1 for a single post-selected branch.
+Envelopes
+---------
+A sampler proposes ``x`` from an envelope ``E(x) >= f(x)`` of the
+post-selected density and accepts with probability ``f(x) / E(x)``; its
+expected acceptance is ``1 / (mass of E)``.  Each mixture gets the envelope
+of strictly higher expected acceptance (the midpoint one on a tie), built
+once, on first use, as ``ExperimentAnalysis.envelope``.
+
+- Midpoint envelope.  The pair expansion (``PointerMixture.expansion``)
+  writes the density as a signed sum of midpoint Gaussians,
+  ``f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2)``.  Dropping the negative
+  terms gives ``E(x) = sum max(Re c_ij, 0) N(x; m_ij, s^2) >= f(x)``; an
+  attempt picks a pair of positive weight with probability proportional to
+  that weight and draws ``x ~ N(m_ij, s^2)``.  Acceptance is
+  ``1 / sum max(Re c_ij, 0)``: 1 for a single post-selected branch, about 1
+  in the strong regime, but 0.400 for weak-cheshire, whose large positive
+  and negative terms nearly cancel.
+- Centre envelope.  One Gaussian ``q(x) = N(x; c, (sigma' s)^2)`` per axis
+  around the centre ``c = sum_i |w_i| d_i / sum_i |w_i|``, with
+  ``E(x) = M q(x)``.  ``M`` is a proven bound on ``sup f / q`` from the
+  amplitude form (``_CentreEnvelope.log_bounds``), minimised over a grid of
+  ``sigma' > 1``.  Acceptance is ``1 / M``: 0.976 for weak-cheshire and
+  0.990 for smile-only at g/s = 0.01, near 0 in the strong regime.
+
 ``f`` is evaluated in its amplitude form ``|sum_i w_i A_i(x)|^2 / Z`` by
 ``pointer.mixture_density``, and envelope domination is asserted on every
 proposal in debug mode.  Runs whose expected acceptance is below
@@ -88,7 +106,7 @@ from .pointer import (
 from .qstate import Ket, SpectralObservable
 
 #: Version of the shot-stream layout described in the module docstring.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 #: Runs whose expected readout acceptance is below this raise LowAcceptance.
 MIN_ACCEPTANCE = 1e-3
@@ -103,6 +121,17 @@ _PASS_ROWS = 1 << 12
 _PASS_MISS = 1e-3
 #: ``ShotBatch.detector`` code of a D1 click (D2 and D3 are 2 and 3).
 _D1 = 1
+#: Candidate proposal scales sigma' = 1 + eps of the centre envelope, a
+#: quarter decade apart.  A coarse grid over r picks the best candidate, and
+#: the fine one gives M for it and its two neighbours; the smallest is used.
+_CENTRE_EPS = 10.0 ** np.linspace(-9.0, 1.0, 41)
+#: Grids over r / R on which the centre envelope's bound is taken: 0, then
+#: geometric cells.
+_CENTRE_COARSE_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 32)])
+_CENTRE_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 256)])
+#: The grid reaches at least R = _CENTRE_TAIL / sqrt(k), where the proposal's
+#: relative tail exp(-k R^2) is below e^-9 (see ``_CentreEnvelope.log_bounds``).
+_CENTRE_TAIL = 3.0
 
 _U32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
@@ -173,12 +202,20 @@ class ShotBatch:
         return self.shot_id.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentAnalysis:
-    """Analytic quantities a run is sampled from (and later checked against)."""
+    """Analytic quantities a run is sampled from (and later checked against).
+
+    It holds a mapping, so it compares and hashes by identity, as ``Experiment`` does.
+    """
 
     detector_probabilities: Mapping[Detector, float]  # read-only
     mixture: PointerMixture | None
+
+    @cached_property
+    def envelope(self) -> _Envelope | None:
+        """The readout sampler of the mixture (module docstring), built on first use."""
+        return None if self.mixture is None else _select_envelope(self.mixture)
 
 
 def analyze(experiment: Experiment) -> ExperimentAnalysis:
@@ -261,36 +298,16 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> _S11) * 2.0**-53
 
 
-class _MidpointEnvelope:
-    """Rejection sampler for a post-selected pointer mixture (module docstring)."""
+class _Envelope:
+    """A readout rejection sampler: proposals and accept flags per attempt, and the pass loop."""
 
-    def __init__(self, mixture: PointerMixture) -> None:
-        pairs = mixture.expansion
-        keep = pairs.coefficients > 0
-        self.mixture = mixture
-        self.widths = mixture.widths
-        self.pair_weights = pairs.coefficients[keep]
-        self.midpoints = pairs.midpoints[keep]
-        total = float(self.pair_weights.sum())
-        self.pair_cdf = np.cumsum(self.pair_weights) / total
-        self.acceptance = min(1.0, 1.0 / total)
-
-    def envelope(self, points: np.ndarray) -> np.ndarray:
-        """E(x) = sum over kept pairs of max(Re c_ij, 0) N(x; m_ij, s^2), points (n, axes)."""
-        terms = _gaussian_kernels(points, self.midpoints, self.widths, 2.0)
-        return _gaussian_norm(self.widths) * (self.pair_weights[:, None] * terms).sum(axis=0)
+    name: str
+    widths: np.ndarray
+    acceptance: float  # expected share of accepted proposals
 
     def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Proposals and accept flags of one attempt per row of Philox words."""
-        pair = np.searchsorted(self.pair_cdf, _uniform(words[:, 0]), side="right")
-        pair = np.minimum(pair, len(self.pair_cdf) - 1)
-        radius = np.sqrt(-2.0 * np.log(((words[:, 1] >> _S12) + 0.5) * 2.0**-52))
-        theta = (2.0 * np.pi) * _uniform(words[:, 2])
-        normals = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-        points = self.midpoints[pair] + self.widths * normals[:, : self.widths.shape[0]]
-        target, envelope = mixture_density(self.mixture, points), self.envelope(points)
-        assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
-        return points, _uniform(words[:, 3]) * envelope < target
+        raise NotImplementedError
 
     def sample(self, seed: int, shot_ids: np.ndarray) -> tuple[np.ndarray, int]:
         """One accepted readout per shot id (stream blocks 2, 3, ...), and the attempts used.
@@ -322,6 +339,123 @@ class _MidpointEnvelope:
         return readout, attempts
 
 
+def _normals(words: np.ndarray, axes: int) -> np.ndarray:
+    """Box-Muller standard normals from words 1 and 2, shape (rows, axes) for 0-2 axes."""
+    radius = np.sqrt(-2.0 * np.log(((words[:, 1] >> _S12) + 0.5) * 2.0**-52))
+    theta = (2.0 * np.pi) * _uniform(words[:, 2])
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)[:, :axes]
+
+
+class _MidpointEnvelope(_Envelope):
+    """Proposals from the positive midpoint terms of the pair expansion (module docstring)."""
+
+    name = "midpoint"
+
+    def __init__(self, mixture: PointerMixture) -> None:
+        pairs = mixture.expansion
+        keep = pairs.coefficients > 0
+        self.mixture = mixture
+        self.widths = mixture.widths
+        self.pair_weights = pairs.coefficients[keep]
+        self.midpoints = pairs.midpoints[keep]
+        total = float(self.pair_weights.sum())
+        self.pair_cdf = np.cumsum(self.pair_weights) / total
+        self.acceptance = min(1.0, 1.0 / total)
+
+    def envelope(self, points: np.ndarray) -> np.ndarray:
+        """E(x) = sum over kept pairs of max(Re c_ij, 0) N(x; m_ij, s^2), points (n, axes)."""
+        terms = _gaussian_kernels(points, self.midpoints, self.widths, 2.0)
+        return _gaussian_norm(self.widths) * (self.pair_weights[:, None] * terms).sum(axis=0)
+
+    def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pair = np.searchsorted(self.pair_cdf, _uniform(words[:, 0]), side="right")
+        pair = np.minimum(pair, len(self.pair_cdf) - 1)
+        points = self.midpoints[pair] + self.widths * _normals(words, self.widths.shape[0])
+        target, envelope = mixture_density(self.mixture, points), self.envelope(points)
+        assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
+        return points, _uniform(words[:, 3]) * envelope < target
+
+
+class _CentreEnvelope(_Envelope):
+    """Proposals from one Gaussian N(x; c, (sigma' s)^2) around a centre c (module docstring)."""
+
+    name = "centre"
+
+    def __init__(self, mixture: PointerMixture) -> None:
+        self.mixture = mixture
+        self.widths = mixture.widths
+        scaled = mixture.displacements / self.widths
+        magnitudes = np.abs(mixture.weights)
+        centre = (magnitudes[:, None] * scaled).sum(axis=0) / magnitudes.sum()
+        self.centre = centre * self.widths
+        self._magnitudes = magnitudes
+        with np.errstate(over="ignore"):  # an infinite offset gives acceptance 0
+            self._offsets = np.sqrt(((scaled - centre) ** 2).sum(axis=1))
+        best = int(np.argmin(self.log_bounds(_CENTRE_EPS, _CENTRE_COARSE_GRID)))
+        eps = _CENTRE_EPS[max(best - 1, 0) : best + 2]
+        log_bounds = self.log_bounds(eps, _CENTRE_GRID)
+        best = int(np.argmin(log_bounds))
+        self.sigma = 1.0 + float(eps[best])
+        with np.errstate(over="ignore"):
+            self.bound = float(np.exp(log_bounds[best]))
+        self.acceptance = min(1.0, float(np.exp(-log_bounds[best])))
+
+    def log_bounds(self, eps: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """log M for each proposal scale sigma' = 1 + eps: a proven bound on sup f / q.
+
+        In width units u = (x - c) / s, r = |u|, e_i = (d_i - c) / s and
+        delta_i = |e_i|, the amplitude form gives f(x) <= N(x; c, s^2) H(r)^2 / Z
+        with H(r) = |W| + sum_i |w_i| b_i e^(b_i), W = sum_i w_i and b_i =
+        r delta_i / 2 + delta_i^2 / 4 (|e^a - 1| <= |a| e^|a| and |a_i| <= b_i
+        for a_i = u.e_i / 2 - delta_i^2 / 4).  So f / q <= B(r) = sigma'^D
+        exp(-k r^2) H(r)^2 / Z with k = (1 - 1 / sigma'^2) / 2, D the axis
+        count.  exp(-k r^2) falls and H rises with r, so on a grid cell
+        [r_j, r_j+1] B is below sigma'^D exp(-k r_j^2) H(r_j+1)^2 / Z.  Beyond
+        the last grid point R, H(r) <= (alpha + beta r) e^(r Delta / 2 +
+        Delta^2 / 4) with Delta = max delta_i, alpha = |W| + sum |w_i|
+        delta_i^2 / 4 and beta = sum |w_i| delta_i / 2, and the log of that
+        tail bound has derivative at most 2 / r - 2 k r + Delta, which is <= 0
+        from R >= (Delta + sqrt(Delta^2 + 16 k)) / (4 k): it is largest at R.
+        Overflows give an infinite bound, that is acceptance 0.
+        """
+        magnitudes, offsets = self._magnitudes, self._offsets
+        size = abs(self.mixture.weights.sum())  # |W|
+        reach = float(offsets.max())
+        alpha = size + float((magnitudes * offsets**2).sum()) / 4.0
+        beta = float((magnitudes * offsets).sum()) / 2.0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            k = eps * (2.0 + eps) / (2.0 * (1.0 + eps) ** 2)  # (1 - 1/sigma'^2) / 2 without cancellation
+            tail = np.maximum((reach + np.sqrt(reach**2 + 16.0 * k)) / (4.0 * k), _CENTRE_TAIL / np.sqrt(k))
+            r = tail[:, None] * grid  # (eps, points)
+            b = r[:, :, None] * (offsets / 2.0) + offsets**2 / 4.0
+            h = size + (magnitudes * b * np.exp(b)).sum(axis=2)
+            cells = (-k[:, None] * r[:, :-1] ** 2 + 2.0 * np.log(h[:, 1:])).max(axis=1)
+            beyond = 2.0 * np.log(alpha + beta * tail) - k * tail**2 + reach * tail + reach**2 / 2.0
+            log_bounds = self.widths.shape[0] * np.log1p(eps) - math.log(self.mixture.expansion.total)
+            log_bounds = log_bounds + np.maximum(cells, beyond)
+        return np.where(np.isnan(log_bounds), np.inf, log_bounds)
+
+    def proposal_density(self, points: np.ndarray) -> np.ndarray:
+        """q(x) = N(x; c, (sigma' s)^2) over the axes, points (n, axes)."""
+        kernel = _gaussian_kernels(points, self.centre[None, :], self.widths, 2.0 * self.sigma**2)[0]
+        return _gaussian_norm(self.widths) / self.sigma ** self.widths.shape[0] * kernel
+
+    def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        points = self.centre + (self.sigma * self.widths) * _normals(words, self.widths.shape[0])
+        target, envelope = mixture_density(self.mixture, points), self.bound * self.proposal_density(points)
+        assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
+        return points, _uniform(words[:, 3]) * envelope < target
+
+
+def _select_envelope(mixture: PointerMixture) -> _Envelope:
+    """The envelope of strictly higher expected acceptance; the midpoint one on a tie."""
+    midpoint = _MidpointEnvelope(mixture)
+    if midpoint.acceptance >= 1.0:  # nothing accepts more: skip building the other
+        return midpoint
+    centre = _CentreEnvelope(mixture)
+    return centre if centre.acceptance > midpoint.acceptance else midpoint
+
+
 def _attempt_cap(acceptance: float) -> int:
     """Attempts after which a shot is still pending with probability below ``_PASS_MISS``.
 
@@ -333,9 +467,10 @@ def _attempt_cap(acceptance: float) -> int:
     return max(1, math.ceil(math.log(_PASS_MISS) / math.log1p(-acceptance)))
 
 
-def readout_acceptance(mixture: PointerMixture) -> float:
-    """Expected acceptance of the readout sampler: Z / sum_ij max(Re conj(w_i) w_j O_ij, 0)."""
-    return _MidpointEnvelope(mixture).acceptance
+def readout_acceptance(experiment: Experiment) -> float | None:
+    """Expected acceptance of the experiment's readout sampler; None without a post-selected mixture."""
+    envelope = analyze(experiment).envelope
+    return None if envelope is None else envelope.acceptance
 
 
 def sample_shots(
@@ -363,9 +498,8 @@ def sample_shots(
     analysis = analyze(experiment)
     p_d1 = analysis.detector_probabilities[Detector.D1]
     p_d12 = p_d1 + analysis.detector_probabilities[Detector.D2]
-    sampler = None
-    if analysis.mixture is not None:
-        sampler = _MidpointEnvelope(analysis.mixture)
+    sampler = analysis.envelope
+    if sampler is not None:
         if sampler.acceptance < MIN_ACCEPTANCE:
             raise LowAcceptance(
                 f"expected readout acceptance {sampler.acceptance:.3g} is below "
@@ -398,7 +532,7 @@ class AxisEstimate:
     mean_over_coupling: float | None  # None when the coupling is zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SummaryStats:
     n_shots: int
     d1_count: int

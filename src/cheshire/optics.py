@@ -111,7 +111,7 @@ def postselected_state() -> Ket:
     return _POST_STATE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionResult:
     """Detector click probabilities and the conditional collapsed states.
 

@@ -34,7 +34,7 @@ class ImpossibleOutcome(ValueError):
     """The requested outcome has no support in the given state."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalDistribution:
     """Outcome probabilities conditioned on successful post-selection.
 

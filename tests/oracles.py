@@ -123,3 +123,21 @@ def shot_generator(seed, shot_id):
     """Numpy generator on the stream of one shot: its first ``random()`` is the detector uniform."""
     key = np.array([seed, shot_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def bin_masses(density, lo, hi, bins, points_per_bin=16):
+    """Mass of ``density`` in each cell of ``bins`` equal cells per axis of the box [lo, hi].
+
+    ``lo`` and ``hi`` hold one bound per axis; the result has one dimension
+    of length ``bins`` per axis.  Each cell is integrated by the trapezoid
+    rule on ``points_per_bin`` sub-intervals per axis.
+    """
+    grids = [np.linspace(a, b, bins * points_per_bin + 1) for a, b in zip(lo, hi)]
+    values = density(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
+    for k, xs in enumerate(grids):
+        along = np.moveaxis(values, k, 0)
+        sums = along[:-1].reshape(bins, points_per_bin, *along.shape[1:]).sum(axis=1)
+        edges = along[::points_per_bin]
+        cells = (xs[1] - xs[0]) * (sums - edges[:-1] / 2 + edges[1:] / 2)
+        values = np.moveaxis(cells, 0, k)
+    return values

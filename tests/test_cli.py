@@ -193,17 +193,29 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert summary["estimated"]["post_rate"] == pytest.approx(0.25, abs=0.05)
     assert summary["diagnostics"]["g_over_s"] == {"vertical": 0.01, "horizontal": 0.01}
     assert summary["diagnostics"]["branch_count"] == 3
-    assert summary["diagnostics"]["stream_version"] == 2
+    assert summary["diagnostics"]["stream_version"] == 3
     assert set(summary["diagnostics"]["versions"]) == {"cheshire", "numpy", "python"}
     assert summary["diagnostics"]["versions"]["numpy"] == np.__version__
 
 
-@pytest.mark.parametrize("preset, acceptance", [("weak-cheshire", 0.400), ("which-path", 1.0)])
+#: The readout envelope each preset's mixture gets at its own coupling/width.
+PRESET_ENVELOPES = {
+    "weak-cheshire": "centre",
+    "smile-only": "centre",
+    "which-path": "midpoint",
+    "joint-strong": "midpoint",
+}
+
+
+@pytest.mark.parametrize(
+    "preset, acceptance",
+    [("weak-cheshire", 0.976), ("smile-only", 0.990), ("which-path", 1.0), ("joint-strong", 1.0)],
+)
 def test_summary_reports_sampler_acceptance(tmp_path, preset, acceptance):
-    config = run_config(tmp_path, preset=preset, shots=4000)
-    assert run_preset(config) == 0
-    summary = read_summary(config.out_dir / "summary.json")
+    assert main(["--preset", preset, "--shots", "4000", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "summary.json")
     sampler = summary["diagnostics"]["sampler"]
+    assert sampler["envelope"] == PRESET_ENVELOPES[preset]
     assert sampler["accepted"] == summary["estimated"]["d1_count"]
     assert sampler["observed_acceptance"] == sampler["accepted"] / sampler["attempts"]
     expected = sampler["expected_acceptance"]
@@ -474,9 +486,9 @@ def test_unallocatable_shot_count_exits_1(tmp_path, capsys):
 
 
 def test_low_acceptance_exits_1(tmp_path, monkeypatch, capsys):
-    # weak-cheshire accepts 0.4 of its readout proposals; a floor above
+    # weak-cheshire accepts 0.976 of its readout proposals; a floor above
     # that stands in for a near-null post-selection.
-    monkeypatch.setattr(montecarlo, "MIN_ACCEPTANCE", 0.5)
+    monkeypatch.setattr(montecarlo, "MIN_ACCEPTANCE", 0.99)
     assert main(["--shots", "200", "--out-dir", str(tmp_path / "low")]) == 1
     err = capsys.readouterr().err
     assert "cheshire:" in err and "acceptance" in err

@@ -10,10 +10,12 @@ from cheshire import (
     LowAcceptance,
     ShotBatch,
     SpectralObservable,
+    abl_distribution,
     analyze,
     canonical_observables,
     canonical_states,
     estimate,
+    mixture_density,
     mixture_moments,
     run_interferometer,
     sample_shots,
@@ -21,7 +23,7 @@ from cheshire import (
 from cheshire import montecarlo
 from cheshire.montecarlo import STREAM_VERSION, _philox, _uniform
 from cheshire.qstate import ket, normalize
-from oracles import shot_generator
+from oracles import bin_masses, shot_generator
 
 OBS = canonical_observables()
 PRE, POST = canonical_states()
@@ -43,7 +45,7 @@ def single_probe_experiment(name, g, axis=Axis.HORIZONTAL, s=1.0):
     )
 
 
-# --- randomness contract (stream v2) ------------------------------------------
+# --- randomness contract (stream v3) ------------------------------------------
 
 
 def concatenate(batches) -> ShotBatch:
@@ -88,20 +90,26 @@ def test_shard_invariance(shards):
 
 def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
     # Shot blocks of 7, one readout attempt per pass, and the per-pass
-    # attempt cap at 1 or binding at its derived value give the same records.
-    experiment = cheshire_experiment()
-    baseline = sample_shots(experiment, 300, seed=13)
-    assert montecarlo._attempt_cap(montecarlo.readout_acceptance(analyze(experiment).mixture)) == 14
+    # attempt cap at 1 or binding at its derived value give the same
+    # records, under the centre envelope (weak-cheshire) and the midpoint one
+    # (g/s = 1).
+    assert montecarlo._attempt_cap(0.4) == 14
     assert montecarlo._attempt_cap(1.0) == 1
-    with monkeypatch.context() as patch:
-        patch.setattr(montecarlo, "_PASS_ROWS", 1 << 20)  # the cap binds on every pass
-        assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
-    with monkeypatch.context() as patch:
-        patch.setattr(montecarlo, "_attempt_cap", lambda acceptance: 1)
-        assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
-    monkeypatch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
-    monkeypatch.setattr(montecarlo, "_PASS_ROWS", 1)
-    assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
+    for ratio, envelope in ((1e-2, "centre"), (1.0, "midpoint")):
+        experiment = cheshire_experiment(ratio, ratio)
+        assert analyze(experiment).envelope.name == envelope
+        assert montecarlo._attempt_cap(montecarlo.readout_acceptance(experiment)) > 1
+        baseline = sample_shots(experiment, 300, seed=13)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_PASS_ROWS", 1 << 20)  # the cap binds on every pass
+            assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_attempt_cap", lambda acceptance: 1)
+            assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
+            patch.setattr(montecarlo, "_PASS_ROWS", 1)
+            assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
 
 
 def test_philox_blocks_match_numpy_random_raw():
@@ -128,30 +136,50 @@ def test_detector_uniform_equals_shot_generator():
     assert sample_shots(experiment, 2000, seed=seed).detector.tolist() == expected
 
 
-# Stream v2 records of weak-cheshire shots 2**40 .. 2**40 + 23 at seed 2**63 + 12345.
+# Stream v3 records of shots 2**40 .. 2**40 + 23 at seed 2**63 + 12345:
+# weak-cheshire (centre envelope), and weak-cheshire at g/s = 1 (midpoint
+# envelope, whose records are the same as in stream v2).
 GOLDEN_DETECTORS = [2, 2, 1, 1, 2, 1, 2, 1, 3, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 1, 2, 3, 2, 2]
-GOLDEN_ATTEMPTS = 12
+GOLDEN_ATTEMPTS = 5
 GOLDEN_READOUTS = {  # shot offset -> (vertical, horizontal)
-    2: (-0.4935069912506649, -0.5197836397846228),
-    3: (0.4642296465045257, 0.441115557606227),
-    5: (1.3191625388176211, 1.2517272764323497),
-    7: (-0.05004707425807678, 1.051130150461994),
-    19: (0.1468724824922454, 1.1675233712703355),
+    2: (-0.4912821850051709, -0.5327628321252293),
+    3: (0.19630101606492162, 0.8908599967789698),
+    5: (0.6259506381076712, -0.6084277301119317),
+    7: (0.5301674366921254, -0.12166232380982703),
+    19: (0.14767029009037275, 1.1690607206019847),
+}
+GOLDEN_MIDPOINT_DETECTORS = [2, 1, 1, 1, 1, 1, 2, 1, 3, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 1, 2, 3, 2, 2]
+GOLDEN_MIDPOINT_ATTEMPTS = 11
+GOLDEN_MIDPOINT_READOUTS = {
+    1: (0.4179723270110291, 2.2360540506206306),
+    2: (-0.4935069912506649, 0.47021636021537716),
+    3: (0.19378979893550008, 1.4979284858869075),
+    4: (-0.2963241260513132, 0.6195787030297176),
+    5: (1.8141625388176212, 1.7467272764323498),
+    7: (2.1010528009176217, 0.11018141021384242),
+    19: (0.6418724824922454, 1.6625233712703356),
 }
 
 
-def test_stream_v2_golden_vector():
+def test_stream_v3_golden_vector():
     # Any change to the stream layout changes these records; bump
     # STREAM_VERSION and re-pin them together.  Readouts go through numpy's
     # transcendental functions, whose last bits may vary by CPU, hence rtol.
-    assert STREAM_VERSION == 2
-    batch = sample_shots(cheshire_experiment(), 24, seed=2**63 + 12345, first_shot=2**40)
-    assert batch.detector.tolist() == GOLDEN_DETECTORS
-    assert batch.attempts == GOLDEN_ATTEMPTS
-    d1 = np.flatnonzero(batch.detector == 1)
-    assert d1.tolist() == sorted(GOLDEN_READOUTS)
-    expected = np.array([GOLDEN_READOUTS[k] for k in d1.tolist()])
-    np.testing.assert_allclose(batch.readout[d1], expected, rtol=1e-12, atol=0)
+    assert STREAM_VERSION == 3
+    goldens = (
+        (1e-2, "centre", GOLDEN_DETECTORS, GOLDEN_ATTEMPTS, GOLDEN_READOUTS),
+        (1.0, "midpoint", GOLDEN_MIDPOINT_DETECTORS, GOLDEN_MIDPOINT_ATTEMPTS, GOLDEN_MIDPOINT_READOUTS),
+    )
+    for ratio, envelope, detectors, attempts, readouts in goldens:
+        experiment = cheshire_experiment(ratio, ratio)
+        assert analyze(experiment).envelope.name == envelope
+        batch = sample_shots(experiment, 24, seed=2**63 + 12345, first_shot=2**40)
+        assert batch.detector.tolist() == detectors
+        assert batch.attempts == attempts
+        d1 = np.flatnonzero(batch.detector == 1)
+        assert d1.tolist() == sorted(readouts)
+        expected = np.array([readouts[k] for k in d1.tolist()])
+        np.testing.assert_allclose(batch.readout[d1], expected, rtol=1e-12, atol=0)
 
 
 def test_shot_ids_are_contiguous_from_first_shot():
@@ -170,8 +198,28 @@ def test_sample_shots_rejects_out_of_range_keys(seed, first_shot):
 
 
 def test_near_null_postselection_fails_fast():
+    # Second-order cancellation: the angular-momentum branches +1, -1 and 0
+    # have weights a, a, -2a, so both the weights and their first moment sum
+    # to 0, and the density is O(g^4) while the envelope bounds keep O(g^2).
+    experiment = Experiment(
+        pre=normalize(ket([-1, -1, 1, -1])),
+        couplings=(
+            (OBS["angular_momentum_arm2"], GaussianPointer(width=1.0, coupling=1e-2, axis=Axis.HORIZONTAL)),
+        ),
+    )
+    analysis = analyze(experiment)
+    assert 0.0 < analysis.detector_probabilities[Detector.D1] < 1e-4
+    assert analysis.envelope.acceptance < montecarlo.MIN_ACCEPTANCE
+    with pytest.raises(LowAcceptance, match="near-null"):
+        sample_shots(experiment, 10, seed=0)
+
+
+def test_first_order_near_null_postselection_samples():
     # Arm-1 and arm-2 amplitudes toward the post-state nearly cancel: the
-    # success probability is ~1e-5 and the expected acceptance ~1.5e-5.
+    # success probability is ~7e-6.  The midpoint envelope accepts ~1.5e-5
+    # of its proposals; the centre envelope ~0.37, as the weights still sum
+    # to ~1e-3 of their magnitudes, so the run samples and matches the
+    # closed form.
     arm1 = [p for value, p in OBS["photon_in_arm1"].branches if value == 1.0][0]
     amps = arm1 @ POST.amps - (np.eye(4) - arm1) @ POST.amps + 1e-3 * POST.amps
     experiment = Experiment(
@@ -180,8 +228,13 @@ def test_near_null_postselection_fails_fast():
     )
     analysis = analyze(experiment)
     assert 0.0 < analysis.detector_probabilities[Detector.D1] < 1e-4
-    with pytest.raises(LowAcceptance, match="near-null"):
-        sample_shots(experiment, 10, seed=0)
+    assert montecarlo._MidpointEnvelope(analysis.mixture).acceptance < montecarlo.MIN_ACCEPTANCE
+    assert analysis.envelope.name == "centre" and analysis.envelope.acceptance > 0.3
+    readouts, _ = analysis.envelope.sample(7, np.arange(20_000, dtype=np.uint64))
+    moments = mixture_moments(analysis.mixture)[Axis.VERTICAL]
+    z = (readouts[:, 0].mean() - moments.mean) / np.sqrt(moments.variance / readouts.shape[0])
+    assert abs(z) < 5
+    assert len(sample_shots(experiment, 1000, seed=0)) == 1000  # no LowAcceptance
 
 
 # --- analysis ----------------------------------------------------------------
@@ -217,6 +270,20 @@ def test_observables_and_experiments_compare_by_identity():
     assert twin_obs != obs and twin_obs == twin_obs
     assert twin != experiment and twin == twin
     assert len({obs, twin_obs, experiment, twin}) == 4
+
+
+def test_result_objects_hash_by_identity():
+    # Frozen results holding dicts or mappingproxies compare and hash by identity.
+    experiment = cheshire_experiment()
+    results = (
+        analyze(experiment),
+        estimate(sample_shots(experiment, 2000, seed=1), experiment),
+        run_interferometer(PRE),
+        abl_distribution(OBS["photon_in_arm1"], PRE, POST),
+    )
+    for result in results:
+        assert hash(result) == hash(result) and result == result
+    assert len(set(results)) == 4
 
 
 def test_zero_coupling_reproduces_bare_optics():
@@ -365,3 +432,40 @@ def test_estimator_consistency_over_many_seeds():
         )
         hits += ok
     assert hits >= 95
+
+
+def chi_square_z(observed, expected):
+    """Wilson-Hilferty normal score of Pearson's chi-square with len - 1 degrees of freedom."""
+    k = observed.size - 1
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return ((chi2 / k) ** (1 / 3) - (1 - 2 / (9 * k))) / np.sqrt(2 / (9 * k))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("experiment", [cheshire_experiment(), single_probe_experiment("angular_momentum_arm2", 1e-2)])
+def test_readout_histogram_matches_quadrature_density(experiment):
+    # 10^6 readouts in 20 cells per axis over +-4 s around the mean; cells
+    # expecting fewer than 20 readouts join one cell for the rest.  A shape
+    # error that keeps the moments shows here.
+    analysis = analyze(experiment)
+    assert analysis.envelope.name == "centre"
+    n, chunk, bins = 10**6, 1 << 17, 20
+    readouts = np.concatenate(
+        [
+            analysis.envelope.sample(3, np.arange(start, min(start + chunk, n), dtype=np.uint64))[0]
+            for start in range(0, n, chunk)
+        ]
+    )
+    mixture = analysis.mixture
+    means = np.array([mixture_moments(mixture)[axis].mean for axis in mixture.axes])
+    lo, hi = means - 4 * mixture.widths, means + 4 * mixture.widths
+    masses = bin_masses(lambda points: mixture_density(mixture, points), lo, hi, bins)
+    inside = np.all((readouts >= lo) & (readouts < hi), axis=1)
+    cells = np.minimum(np.floor((readouts[inside] - lo) / (hi - lo) * bins).astype(int), bins - 1)
+    counts = np.bincount(np.ravel_multi_index(cells.T, masses.shape), minlength=masses.size)
+    expected = n * masses.ravel()
+    kept = expected >= 20
+    observed = np.append(counts[kept], n - counts[kept].sum())
+    expected = np.append(expected[kept], n - expected[kept].sum())
+    assert kept.sum() >= bins and expected[-1] >= 20
+    assert abs(chi_square_z(observed, expected)) < 5

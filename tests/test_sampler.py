@@ -1,11 +1,11 @@
-"""Property tests of the midpoint-envelope readout sampler on random mixtures.
+"""Property tests of the readout samplers (midpoint and centre envelopes) on random mixtures.
 
 Mixtures have random complex weights, 1-2 axes and coupling/width from 1e-4
 to 1e2.  The pair expansion is recomputed here from its definition, so the
-envelope and its acceptance formula are checked against code the sampler
-does not share; ``mixture_density`` (the amplitude form the sampler accepts
-against) is checked against that expansion too.  Sample moments are checked
-against ``mixture_moments`` and the quadrature oracle.
+envelopes and their acceptance formulas are checked against code the
+sampler does not share; ``mixture_density`` (the amplitude form the sampler
+accepts against) is checked against that expansion too.  Sample moments are
+checked against ``mixture_moments`` and the quadrature oracle.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cheshire import Axis, PointerMixture, mixture_density, mixture_moments  # noqa: E402
-from cheshire.montecarlo import _MidpointEnvelope  # noqa: E402
+from cheshire.montecarlo import _CentreEnvelope, _MidpointEnvelope, _select_envelope  # noqa: E402
 from oracles import quadrature_grid, quadrature_moments  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
@@ -25,7 +25,7 @@ PROPERTY_SETTINGS = settings(
     deadline=None,
     derandomize=True,
     database=None,
-    suppress_health_check=[HealthCheck.too_slow],
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 #: Statistical checks skip mixtures that would need too many proposals.
 MIN_TESTED_ACCEPTANCE = 0.05
@@ -114,28 +114,70 @@ def test_envelope_dominates_termwise(mixture, seed):
 
 
 @PROPERTY_SETTINGS
+@given(mixtures(), st.integers(0, 2**32))
+def test_centre_envelope_dominates(mixture, seed):
+    coefficients, midpoints, widths = pair_terms(mixture)
+    envelope = _CentreEnvelope(mixture)
+    assert 0.0 <= envelope.acceptance <= 1.0
+    assume(envelope.acceptance > 0.0)
+    assert envelope.acceptance == pytest.approx(1.0 / envelope.bound, rel=1e-12)
+    # Probes around the centre out to 8 proposal widths, and around the branches.
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((400, len(widths)))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = np.concatenate([np.abs(rng.standard_normal(200)), rng.uniform(0.0, 8.0, 200)])
+    scale = envelope.sigma * widths
+    points = np.concatenate(
+        [envelope.centre + scale * radii[:, None] * directions, probe_points(mixture, seed)]
+    )
+    density = gaussian(points, midpoints, widths) @ coefficients
+    proposal = gaussian(points, envelope.centre[None, :], scale)[:, 0]
+    peak = np.abs(coefficients).sum() * np.prod(1.0 / np.sqrt(2 * np.pi * widths**2))
+    assert np.all(density <= envelope.bound * proposal * (1.0 + 1e-9) + 1e-9 * peak)
+    np.testing.assert_allclose(envelope.proposal_density(points), proposal, rtol=1e-12, atol=0)
+
+
+@PROPERTY_SETTINGS
+@given(mixtures())
+def test_selected_envelope_has_the_higher_acceptance(mixture):
+    midpoint, centre = _MidpointEnvelope(mixture), _CentreEnvelope(mixture)
+    selected = _select_envelope(mixture)
+    assert selected.acceptance == max(midpoint.acceptance, centre.acceptance)
+    assert selected.name == ("centre" if centre.acceptance > midpoint.acceptance else "midpoint")
+
+
+def expected_acceptance(envelope, mixture):
+    """1 / sum max(Re c_ij, 0) from the definition for the midpoint envelope, 1 / M for the centre one."""
+    if isinstance(envelope, _MidpointEnvelope):
+        coefficients, _, _ = pair_terms(mixture)
+        return 1.0 / np.maximum(coefficients, 0.0).sum()
+    return 1.0 / envelope.bound
+
+
+def envelopes_under_test(mixture):
+    """Both envelopes of ``mixture``, leaving out those that would need too many proposals."""
+    envelopes = [_MidpointEnvelope(mixture), _CentreEnvelope(mixture)]
+    envelopes = [envelope for envelope in envelopes if envelope.acceptance >= MIN_TESTED_ACCEPTANCE]
+    assume(envelopes)
+    return envelopes
+
+
+@PROPERTY_SETTINGS
 @given(mixtures(), st.integers(0, 2**64 - 1))
 def test_acceptance_formula_matches_measured_rate(mixture, seed):
-    coefficients, _, _ = pair_terms(mixture)
-    envelope = _MidpointEnvelope(mixture)
-    assume(envelope.acceptance >= MIN_TESTED_ACCEPTANCE)
     n = 4000
-    _, attempts = envelope.sample(seed, np.arange(n, dtype=np.uint64))
-    p = envelope.acceptance
-    assert p == pytest.approx(1.0 / np.maximum(coefficients, 0.0).sum(), rel=1e-12)
-    sigma = np.sqrt(p * (1 - p) / attempts)  # 0 when every proposal must be accepted
-    assert abs(n / attempts - p) <= 5 * sigma + 1e-12
+    for envelope in envelopes_under_test(mixture):
+        _, attempts = envelope.sample(seed, np.arange(n, dtype=np.uint64))
+        p = envelope.acceptance
+        assert p == pytest.approx(expected_acceptance(envelope, mixture), rel=1e-12)
+        sigma = np.sqrt(p * (1 - p) / attempts)  # 0 when every proposal must be accepted
+        assert abs(n / attempts - p) <= 5 * sigma + 1e-12
 
 
 @PROPERTY_SETTINGS
 @given(mixtures(), st.integers(0, 2**64 - 1))
 def test_sample_moments_match_closed_form_and_quadrature(mixture, seed):
-    coefficients, _, _ = pair_terms(mixture)
-    envelope = _MidpointEnvelope(mixture)
-    assume(envelope.acceptance >= MIN_TESTED_ACCEPTANCE)
-    n = 20_000
-    readouts, _ = envelope.sample(seed, np.arange(10**6, 10**6 + n, dtype=np.uint64))
-    assert np.isfinite(readouts).all()
+    envelopes = envelopes_under_test(mixture)
     closed = mixture_moments(mixture)
     grid_size = np.prod([len(g) for g in quadrature_grid(mixture, QUADRATURE_STEPS)])
     quadrature = None
@@ -144,15 +186,19 @@ def test_sample_moments_match_closed_form_and_quadrature(mixture, seed):
             mixture, lambda pts: mixture_density(mixture, pts), QUADRATURE_STEPS
         )
         quadrature = list(zip(means, variances))
-    for k, axis in enumerate(mixture.axes):
-        values = readouts[:, k]
-        mean, variance = values.mean(), values.var()
-        fourth = np.mean((values - mean) ** 4)
-        mean_tol = 5 * np.sqrt(variance / n)
-        variance_tol = 5 * np.sqrt(max(fourth - variance**2, 0.0) / n)
-        references = [(closed[axis].mean, closed[axis].variance)]
-        if quadrature is not None:
-            references.append(quadrature[k])
-        for ref_mean, ref_variance in references:
-            assert abs(mean - ref_mean) <= mean_tol + 1e-12
-            assert abs(variance - ref_variance) <= variance_tol + 1e-12
+    n = 20_000
+    for envelope in envelopes:
+        readouts, _ = envelope.sample(seed, np.arange(10**6, 10**6 + n, dtype=np.uint64))
+        assert np.isfinite(readouts).all()
+        for k, axis in enumerate(mixture.axes):
+            values = readouts[:, k]
+            mean, variance = values.mean(), values.var()
+            fourth = np.mean((values - mean) ** 4)
+            mean_tol = 5 * np.sqrt(variance / n)
+            variance_tol = 5 * np.sqrt(max(fourth - variance**2, 0.0) / n)
+            references = [(closed[axis].mean, closed[axis].variance)]
+            if quadrature is not None:
+                references.append(quadrature[k])
+            for ref_mean, ref_variance in references:
+                assert abs(mean - ref_mean) <= mean_tol + 1e-12
+                assert abs(variance - ref_variance) <= variance_tol + 1e-12
