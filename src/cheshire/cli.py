@@ -409,6 +409,12 @@ def write_shots_csv(path: Path, batch: ShotBatch, experiment: Experiment) -> Non
             fh.write(("%d%s" * detector.shape[0]) % tuple(fields))
 
 
+def _write_summary(out_dir: Path, summary: dict) -> None:
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
+
+
 def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
     """Sample the configured experiment, write its files, and return its summary dict."""
     batch = sample_shots(experiment, config.shots, config.seed)
@@ -422,9 +428,7 @@ def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
     }
     config.out_dir.mkdir(parents=True, exist_ok=True)
     write_shots_csv(config.out_dir / "shots.csv", batch, experiment)
-    with open(config.out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_summary(config.out_dir, summary)
     return summary
 
 
@@ -469,9 +473,7 @@ def _run_sweep(config: ExperimentConfig) -> dict:
         "estimated": {"points": points},
         "diagnostics": {"sweep_ratios": list(SWEEP_RATIOS)},
     }
-    with open(config.out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_summary(config.out_dir, summary)
     return summary
 
 

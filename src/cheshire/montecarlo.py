@@ -29,18 +29,16 @@ uniform in [0, 1) as ``(w >> 11) * 2**-53``, numpy's ``random()`` transform.
   i]))`` bit for bit, as in stream v1, so the detector column has not
   changed between the versions.
 - Block ``k + 2``: readout attempt ``k = 0, 1, ...`` of a D1 shot, drawn
-  from the mixture's envelope (below).  ``w1`` and ``w2`` give standard
-  normals ``n`` by Box-Muller: ``r = sqrt(-2 ln v)`` with
+  from the mixture's envelope ``E(x) = sum_k a_k N(x; mu_k, (sigma s)^2)``
+  (below).  ``w0`` picks the component ``k`` by inverse CDF over the
+  ``a_k``, so a one-component envelope ignores it.  ``w1`` and ``w2`` give
+  standard normals ``n`` by Box-Muller: ``r = sqrt(-2 ln v)`` with
   ``v = ((w1 >> 12) + 1/2) * 2**-52``, which lies in the open interval
   (0, 1), and ``theta = 2 pi (w2 >> 11) * 2**-53``; ``n = (r cos theta,
-  r sin theta)`` over the axes in pointer order.  ``w3`` is the accept test:
-  the uniform ``u3`` accepts the proposal ``x`` when ``u3 * E(x) < f(x)``.
-
-  - Midpoint envelope: ``w0`` picks the envelope pair by inverse CDF, and
-    the proposal is ``m_ij + s * n``.  These records are the same as in
-    stream v2.
-  - Centre envelope (new in v3): ``w0`` is unused, the proposal is
-    ``c + sigma' s * n`` and ``E(x) = M q(x)``.
+  r sin theta)`` over the axes in pointer order.  The proposal is
+  ``x = mu_k + sigma s * n``.  ``w3`` is the accept test: the uniform
+  ``u3`` accepts ``x`` when ``u3 * E(x) < f(x)``.  Midpoint-envelope
+  records are the same as in stream v2; the centre envelope is new in v3.
 
 Records therefore depend only on ``(experiment, seed, shot_id)``: any
 sharding of a shot range reproduces the same records bit for bit.  The
@@ -52,25 +50,25 @@ Envelopes
 ---------
 A sampler proposes ``x`` from an envelope ``E(x) >= f(x)`` of the
 post-selected density and accepts with probability ``f(x) / E(x)``; its
-expected acceptance is ``1 / (mass of E)``.  Each mixture gets the envelope
-of strictly higher expected acceptance (the midpoint one on a tie), built
+expected acceptance is ``1 / (mass of E)``.  There is one envelope type,
+``_Envelope``, the positive Gaussian mixture ``E(x) = sum_k a_k N(x; mu_k,
+(sigma s)^2)``, built two ways.  Each mixture gets the construction of
+strictly higher expected acceptance (the midpoint one on a tie), built
 once, on first use, as ``ExperimentAnalysis.envelope``.
 
-- Midpoint envelope.  The pair expansion (``PointerMixture.expansion``)
-  writes the density as a signed sum of midpoint Gaussians,
-  ``f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2)``.  Dropping the negative
-  terms gives ``E(x) = sum max(Re c_ij, 0) N(x; m_ij, s^2) >= f(x)``; an
-  attempt picks a pair of positive weight with probability proportional to
-  that weight and draws ``x ~ N(m_ij, s^2)``.  Acceptance is
-  ``1 / sum max(Re c_ij, 0)``: 1 for a single post-selected branch, about 1
+- Midpoint.  The pair expansion (``PointerMixture.expansion``) writes the
+  density as a signed sum of midpoint Gaussians, ``f(x) = sum_{i<=j}
+  Re(c_ij) N(x; m_ij, s^2)``.  Dropping the negative terms leaves ``a`` =
+  the positive ``Re c_ij``, ``mu`` = their midpoints and ``sigma = 1``.
+  Acceptance is ``1 / sum a``: 1 for a single post-selected branch, about 1
   in the strong regime, but 0.400 for weak-cheshire, whose large positive
   and negative terms nearly cancel.
-- Centre envelope.  One Gaussian ``q(x) = N(x; c, (sigma' s)^2)`` per axis
-  around the centre ``c = sum_i |w_i| d_i / sum_i |w_i|``, with
-  ``E(x) = M q(x)``.  ``M`` is a proven bound on ``sup f / q`` from the
-  amplitude form (``_CentreEnvelope.log_bounds``), minimised over a grid of
-  ``sigma' > 1``.  Acceptance is ``1 / M``: 0.976 for weak-cheshire and
-  0.990 for smile-only at g/s = 0.01, near 0 in the strong regime.
+- Centre.  One component ``a = [M]``, ``mu = [c]``, ``sigma = sigma' > 1``
+  around the centre ``c = sum_i |w_i| d_i / sum_i |w_i|``.  ``M`` is a
+  proven bound on ``sup f / q`` for ``q(x) = N(x; c, (sigma' s)^2)``, from
+  the amplitude form (``_centre_log_bounds``), minimised over a grid of
+  ``sigma'``.  Acceptance is ``1 / M``: 0.976 for weak-cheshire and 0.990
+  for smile-only at g/s = 0.01, near 0 in the strong regime.
 
 ``f`` is evaluated in its amplitude form ``|sum_i w_i A_i(x)|^2 / Z`` by
 ``pointer.mixture_density``, and envelope domination is asserted on every
@@ -96,7 +94,7 @@ from .pointer import (
     GaussianPointer,
     NullPostSelection,
     PointerMixture,
-    _gaussian_kernels,
+    _gaussian_exponent,
     _gaussian_norm,
     _overlap_matrix,
     couple,
@@ -130,7 +128,7 @@ _CENTRE_EPS = 10.0 ** np.linspace(-9.0, 1.0, 41)
 _CENTRE_COARSE_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 32)])
 _CENTRE_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 256)])
 #: The grid reaches at least R = _CENTRE_TAIL / sqrt(k), where the proposal's
-#: relative tail exp(-k R^2) is below e^-9 (see ``_CentreEnvelope.log_bounds``).
+#: relative tail exp(-k R^2) is below e^-9 (see ``_centre_log_bounds``).
 _CENTRE_TAIL = 3.0
 
 _U32 = np.uint64(0xFFFFFFFF)
@@ -298,16 +296,75 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> _S11) * 2.0**-53
 
 
+def _normals(words: np.ndarray, axes: int) -> np.ndarray:
+    """Box-Muller standard normals from words 1 and 2, shape (rows, axes) for 0-2 axes."""
+    radius = np.sqrt(-2.0 * np.log(((words[:, 1] >> _S12) + 0.5) * 2.0**-52))
+    theta = (2.0 * np.pi) * _uniform(words[:, 2])
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)[:, :axes]
+
+
+@dataclass(eq=False)
 class _Envelope:
-    """A readout rejection sampler: proposals and accept flags per attempt, and the pass loop."""
+    """The readout rejection sampler E(x) = sum_k a_k N(x; mu_k, (sigma s)^2) >= f(x).
+
+    Built by :meth:`midpoint` or :meth:`centre` (module docstring), which
+    also give its expected ``acceptance``, the share of accepted proposals.
+    """
 
     name: str
-    widths: np.ndarray
-    acceptance: float  # expected share of accepted proposals
+    mixture: PointerMixture
+    weights: np.ndarray  # a_k
+    means: np.ndarray  # mu_k, shape (components, axes)
+    sigma: float
+    acceptance: float
+
+    def __post_init__(self) -> None:
+        self.widths = self.mixture.widths
+        # Inverse-CDF breakpoints between components, none for a single one,
+        # so an infinite a_0 (acceptance 0) needs no division of inf by inf.
+        self._cdf = np.cumsum(self.weights[:-1]) / self.weights.sum()
+        self._peak = _gaussian_norm(self.widths) / self.sigma ** self.widths.shape[0]
+
+    @classmethod
+    def midpoint(cls, mixture: PointerMixture) -> _Envelope:
+        """The positive midpoint terms of the pair expansion: a = max(Re c_ij, 0), mu = m_ij, sigma = 1."""
+        pairs = mixture.expansion
+        keep = pairs.coefficients > 0
+        weights = pairs.coefficients[keep]
+        acceptance = min(1.0, 1.0 / float(weights.sum()))
+        return cls("midpoint", mixture, weights, pairs.midpoints[keep], 1.0, acceptance)
+
+    @classmethod
+    def centre(cls, mixture: PointerMixture) -> _Envelope:
+        """One Gaussian around the centre c: a = [M], mu = [c], sigma = sigma' (``_centre_log_bounds``)."""
+        scaled = mixture.displacements / mixture.widths
+        magnitudes = np.abs(mixture.weights)
+        centre = (magnitudes[:, None] * scaled).sum(axis=0) / magnitudes.sum()
+        with np.errstate(over="ignore"):  # an infinite offset gives acceptance 0
+            offsets = np.sqrt(((scaled - centre) ** 2).sum(axis=1))
+        best = int(np.argmin(_centre_log_bounds(mixture, offsets, _CENTRE_EPS, _CENTRE_COARSE_GRID)))
+        eps = _CENTRE_EPS[max(best - 1, 0) : best + 2]
+        log_bounds = _centre_log_bounds(mixture, offsets, eps, _CENTRE_GRID)
+        best = int(np.argmin(log_bounds))
+        with np.errstate(over="ignore"):
+            bound = np.array([np.exp(log_bounds[best])])
+        acceptance = min(1.0, float(np.exp(-log_bounds[best])))
+        sigma = 1.0 + float(eps[best])
+        return cls("centre", mixture, bound, (centre * mixture.widths)[None, :], sigma, acceptance)
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """E(x) at points of shape (n, axes)."""
+        exponent = _gaussian_exponent(points, self.means, self.widths, 2.0 * self.sigma**2)
+        return self._peak * (self.weights[:, None] * np.exp(-exponent)).sum(axis=0)
 
     def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Proposals and accept flags of one attempt per row of Philox words."""
-        raise NotImplementedError
+        component = np.searchsorted(self._cdf, _uniform(words[:, 0]), side="right")
+        steps = (self.sigma * self.widths) * _normals(words, self.widths.shape[0])
+        points = self.means.take(component, axis=0) + steps  # take: faster than fancy indexing
+        target, envelope = mixture_density(self.mixture, points), self.evaluate(points)
+        assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
+        return points, _uniform(words[:, 3]) * envelope < target
 
     def sample(self, seed: int, shot_ids: np.ndarray) -> tuple[np.ndarray, int]:
         """One accepted readout per shot id (stream blocks 2, 3, ...), and the attempts used.
@@ -339,120 +396,50 @@ class _Envelope:
         return readout, attempts
 
 
-def _normals(words: np.ndarray, axes: int) -> np.ndarray:
-    """Box-Muller standard normals from words 1 and 2, shape (rows, axes) for 0-2 axes."""
-    radius = np.sqrt(-2.0 * np.log(((words[:, 1] >> _S12) + 0.5) * 2.0**-52))
-    theta = (2.0 * np.pi) * _uniform(words[:, 2])
-    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)[:, :axes]
+def _centre_log_bounds(
+    mixture: PointerMixture, offsets: np.ndarray, eps: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """log M for each proposal scale sigma' = 1 + eps: a proven bound on sup f / q.
 
-
-class _MidpointEnvelope(_Envelope):
-    """Proposals from the positive midpoint terms of the pair expansion (module docstring)."""
-
-    name = "midpoint"
-
-    def __init__(self, mixture: PointerMixture) -> None:
-        pairs = mixture.expansion
-        keep = pairs.coefficients > 0
-        self.mixture = mixture
-        self.widths = mixture.widths
-        self.pair_weights = pairs.coefficients[keep]
-        self.midpoints = pairs.midpoints[keep]
-        total = float(self.pair_weights.sum())
-        self.pair_cdf = np.cumsum(self.pair_weights) / total
-        self.acceptance = min(1.0, 1.0 / total)
-
-    def envelope(self, points: np.ndarray) -> np.ndarray:
-        """E(x) = sum over kept pairs of max(Re c_ij, 0) N(x; m_ij, s^2), points (n, axes)."""
-        terms = _gaussian_kernels(points, self.midpoints, self.widths, 2.0)
-        return _gaussian_norm(self.widths) * (self.pair_weights[:, None] * terms).sum(axis=0)
-
-    def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pair = np.searchsorted(self.pair_cdf, _uniform(words[:, 0]), side="right")
-        pair = np.minimum(pair, len(self.pair_cdf) - 1)
-        points = self.midpoints[pair] + self.widths * _normals(words, self.widths.shape[0])
-        target, envelope = mixture_density(self.mixture, points), self.envelope(points)
-        assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
-        return points, _uniform(words[:, 3]) * envelope < target
-
-
-class _CentreEnvelope(_Envelope):
-    """Proposals from one Gaussian N(x; c, (sigma' s)^2) around a centre c (module docstring)."""
-
-    name = "centre"
-
-    def __init__(self, mixture: PointerMixture) -> None:
-        self.mixture = mixture
-        self.widths = mixture.widths
-        scaled = mixture.displacements / self.widths
-        magnitudes = np.abs(mixture.weights)
-        centre = (magnitudes[:, None] * scaled).sum(axis=0) / magnitudes.sum()
-        self.centre = centre * self.widths
-        self._magnitudes = magnitudes
-        with np.errstate(over="ignore"):  # an infinite offset gives acceptance 0
-            self._offsets = np.sqrt(((scaled - centre) ** 2).sum(axis=1))
-        best = int(np.argmin(self.log_bounds(_CENTRE_EPS, _CENTRE_COARSE_GRID)))
-        eps = _CENTRE_EPS[max(best - 1, 0) : best + 2]
-        log_bounds = self.log_bounds(eps, _CENTRE_GRID)
-        best = int(np.argmin(log_bounds))
-        self.sigma = 1.0 + float(eps[best])
-        with np.errstate(over="ignore"):
-            self.bound = float(np.exp(log_bounds[best]))
-        self.acceptance = min(1.0, float(np.exp(-log_bounds[best])))
-
-    def log_bounds(self, eps: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        """log M for each proposal scale sigma' = 1 + eps: a proven bound on sup f / q.
-
-        In width units u = (x - c) / s, r = |u|, e_i = (d_i - c) / s and
-        delta_i = |e_i|, the amplitude form gives f(x) <= N(x; c, s^2) H(r)^2 / Z
-        with H(r) = |W| + sum_i |w_i| b_i e^(b_i), W = sum_i w_i and b_i =
-        r delta_i / 2 + delta_i^2 / 4 (|e^a - 1| <= |a| e^|a| and |a_i| <= b_i
-        for a_i = u.e_i / 2 - delta_i^2 / 4).  So f / q <= B(r) = sigma'^D
-        exp(-k r^2) H(r)^2 / Z with k = (1 - 1 / sigma'^2) / 2, D the axis
-        count.  exp(-k r^2) falls and H rises with r, so on a grid cell
-        [r_j, r_j+1] B is below sigma'^D exp(-k r_j^2) H(r_j+1)^2 / Z.  Beyond
-        the last grid point R, H(r) <= (alpha + beta r) e^(r Delta / 2 +
-        Delta^2 / 4) with Delta = max delta_i, alpha = |W| + sum |w_i|
-        delta_i^2 / 4 and beta = sum |w_i| delta_i / 2, and the log of that
-        tail bound has derivative at most 2 / r - 2 k r + Delta, which is <= 0
-        from R >= (Delta + sqrt(Delta^2 + 16 k)) / (4 k): it is largest at R.
-        Overflows give an infinite bound, that is acceptance 0.
-        """
-        magnitudes, offsets = self._magnitudes, self._offsets
-        size = abs(self.mixture.weights.sum())  # |W|
-        reach = float(offsets.max())
-        alpha = size + float((magnitudes * offsets**2).sum()) / 4.0
-        beta = float((magnitudes * offsets).sum()) / 2.0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k = eps * (2.0 + eps) / (2.0 * (1.0 + eps) ** 2)  # (1 - 1/sigma'^2) / 2 without cancellation
-            tail = np.maximum((reach + np.sqrt(reach**2 + 16.0 * k)) / (4.0 * k), _CENTRE_TAIL / np.sqrt(k))
-            r = tail[:, None] * grid  # (eps, points)
-            b = r[:, :, None] * (offsets / 2.0) + offsets**2 / 4.0
-            h = size + (magnitudes * b * np.exp(b)).sum(axis=2)
-            cells = (-k[:, None] * r[:, :-1] ** 2 + 2.0 * np.log(h[:, 1:])).max(axis=1)
-            beyond = 2.0 * np.log(alpha + beta * tail) - k * tail**2 + reach * tail + reach**2 / 2.0
-            log_bounds = self.widths.shape[0] * np.log1p(eps) - math.log(self.mixture.expansion.total)
-            log_bounds = log_bounds + np.maximum(cells, beyond)
-        return np.where(np.isnan(log_bounds), np.inf, log_bounds)
-
-    def proposal_density(self, points: np.ndarray) -> np.ndarray:
-        """q(x) = N(x; c, (sigma' s)^2) over the axes, points (n, axes)."""
-        kernel = _gaussian_kernels(points, self.centre[None, :], self.widths, 2.0 * self.sigma**2)[0]
-        return _gaussian_norm(self.widths) / self.sigma ** self.widths.shape[0] * kernel
-
-    def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        points = self.centre + (self.sigma * self.widths) * _normals(words, self.widths.shape[0])
-        target, envelope = mixture_density(self.mixture, points), self.bound * self.proposal_density(points)
-        assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
-        return points, _uniform(words[:, 3]) * envelope < target
+    In width units u = (x - c) / s, r = |u|, e_i = (d_i - c) / s and
+    delta_i = |e_i| (``offsets``), the amplitude form gives f(x) <= N(x; c,
+    s^2) H(r)^2 / Z with H(r) = |W| + sum_i |w_i| b_i e^(b_i), W = sum_i w_i
+    and b_i = r delta_i / 2 + delta_i^2 / 4 (|e^a - 1| <= |a| e^|a| and |a_i|
+    <= b_i for a_i = u.e_i / 2 - delta_i^2 / 4).  So f / q <= B(r) =
+    sigma'^D exp(-k r^2) H(r)^2 / Z with q(x) = N(x; c, (sigma' s)^2), k =
+    (1 - 1 / sigma'^2) / 2 and D the axis count.  exp(-k r^2) falls and H
+    rises with r, so on a grid cell [r_j, r_j+1] B is below sigma'^D exp(-k
+    r_j^2) H(r_j+1)^2 / Z.  Beyond the last grid point R, H(r) <= (alpha +
+    beta r) e^(r Delta / 2 + Delta^2 / 4) with Delta = max delta_i, alpha =
+    |W| + sum |w_i| delta_i^2 / 4 and beta = sum |w_i| delta_i / 2, and the
+    log of that tail bound has derivative at most 2 / r - 2 k r + Delta,
+    which is <= 0 from R >= (Delta + sqrt(Delta^2 + 16 k)) / (4 k): it is
+    largest at R.  Overflows give an infinite bound, that is acceptance 0.
+    """
+    magnitudes = np.abs(mixture.weights)
+    size = abs(mixture.weights.sum())  # |W|
+    reach = float(offsets.max())
+    alpha = size + float((magnitudes * offsets**2).sum()) / 4.0
+    beta = float((magnitudes * offsets).sum()) / 2.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k = eps * (2.0 + eps) / (2.0 * (1.0 + eps) ** 2)  # (1 - 1/sigma'^2) / 2 without cancellation
+        tail = np.maximum((reach + np.sqrt(reach**2 + 16.0 * k)) / (4.0 * k), _CENTRE_TAIL / np.sqrt(k))
+        r = tail[:, None] * grid  # (eps, points)
+        b = r[:, :, None] * (offsets / 2.0) + offsets**2 / 4.0
+        h = size + (magnitudes * b * np.exp(b)).sum(axis=2)
+        cells = (-k[:, None] * r[:, :-1] ** 2 + 2.0 * np.log(h[:, 1:])).max(axis=1)
+        beyond = 2.0 * np.log(alpha + beta * tail) - k * tail**2 + reach * tail + reach**2 / 2.0
+        log_bounds = mixture.widths.shape[0] * np.log1p(eps) - math.log(mixture.expansion.total)
+        log_bounds = log_bounds + np.maximum(cells, beyond)
+    return np.where(np.isnan(log_bounds), np.inf, log_bounds)
 
 
 def _select_envelope(mixture: PointerMixture) -> _Envelope:
     """The envelope of strictly higher expected acceptance; the midpoint one on a tie."""
-    midpoint = _MidpointEnvelope(mixture)
+    midpoint = _Envelope.midpoint(mixture)
     if midpoint.acceptance >= 1.0:  # nothing accepts more: skip building the other
         return midpoint
-    centre = _CentreEnvelope(mixture)
+    centre = _Envelope.centre(mixture)
     return centre if centre.acceptance > midpoint.acceptance else midpoint
 
 
@@ -465,12 +452,6 @@ def _attempt_cap(acceptance: float) -> int:
     if acceptance >= 1.0:
         return 1
     return max(1, math.ceil(math.log(_PASS_MISS) / math.log1p(-acceptance)))
-
-
-def readout_acceptance(experiment: Experiment) -> float | None:
-    """Expected acceptance of the experiment's readout sampler; None without a post-selected mixture."""
-    envelope = analyze(experiment).envelope
-    return None if envelope is None else envelope.acceptance
 
 
 def sample_shots(

@@ -12,6 +12,9 @@ Branches are array rows from :func:`couple` to the sampler, and each mixture
 computes the Gram sums once, as its pair expansion
 (:attr:`PointerMixture.expansion`); the success probability, the moments,
 the density and the readout sampler in ``cheshire.montecarlo`` all read it.
+Every Gaussian in the package, whether Gram overlap, branch amplitude or
+envelope term, is exp(-e) of the one exponent ``_gaussian_exponent``,
+e = sum_ax ((x - c) / s)^2 / scale.
 
 The pointer wavefunction is G(x) = (2 pi s^2)^(-1/4) exp(-x^2 / (4 s^2)),
 i.e. ``width`` s is the standard deviation of the position *density*.  Two
@@ -212,36 +215,32 @@ class Moments(NamedTuple):
     variance: float
 
 
-def _overlap_exponent(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """sum_ax ((d_i - d_j) / s)^2 / 8 for every pair of branches.
+def _gaussian_exponent(points: np.ndarray, centres: np.ndarray, widths: np.ndarray, scale: float) -> np.ndarray:
+    """sum_ax ((x - c) / s)^2 / scale, shape (centres, points): the one Gaussian exponent.
 
+    The Gram matrix (scale 8), the amplitudes of :func:`mixture_density`
+    (scale 4) and the readout envelopes (scale 2 sigma^2) all read it.
     Dividing by s before squaring keeps the exponent accurate for widths
-    whose square is not a normal float64.  An overflowing exponent is a sum
-    of squares, so exp(-inf) = 0 is exact and the overflow is not reported.
-    """
-    diff = displacements[:, None, :] - displacements[None, :, :]
-    with np.errstate(over="ignore"):
-        return np.sum((diff / widths) ** 2 / 8.0, axis=-1)
-
-
-def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Gram matrix O_ij = exp(-_overlap_exponent) of displaced Gaussians."""
-    return np.exp(-_overlap_exponent(displacements, widths))
-
-
-def _gaussian_kernels(points: np.ndarray, centres: np.ndarray, widths: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-sum_ax (x - c)^2 / (scale s^2)), shape (centres, points).
-
-    Sums run in a fixed order over axes (no BLAS), so a row's value does not
-    depend on how many rows are evaluated with it.  Overflowing exponents
-    give the exact limit 0, as in :func:`_overlap_matrix`.
+    whose square is not a normal float64.  Sums run in a fixed order over
+    axes (no BLAS), so a row's value does not depend on how many rows are
+    evaluated with it.  An overflowing exponent is a sum of squares, so
+    exp(-inf) = 0 is exact and the overflow is not reported.  Updates are
+    in place to spare temporaries.
     """
     exponent = np.zeros((centres.shape[0], points.shape[0]))
     with np.errstate(over="ignore"):
         for k, width in enumerate(widths.tolist()):
             delta = points[:, k] - centres[:, k, None]
-            exponent += delta * delta / (scale * width * width)
-        return np.exp(-exponent)
+            delta /= width
+            delta *= delta
+            delta /= scale
+            exponent += delta
+    return exponent
+
+
+def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Gram matrix O_ij = exp(-sum_ax ((d_i - d_j) / s)^2 / 8) of displaced Gaussians."""
+    return np.exp(-_gaussian_exponent(displacements, displacements, widths, 8.0))
 
 
 def _gaussian_norm(widths: np.ndarray) -> float:
@@ -294,13 +293,14 @@ def weak_limit_error(m: PointerMixture, couplings, weak_values) -> np.ndarray:
     Per axis in ``m.axes`` order, ``couplings`` holds the nonzero coupling g
     and ``weak_values`` Re A_w of the observable coupled on it; the weights
     must be those observables' post-selected branches.  With O_ij = 1 +
-    expm1(-_overlap_exponent), the terms of the 1 sum to 0 exactly (they
-    define the weak value), which leaves a sum without cancellation:
+    expm1(-e_ij), e_ij the Gram exponent, the terms of the 1 sum to 0 exactly
+    (they define the weak value), which leaves a sum without cancellation:
 
         mean / g - Re A_w = sum_ij Re(conj(w_i) w_j) expm1(...) (m_ij / g - Re A_w) / Z.
     """
     d = m.displacements
-    factors = (m.weights.conj()[:, None] * m.weights[None, :]).real * np.expm1(-_overlap_exponent(d, m.widths))
+    overlap_minus_1 = np.expm1(-_gaussian_exponent(d, d, m.widths, 8.0))
+    factors = (m.weights.conj()[:, None] * m.weights[None, :]).real * overlap_minus_1
     deviations = 0.5 * (d[:, None, :] + d[None, :, :]) / np.asarray(couplings) - np.asarray(weak_values)
     return np.abs((factors[:, :, None] * deviations).sum(axis=(0, 1))) / m.expansion.total
 
@@ -317,7 +317,7 @@ def mixture_density(m: PointerMixture, point) -> float | np.ndarray:
         raise ValueError(f"point dimension must be {len(m.axes)}")
     batch_shape = points.shape[:-1]
     flat = points.reshape(math.prod(batch_shape), len(m.axes))
-    amps = _gaussian_kernels(flat, m.displacements, m.widths, 4.0)
+    amps = np.exp(-_gaussian_exponent(flat, m.displacements, m.widths, 4.0))
     real = (m.weights.real[:, None] * amps).sum(axis=0)
     imag = (m.weights.imag[:, None] * amps).sum(axis=0)
     density = (_gaussian_norm(m.widths) / m.expansion.total) * (real * real + imag * imag)

@@ -98,7 +98,7 @@ def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
     for ratio, envelope in ((1e-2, "centre"), (1.0, "midpoint")):
         experiment = cheshire_experiment(ratio, ratio)
         assert analyze(experiment).envelope.name == envelope
-        assert montecarlo._attempt_cap(montecarlo.readout_acceptance(experiment)) > 1
+        assert montecarlo._attempt_cap(analyze(experiment).envelope.acceptance) > 1
         baseline = sample_shots(experiment, 300, seed=13)
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_PASS_ROWS", 1 << 20)  # the cap binds on every pass
@@ -110,6 +110,24 @@ def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
             patch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
             patch.setattr(montecarlo, "_PASS_ROWS", 1)
             assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
+
+
+def test_one_component_envelope_ignores_word_0():
+    # Stream v3: the centre envelope has one component, so its attempts read
+    # only w1-w3 and any w0 gives the same proposals and accept flags.
+    envelope = analyze(cheshire_experiment()).envelope
+    assert envelope.name == "centre" and envelope.weights.shape == (1,)
+    ids = np.repeat(np.arange(500, dtype=np.uint64), 4)
+    words = _philox(2**64 - 1, ids, np.tile(np.arange(2, 6), 500))
+    points, accepted = envelope._attempt(words)
+    assert 0 < accepted.sum() < accepted.size
+    rng = np.random.default_rng(0)
+    for w0 in (0, 2**64 - 1, 2**63, rng.integers(0, 2**64, words.shape[0], dtype=np.uint64)):
+        replaced = words.copy()
+        replaced[:, 0] = w0
+        other_points, other_accepted = envelope._attempt(replaced)
+        assert np.array_equal(other_points, points)
+        assert np.array_equal(other_accepted, accepted)
 
 
 def test_philox_blocks_match_numpy_random_raw():
@@ -228,7 +246,7 @@ def test_first_order_near_null_postselection_samples():
     )
     analysis = analyze(experiment)
     assert 0.0 < analysis.detector_probabilities[Detector.D1] < 1e-4
-    assert montecarlo._MidpointEnvelope(analysis.mixture).acceptance < montecarlo.MIN_ACCEPTANCE
+    assert montecarlo._Envelope.midpoint(analysis.mixture).acceptance < montecarlo.MIN_ACCEPTANCE
     assert analysis.envelope.name == "centre" and analysis.envelope.acceptance > 0.3
     readouts, _ = analysis.envelope.sample(7, np.arange(20_000, dtype=np.uint64))
     moments = mixture_moments(analysis.mixture)[Axis.VERTICAL]

@@ -1,4 +1,4 @@
-"""Property tests of the readout samplers (midpoint and centre envelopes) on random mixtures.
+"""Property tests of the readout sampler (both envelope constructions) on random mixtures.
 
 Mixtures have random complex weights, 1-2 axes and coupling/width from 1e-4
 to 1e2.  The pair expansion is recomputed here from its definition, so the
@@ -7,6 +7,8 @@ sampler does not share; ``mixture_density`` (the amplitude form the sampler
 accepts against) is checked against that expansion too.  Sample moments are
 checked against ``mixture_moments`` and the quadrature oracle.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cheshire import Axis, PointerMixture, mixture_density, mixture_moments  # noqa: E402
-from cheshire.montecarlo import _CentreEnvelope, _MidpointEnvelope, _select_envelope  # noqa: E402
+from cheshire.montecarlo import _Envelope, _select_envelope  # noqa: E402
 from oracles import quadrature_grid, quadrature_moments  # noqa: E402
 
 PROPERTY_SETTINGS = settings(
@@ -94,53 +96,93 @@ def probe_points(mixture, seed):
     return centres + 3.0 * s * rng.standard_normal(centres.shape)
 
 
+def constructions(mixture):
+    return [_Envelope.midpoint(mixture), _Envelope.centre(mixture)]
+
+
+def check_gaussian_sum_dominates(envelope, mixture, seed):
+    """E is the Gaussian sum of its a, mu, sigma, dominates f, and has the stated acceptance.
+
+    Returns the probe points and the signed pair expansion f there, or None
+    for an infinite bound, which has no finite E to compare.
+    """
+    coefficients, midpoints, widths = pair_terms(mixture)
+    peak = np.abs(coefficients).sum() * np.prod(1.0 / np.sqrt(2 * np.pi * widths**2))
+    # f is the signed pair expansion, in the amplitude form the sampler accepts against.
+    points = probe_points(mixture, seed)
+    kernels = gaussian(points, midpoints, widths)
+    density = kernels @ coefficients
+    scale = kernels @ np.abs(coefficients)
+    np.testing.assert_allclose(mixture_density(mixture, points), density, rtol=0, atol=1e-9 * scale.max())
+    assert 0.0 <= envelope.acceptance <= 1.0
+    if envelope.acceptance == 0.0:
+        return None
+    assert envelope.acceptance == pytest.approx(expected_acceptance(envelope, mixture), rel=1e-12)
+    # Probes around each component out to 8 proposal widths, and around the branches.
+    rng = np.random.default_rng(seed)
+    scale = envelope.sigma * widths
+    means = envelope.means[rng.integers(0, len(envelope.means), 400)]
+    directions = rng.standard_normal(means.shape)
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = np.concatenate([np.abs(rng.standard_normal(200)), rng.uniform(0.0, 8.0, 200)])
+    points = np.concatenate([means + scale * radii[:, None] * directions, points])
+    density = gaussian(points, midpoints, widths) @ coefficients
+    expected = gaussian(points, envelope.means, scale) @ envelope.weights
+    np.testing.assert_allclose(envelope.evaluate(points), expected, rtol=1e-12, atol=0)
+    assert np.all(density <= expected * (1.0 + 1e-9) + 1e-9 * peak)
+    return points, density
+
+
 @PROPERTY_SETTINGS
 @given(mixtures(), st.integers(0, 2**32))
 def test_envelope_dominates_termwise(mixture, seed):
     coefficients, midpoints, widths = pair_terms(mixture)
-    envelope = _MidpointEnvelope(mixture)
-    points = probe_points(mixture, seed)
+    envelope = _Envelope.midpoint(mixture)
+    assert envelope.name == "midpoint" and envelope.sigma == 1.0
+    assert envelope.acceptance > 0.0
+    points, density = check_gaussian_sum_dominates(envelope, mixture, seed)
+    # E drops exactly the negative terms of f.
     kernels = gaussian(points, midpoints, widths)
-    density = mixture_density(mixture, points)
     scale = kernels @ np.abs(coefficients)
-    # f is the signed pair expansion, and E drops exactly its negative terms.
-    np.testing.assert_allclose(kernels @ coefficients, density, rtol=0, atol=1e-9 * scale.max())
     dropped = kernels @ np.maximum(-coefficients, 0.0)
-    gap = envelope.envelope(points) - density
+    gap = envelope.evaluate(points) - density
     np.testing.assert_allclose(gap, dropped, rtol=0, atol=1e-9 * scale.max())
     assert np.all(gap >= -1e-12 * scale)
-    assert envelope.acceptance == pytest.approx(1.0 / np.maximum(coefficients, 0.0).sum(), rel=1e-12)
-    assert 0.0 < envelope.acceptance <= 1.0
+    # E dominates the f the sampler accepts against, not only the expansion.
+    assert np.all(envelope.evaluate(points) - mixture_density(mixture, points) >= -1e-12 * scale)
 
 
 @PROPERTY_SETTINGS
 @given(mixtures(), st.integers(0, 2**32))
 def test_centre_envelope_dominates(mixture, seed):
-    coefficients, midpoints, widths = pair_terms(mixture)
-    envelope = _CentreEnvelope(mixture)
-    assert 0.0 <= envelope.acceptance <= 1.0
+    envelope = _Envelope.centre(mixture)
+    assert envelope.name == "centre"
+    # One Gaussian, wider than a branch, around the |w_i|-weighted mean of the displacements.
+    assert envelope.sigma > 1.0 and envelope.weights.shape == (1,)
+    d = np.asarray(mixture.displacements, dtype=float)
+    magnitudes = np.abs(mixture.weights)
+    centre = magnitudes @ d / magnitudes.sum()
+    np.testing.assert_allclose(envelope.means[0], centre, rtol=1e-12, atol=1e-12 * np.abs(d).max())
     assume(envelope.acceptance > 0.0)
-    assert envelope.acceptance == pytest.approx(1.0 / envelope.bound, rel=1e-12)
-    # Probes around the centre out to 8 proposal widths, and around the branches.
-    rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((400, len(widths)))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = np.concatenate([np.abs(rng.standard_normal(200)), rng.uniform(0.0, 8.0, 200)])
-    scale = envelope.sigma * widths
-    points = np.concatenate(
-        [envelope.centre + scale * radii[:, None] * directions, probe_points(mixture, seed)]
+    check_gaussian_sum_dominates(envelope, mixture, seed)
+
+
+def test_centre_envelope_with_an_infinite_bound_builds_silently():
+    # Two far-apart branches: every log M overflows, so M is infinite.
+    mixture = PointerMixture(
+        weights=(1.0, 1.0), displacements=((0.0,), (1e200,)), widths=(1.0,), axes=(Axis.VERTICAL,)
     )
-    density = gaussian(points, midpoints, widths) @ coefficients
-    proposal = gaussian(points, envelope.centre[None, :], scale)[:, 0]
-    peak = np.abs(coefficients).sum() * np.prod(1.0 / np.sqrt(2 * np.pi * widths**2))
-    assert np.all(density <= envelope.bound * proposal * (1.0 + 1e-9) + 1e-9 * peak)
-    np.testing.assert_allclose(envelope.proposal_density(points), proposal, rtol=1e-12, atol=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        envelope = _Envelope.centre(mixture)
+    assert envelope.acceptance == 0.0
+    assert envelope.weights.tolist() == [np.inf]
 
 
 @PROPERTY_SETTINGS
 @given(mixtures())
 def test_selected_envelope_has_the_higher_acceptance(mixture):
-    midpoint, centre = _MidpointEnvelope(mixture), _CentreEnvelope(mixture)
+    midpoint, centre = constructions(mixture)
     selected = _select_envelope(mixture)
     assert selected.acceptance == max(midpoint.acceptance, centre.acceptance)
     assert selected.name == ("centre" if centre.acceptance > midpoint.acceptance else "midpoint")
@@ -148,16 +190,15 @@ def test_selected_envelope_has_the_higher_acceptance(mixture):
 
 def expected_acceptance(envelope, mixture):
     """1 / sum max(Re c_ij, 0) from the definition for the midpoint envelope, 1 / M for the centre one."""
-    if isinstance(envelope, _MidpointEnvelope):
+    if envelope.name == "midpoint":
         coefficients, _, _ = pair_terms(mixture)
         return 1.0 / np.maximum(coefficients, 0.0).sum()
-    return 1.0 / envelope.bound
+    return 1.0 / envelope.weights[0]
 
 
 def envelopes_under_test(mixture):
     """Both envelopes of ``mixture``, leaving out those that would need too many proposals."""
-    envelopes = [_MidpointEnvelope(mixture), _CentreEnvelope(mixture)]
-    envelopes = [envelope for envelope in envelopes if envelope.acceptance >= MIN_TESTED_ACCEPTANCE]
+    envelopes = [envelope for envelope in constructions(mixture) if envelope.acceptance >= MIN_TESTED_ACCEPTANCE]
     assume(envelopes)
     return envelopes
 
