@@ -13,32 +13,38 @@ and every experiment uses the fixed detection chain), so :func:`analyze`
 computes its analysis once and returns the same :class:`ExperimentAnalysis`
 on every later call; the analysis is frozen too.
 
-Random stream, ``STREAM_VERSION = 3``
+Random stream, ``STREAM_VERSION = 4``
 -------------------------------------
-Randomness is counter-based.  Shot ``i`` of a run with seed ``seed`` (both in
-[0, 2**64)) owns the Philox4x64-10 key ``[seed, i]``.  Block ``j`` of the
-shot is the Philox output for counter ``[j, 0, 0, 0]``: four 64-bit words
-``w0 .. w3``.  That is the ``j``-th block of numpy's
-``np.random.Philox(key=[seed, i])`` (numpy bumps the counter before each
-block), so its ``random_raw`` is a word-exact oracle.  A word becomes a
-uniform in [0, 1) as ``(w >> 11) * 2**-53``, numpy's ``random()`` transform.
+Randomness is counter-based: Philox4x64-10 with a two-word key ``[seed,
+k1]``, seed in [0, 2**64).  Block ``j`` of a key is the Philox output for
+counter ``[j, 0, 0, 0]``: four 64-bit words ``w0 .. w3``.  That is the
+``j``-th block of numpy's ``np.random.Philox`` with that key, passed as a
+uint64 array (numpy bumps the counter before each block), so its
+``random_raw`` is a word-exact oracle.  A word becomes a uniform in [0, 1)
+as ``(w >> 11) * 2**-53``, numpy's ``random()`` transform.
 
-- Block 1, word 0: the detector uniform ``u``.  The shot clicks D1 when
-  ``u < P(D1)``, D2 when ``u < P(D1) + P(D2)``, D3 otherwise.  ``u`` equals
-  the first ``random()`` of ``np.random.Generator(np.random.Philox(key=[seed,
-  i]))`` bit for bit, as in stream v1, so the detector column has not
-  changed between the versions.
-- Block ``k + 2``: readout attempt ``k = 0, 1, ...`` of a D1 shot, drawn
-  from the mixture's envelope ``E(x) = sum_k a_k N(x; mu_k, (sigma s)^2)``
-  (below).  ``w0`` picks the component ``k`` by inverse CDF over the
-  ``a_k``, so a one-component envelope ignores it.  ``w1`` and ``w2`` give
-  standard normals ``n`` by Box-Muller: ``r = sqrt(-2 ln v)`` with
-  ``v = ((w1 >> 12) + 1/2) * 2**-52``, which lies in the open interval
-  (0, 1), and ``theta = 2 pi (w2 >> 11) * 2**-53``; ``n = (r cos theta,
-  r sin theta)`` over the axes in pointer order.  The proposal is
-  ``x = mu_k + sigma s * n``.  ``w3`` is the accept test: the uniform
-  ``u3`` accepts ``x`` when ``u3 * E(x) < f(x)``.  Midpoint-envelope
-  records are the same as in stream v2; the centre envelope is new in v3.
+- Detector uniforms: one dedicated stream, key ``[seed, 2**64 - 1]``.  The
+  detector uniform ``u`` of shot ``i`` is 64-bit word ``i`` of that stream,
+  which is word ``i mod 4`` of block ``i // 4 + 1``, so one block serves
+  four shots.  ``u`` equals element ``i`` of ``random(i + 1)`` of a numpy
+  ``Generator`` on that ``Philox`` stream.  The shot clicks D1 when ``u <
+  P(D1)``, D2 when ``u < P(D1) + P(D2)``, D3 otherwise.  Shot ids lie below
+  2**63, so no shot owns the key word ``2**64 - 1``.
+- Readout attempts: shot ``i`` owns the key ``[seed, i]``.  Block ``k +
+  2`` is readout attempt ``k = 0, 1, ...`` of a D1 shot, drawn from the
+  mixture's envelope ``E(x) = sum_k a_k N(x; mu_k, (sigma s)^2)`` (below).
+  ``w0`` picks the component ``k`` by inverse CDF over the ``a_k``, so a
+  one-component envelope ignores it.  ``w1`` and ``w2`` give standard
+  normals ``n`` by Box-Muller: ``r = sqrt(-2 ln v)`` with ``v = ((w1 >> 12)
+  + 1/2) * 2**-52``, which lies in the open interval (0, 1), and ``theta =
+  2 pi (w2 >> 11) * 2**-53``; ``n = (r cos theta, r sin theta)`` over the
+  axes in pointer order.  The proposal is ``x = mu_k + sigma s * n``.
+  ``w3`` is the accept test: the uniform ``u3`` accepts ``x`` when ``u3 *
+  E(x) < f(x)``.  Block 1 of a shot's key is unused.
+
+Version 4 changed only the detector uniforms, which version 3 took from
+word 0 of block 1 of each shot's own key.  The attempt blocks are those of
+version 3, so a shot that is D1 under both versions has the same readout.
 
 Records therefore depend only on ``(experiment, seed, shot_id)``: any
 sharding of a shot range reproduces the same records bit for bit.  The
@@ -104,12 +110,14 @@ from .pointer import (
 from .qstate import Ket, SpectralObservable
 
 #: Version of the shot-stream layout described in the module docstring.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 #: Runs whose expected readout acceptance is below this raise LowAcceptance.
 MIN_ACCEPTANCE = 1e-3
 
 _MASK64 = (1 << 64) - 1
+#: Second key word of the detector stream; shot ids are below 2**63.
+_DETECTOR_KEY = _MASK64
 #: Shots evaluated together; bounds the size of transient arrays.
 _BLOCK_SHOTS = 1 << 16
 #: Readout attempts evaluated together once few shots are left pending.
@@ -189,11 +197,7 @@ class ShotBatch:
             raise ValueError("shot_id, detector and readout rows must agree")
         if n and not (self.detector.min() >= 1 and self.detector.max() <= 3):
             raise ValueError("detector codes must be 1, 2 or 3")
-        missing = np.isnan(self.readout)
-        off_d1 = self.detector != _D1
-        if self.readout.shape[1] and not (
-            np.array_equal(missing.all(axis=1), off_d1) and np.array_equal(missing.any(axis=1), off_d1)
-        ):
+        if not (np.isnan(self.readout) == (self.detector != _D1)[:, None]).all():
             raise ValueError("readout must be present exactly for D1 shots")
 
     def __len__(self) -> int:
@@ -268,13 +272,13 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a * np.uint64(m), a_hi
 
 
-def _philox(seed: int, shot_ids: np.ndarray, block) -> np.ndarray:
-    """Block ``block`` (one number, or one per shot) of each shot's stream.
+def _philox(seed: int, keys: np.ndarray, block) -> np.ndarray:
+    """Block ``block`` (one number, or one per row) of the streams with keys ``[seed, keys[row]]``.
 
-    Returns the Philox4x64-10 words, shape (shots, 4).
+    Returns the Philox4x64-10 words, shape (rows, 4).
     """
-    n = shot_ids.shape[0]
-    key = shot_ids.astype(np.uint64)
+    n = keys.shape[0]
+    key = keys.astype(np.uint64)
     c0 = np.empty(n, dtype=np.uint64)
     c0[:] = block
     c1, c2, c3 = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
@@ -294,6 +298,14 @@ def _philox(seed: int, shot_ids: np.ndarray, block) -> np.ndarray:
 
 def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> _S11) * 2.0**-53
+
+
+def _detector_uniforms(seed: int, first_shot: int, n: int) -> np.ndarray:
+    """Words ``first_shot .. first_shot + n - 1`` of the detector stream, as uniforms."""
+    skip = first_shot % 4
+    blocks = np.arange(first_shot // 4 + 1, (first_shot + n - 1) // 4 + 2, dtype=np.uint64)
+    words = _philox(seed, np.full(blocks.shape[0], _DETECTOR_KEY, dtype=np.uint64), blocks)
+    return _uniform(words.ravel()[skip : skip + n])
 
 
 def _normals(words: np.ndarray, axes: int) -> np.ndarray:
@@ -493,7 +505,7 @@ def sample_shots(
     for start in range(0, n, _BLOCK_SHOTS):
         rows = slice(start, start + _BLOCK_SHOTS)
         ids = shot_id[rows].astype(np.uint64)
-        u = _uniform(_philox(seed, ids, 1)[:, 0])
+        u = _detector_uniforms(seed, first_shot + start, ids.shape[0])
         codes = np.where(u < p_d1, _D1, np.where(u < p_d12, 2, 3))
         detector[rows] = codes
         d1 = np.flatnonzero(codes == _D1)

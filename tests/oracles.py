@@ -119,10 +119,17 @@ def weak_limit_error(mixture, axis, coupling, weak_value, digits=50):
         return float(abs(first / total / mpmath.mpf(coupling) - mpmath.mpf(weak_value)))
 
 
-def shot_generator(seed, shot_id):
-    """Numpy generator on the stream of one shot: its first ``random()`` is the detector uniform."""
-    key = np.array([seed, shot_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def detector_uniforms(seed, first_shot, n):
+    """numpy's ``random()`` values ``first_shot .. first_shot + n - 1`` on the Philox key [seed, 2**64 - 1].
+
+    Equal to ``Generator(Philox(key)).random(first_shot + n)[first_shot:]``;
+    ``advance`` skips whole four-word blocks first, so shot ids near 2**63
+    need no 2**63 draws.
+    """
+    bit_generator = np.random.Philox(key=np.array([seed, 2**64 - 1], dtype=np.uint64))
+    bit_generator.advance(first_shot // 4)
+    skip = first_shot % 4
+    return np.random.Generator(bit_generator).random(skip + n)[skip:]
 
 
 def bin_masses(density, lo, hi, bins, points_per_bin=16):

@@ -21,9 +21,9 @@ from cheshire import (
     sample_shots,
 )
 from cheshire import montecarlo
-from cheshire.montecarlo import STREAM_VERSION, _philox, _uniform
+from cheshire.montecarlo import STREAM_VERSION, _detector_uniforms, _philox
 from cheshire.qstate import ket, normalize
-from oracles import bin_masses, shot_generator
+from oracles import bin_masses, detector_uniforms
 
 OBS = canonical_observables()
 PRE, POST = canonical_states()
@@ -45,7 +45,7 @@ def single_probe_experiment(name, g, axis=Axis.HORIZONTAL, s=1.0):
     )
 
 
-# --- randomness contract (stream v3) ------------------------------------------
+# --- randomness contract (stream v4) ------------------------------------------
 
 
 def concatenate(batches) -> ShotBatch:
@@ -76,14 +76,24 @@ def test_different_seeds_differ():
     assert not np.array_equal(first.readout, second.readout, equal_nan=True)
 
 
-@pytest.mark.parametrize("shards", [1, 4, 16])
-def test_shard_invariance(shards):
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        pytest.param([1600], id="1"),
+        pytest.param([400] * 4, id="4"),
+        pytest.param([100] * 16, id="16"),
+        # Uneven shards start at every offset mod 4 within a detector block.
+        pytest.param([1, 3, 7] * 20 + [1380], id="1-3-7"),
+        pytest.param([7, 1, 1589, 3], id="7-1-1589-3"),
+    ],
+)
+def test_shard_invariance(sizes):
     experiment = cheshire_experiment()
-    n = 1600
+    n = sum(sizes)
     baseline = sample_shots(experiment, n, seed=5)
-    chunk = n // shards
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
     resampled = concatenate(
-        sample_shots(experiment, chunk, seed=5, first_shot=k * chunk) for k in range(shards)
+        sample_shots(experiment, size, seed=5, first_shot=start) for start, size in zip(starts, sizes)
     )
     assert_batches_equal(resampled, baseline)
 
@@ -131,7 +141,8 @@ def test_one_component_envelope_ignores_word_0():
 
 
 def test_philox_blocks_match_numpy_random_raw():
-    # Block j of shot i is numpy's j-th Philox block under key [seed, i].
+    # Block j under key [seed, k1] is numpy's j-th Philox block: k1 is a shot id,
+    # or 2**64 - 1 for the detector stream.
     ids = np.array([0, 1, 17, 2**40, 2**64 - 1], dtype=np.uint64)
     for seed in (0, 1, 987654321, 2**64 - 1):
         for block in (1, 2, 7):
@@ -141,49 +152,65 @@ def test_philox_blocks_match_numpy_random_raw():
                 assert row.tolist() == bit_generator.random_raw(4 * block)[-4:].tolist()
 
 
-def test_detector_uniform_equals_shot_generator():
-    # Unchanged from stream v1: the detector column of shots.csv is the same.
-    seed = 2**64 - 1
-    ids = np.arange(2000, dtype=np.uint64)
-    uniforms = _uniform(_philox(seed, ids, 1)[:, 0]).tolist()
-    assert uniforms == [shot_generator(seed, int(i)).random() for i in ids]
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_detector_column_equals_numpy_philox_stream(seed, monkeypatch):
+    # Stream v4: the detector uniform of shot i is numpy's random() number i
+    # on the key [seed, 2**64 - 1], whatever the first shot's offset mod 4,
+    # up to the last shot ids, and under any shot blocking.
+    n = 300
     experiment = cheshire_experiment()
     probabilities = analyze(experiment).detector_probabilities
     p_d1, p_d2 = probabilities[Detector.D1], probabilities[Detector.D2]
-    expected = [1 if u < p_d1 else 2 if u < p_d1 + p_d2 else 3 for u in uniforms]
-    assert sample_shots(experiment, 2000, seed=seed).detector.tolist() == expected
+    key = np.array([seed, 2**64 - 1], dtype=np.uint64)
+    stream = np.random.Generator(np.random.Philox(key=key)).random(4001 + n)
+    for first_shot in (0, 1, 2, 3, 4001, 2**40 + 2, 2**63 - n - 1, 2**63 - n):
+        uniforms = detector_uniforms(seed, first_shot, n).tolist()
+        if first_shot <= 4001:  # the oracle's block skip against the plain stream
+            assert uniforms == stream[first_shot : first_shot + n].tolist()
+        assert _detector_uniforms(seed, first_shot, n).tolist() == uniforms
+        expected = [1 if u < p_d1 else 2 if u < p_d1 + p_d2 else 3 for u in uniforms]
+        assert sample_shots(experiment, n, seed=seed, first_shot=first_shot).detector.tolist() == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
+            batch = sample_shots(experiment, n, seed=seed, first_shot=first_shot)
+            assert batch.detector.tolist() == expected
 
 
-# Stream v3 records of shots 2**40 .. 2**40 + 23 at seed 2**63 + 12345:
+# Stream v4 records of shots 2**40 .. 2**40 + 23 at seed 2**63 + 12345:
 # weak-cheshire (centre envelope), and weak-cheshire at g/s = 1 (midpoint
-# envelope, whose records are the same as in stream v2).
-GOLDEN_DETECTORS = [2, 2, 1, 1, 2, 1, 2, 1, 3, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 1, 2, 3, 2, 2]
-GOLDEN_ATTEMPTS = 5
+# envelope).  Readout attempts are as in stream v3, so shot 4, D1 under both
+# versions at g/s = 1, keeps its stream v3 readout.
+GOLDEN_DETECTORS = [1, 2, 2, 3, 1, 3, 2, 3, 3, 2, 3, 2, 1, 3, 1, 1, 3, 2, 1, 3, 3, 2, 1, 1]
+GOLDEN_ATTEMPTS = 8
 GOLDEN_READOUTS = {  # shot offset -> (vertical, horizontal)
-    2: (-0.4912821850051709, -0.5327628321252293),
-    3: (0.19630101606492162, 0.8908599967789698),
-    5: (0.6259506381076712, -0.6084277301119317),
-    7: (0.5301674366921254, -0.12166232380982703),
-    19: (0.14767029009037275, 1.1690607206019847),
+    0: (-0.9020056157306583, 0.47180791911177783),
+    4: (-1.2986138923205126, 0.6230628501189321),
+    12: (0.7178327218293802, -1.3446568507461634),
+    14: (-2.1250498828714717, -1.0222704581148778),
+    15: (1.0647255917638967, -0.18530308395726744),
+    18: (0.8724347852360005, -0.2869961131569175),
+    22: (-0.7470954841929839, 1.2617765220423274),
+    23: (0.16570818510283436, 0.7943200358324017),
 }
-GOLDEN_MIDPOINT_DETECTORS = [2, 1, 1, 1, 1, 1, 2, 1, 3, 2, 2, 2, 3, 2, 2, 2, 3, 2, 2, 1, 2, 3, 2, 2]
-GOLDEN_MIDPOINT_ATTEMPTS = 11
+GOLDEN_MIDPOINT_DETECTORS = [1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 3, 2, 1, 3, 1, 1, 3, 2, 1, 3, 3, 2, 1, 1]
+GOLDEN_MIDPOINT_ATTEMPTS = 12
 GOLDEN_MIDPOINT_READOUTS = {
-    1: (0.4179723270110291, 2.2360540506206306),
-    2: (-0.4935069912506649, 0.47021636021537716),
-    3: (0.19378979893550008, 1.4979284858869075),
+    0: (-1.404927406632817, 3.294601153343479),
     4: (-0.2963241260513132, 0.6195787030297176),
-    5: (1.8141625388176212, 1.7467272764323498),
-    7: (2.1010528009176217, 0.11018141021384242),
-    19: (0.6418724824922454, 1.6625233712703356),
+    12: (1.7088465845522425, -1.33713757359519),
+    14: (0.4503490095084572, -0.4095072681702424),
+    15: (2.413035613057935, 1.2914533820962901),
+    18: (1.3625841182744147, 0.21460875972561866),
+    22: (-0.2478897908322545, 1.7547207089800114),
+    23: (0.6598095101854771, 1.2898782241592746),
 }
 
 
-def test_stream_v3_golden_vector():
+def test_stream_v4_golden_vector():
     # Any change to the stream layout changes these records; bump
     # STREAM_VERSION and re-pin them together.  Readouts go through numpy's
     # transcendental functions, whose last bits may vary by CPU, hence rtol.
-    assert STREAM_VERSION == 3
+    assert STREAM_VERSION == 4
     goldens = (
         (1e-2, "centre", GOLDEN_DETECTORS, GOLDEN_ATTEMPTS, GOLDEN_READOUTS),
         (1.0, "midpoint", GOLDEN_MIDPOINT_DETECTORS, GOLDEN_MIDPOINT_ATTEMPTS, GOLDEN_MIDPOINT_READOUTS),
