@@ -15,6 +15,7 @@ from .montecarlo import (
     InsufficientData,
     LowAcceptance,
     ShotBatch,
+    Tally,
     analyze,
     estimate,
     sample_shots,
@@ -67,6 +68,7 @@ __all__ = [
     "PointerMixture",
     "ShotBatch",
     "SpectralObservable",
+    "Tally",
     "abl_distribution",
     "analyze",
     "canonical_observables",

@@ -1,13 +1,20 @@
 """Command-line front end: presets, config handling, CSV/JSON outputs.
 
 ``cheshire --preset weak-cheshire --shots 100000 --out-dir out`` runs one
-experiment and writes two files into the output directory:
+experiment and writes two files into the output directory.  The run is one
+loop over chunks of ``_CHUNK_SHOTS`` shots: each chunk is sampled, appended
+to ``shots.csv`` and folded into a running :class:`~cheshire.montecarlo.Tally`,
+so a run holds one chunk in memory whatever its shot count.
 
 - ``shots.csv`` with header ``shot_id,detector,x,y``; ``x`` is the
   horizontal readout, ``y`` the vertical one, both empty for shots that did
   not reach D1 (and for axes the preset does not couple).  Floats use
   ``repr`` (shortest round-trip form), so identical configs give
-  byte-identical files.
+  byte-identical files.  Rows go to ``shots.csv.partial``, renamed to
+  ``shots.csv`` once the run's estimates exist, so a failed or interrupted
+  run leaves no ``shots.csv``.  A run whose file could not fit in the free
+  space at ``7`` bytes a row (``0,D2,,`` and a newline) is refused before
+  anything is created.
 - ``summary.json`` with keys ``config`` (the fully resolved configuration),
   ``expected`` (analytic weak values as {re, im} pairs, conditional outcome
   tables, pointer moments -- never derived from the samples), ``estimated``
@@ -27,8 +34,8 @@ convergence of mean/coupling toward the weak values (the
 ``weak_limit_error`` |mean/coupling - Re A_w| per point and axis).
 
 Exit codes: 0 success, 1 runtime failure (impossible or near-null
-post-selection, too few post-selected shots, out of memory, I/O), 2 usage
-error.
+post-selection, too few post-selected shots, too little free disk space,
+out of memory, I/O), 2 usage error.
 """
 
 from __future__ import annotations
@@ -36,11 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -52,8 +60,8 @@ from .montecarlo import (
     LowAcceptance,
     ShotBatch,
     SummaryStats,
+    Tally,
     analyze,
-    estimate,
     sample_shots,
 )
 from .optics import Detector
@@ -69,7 +77,11 @@ DEFAULT_OUT_DIR = "out"
 SWEEP_RATIOS = (1e-1, 1e-2, 1e-3)
 #: Accepted pointer widths s.  Inside this range s**2, 1/s**2 and the
 #: two-axis density normalisation 1/(2 pi s**2) are normal float64 numbers.
-#: Couplings are capped at its upper end, so squared displacements are finite.
+#: Couplings set explicitly are 0 or lie in it too: the upper end keeps squared
+#: displacements finite, and the lower end keeps a readout mean over its
+#: coupling finite (a mean of order s over a subnormal coupling overflows).
+#: A preset default ratio * s is a fixed fraction of the width, so its mean
+#: over coupling stays finite and only the upper end binds it.
 WIDTH_RANGE = (1e-150, 1e150)
 
 
@@ -176,8 +188,20 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
     shots = _integer("shots", values.get("shots", DEFAULT_SHOTS))
     seed = _integer("seed", values.get("seed", DEFAULT_SEED))
     ratio = PRESETS["weak-cheshire" if preset == "sweep" else preset].default_ratio
-    g_vertical = _number("g_vertical", values.get("g_vertical", ratio * s))
-    g_horizontal = _number("g_horizontal", values.get("g_horizontal", ratio * s))
+    couplings = {}
+    for key in ("g_vertical", "g_horizontal"):
+        if key in values:
+            g = _number(key, values[key])
+            if not (g == 0 or low <= g <= high):
+                raise UsageError(f"{key}: coupling must be 0 or lie in [{low:g}, {high:g}], got {g}")
+        else:
+            g = ratio * s
+            if g > high:
+                raise UsageError(
+                    f"{key}: the {preset} default coupling {ratio:g} * s = {g:g} exceeds {high:g}; "
+                    f"set {key} or use s <= {high / ratio:g}"
+                )
+        couplings[key] = g
     out_dir = values.get("out_dir", DEFAULT_OUT_DIR)
     if shots < 1:
         raise UsageError(f"shots: need at least 1 shot, got {shots}")
@@ -185,15 +209,12 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
         raise UsageError(f"shots: must be below 2**63, got {shots}")
     if not 0 <= seed < 2**64:
         raise UsageError(f"seed: must be in [0, 2**64), got {seed}")
-    for key, g in (("g_vertical", g_vertical), ("g_horizontal", g_horizontal)):
-        if not 0 <= g <= high:
-            raise UsageError(f"{key}: coupling must lie in [0, {high:g}], got {g}")
     if not isinstance(out_dir, str):
         raise UsageError(f"out_dir: must be a path string, got {out_dir!r}")
     return ExperimentConfig(
         preset=preset,
-        g_vertical=g_vertical,
-        g_horizontal=g_horizontal,
+        g_vertical=couplings["g_vertical"],
+        g_horizontal=couplings["g_horizontal"],
         s=s,
         shots=shots,
         seed=seed,
@@ -335,7 +356,7 @@ def _checks(expected: dict, stats: SummaryStats) -> dict:
     }
 
 
-def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, batch: ShotBatch) -> dict:
+def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, attempts: int) -> dict:
     analysis = analyze(experiment)
     envelope = analysis.envelope
     return {
@@ -352,17 +373,20 @@ def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, ba
         },
         "sampler": {
             "envelope": envelope.name if envelope is not None else None,
-            "attempts": batch.attempts,
+            "attempts": attempts,
             "accepted": stats.d1_count,
             "expected_acceptance": envelope.acceptance if envelope is not None else None,
-            "observed_acceptance": stats.d1_count / batch.attempts if batch.attempts else None,
+            "observed_acceptance": stats.d1_count / attempts if attempts else None,
         },
         "checks": _checks(expected, stats),
     }
 
 
-#: Rows formatted and written together by write_shots_csv.
-_CSV_CHUNK = 1 << 16
+#: Shots sampled, tallied and written together: a run holds one chunk at a time.
+_CHUNK_SHOTS = 1 << 16
+_CSV_HEADER = "shot_id,detector,x,y\n"
+#: Bytes of the shortest ``shots.csv`` row, ``0,D2,,`` and its newline.
+_MIN_ROW_BYTES = 7
 #: Row tail after the shot id, per ``ShotBatch.detector`` code; D1 rows of
 #: an experiment with pointers get their own tail from ``_d1_tails``.
 _ROW_TAILS = np.array([None, ",D1,,\n", ",D2,,\n", ",D3,,\n"], dtype=object)
@@ -382,31 +406,40 @@ def _d1_tails(readout: np.ndarray, axes: tuple[Axis, ...]) -> list[str]:
     return [f",D1,{x!r},{y!r}\n" for x, y in zip(xs, ys)]
 
 
-def write_shots_csv(path: Path, batch: ShotBatch, experiment: Experiment) -> None:
-    """CSV with one row per shot; x = horizontal readout, y = vertical readout.
+def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> None:
+    """Append one CSV row per shot of ``batch`` to the open file ``fh``; x = horizontal readout, y = vertical.
 
     Each row is the shot id in decimal followed by a tail: the constant
     ``,D2,,`` or ``,D3,,`` off D1, and one f-string of the readouts'
     ``repr`` (shortest round-trip form) on D1, so identical batches give
-    byte-identical files.  Rows are formatted and written once per
-    ``_CSV_CHUNK`` shots.  Float ``repr`` is most of the remaining cost.
+    byte-identical rows.  Float ``repr`` is most of the cost.
     """
+    d1 = np.flatnonzero(batch.detector == 1)
+    tails = _ROW_TAILS[batch.detector]
     axes = experiment.axes()
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write("shot_id,detector,x,y\n")
-        for start in range(0, len(batch), _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
-            detector = batch.detector[rows]
-            d1 = np.flatnonzero(detector == 1)
-            tails = _ROW_TAILS[detector]
-            if axes:
-                tails[d1] = _d1_tails(batch.readout[start + d1], axes)
-            # One "%d%s" per row, formatted once per chunk: faster than
-            # str() on each id followed by a join.
-            fields = [None] * (2 * detector.shape[0])
-            fields[0::2] = batch.shot_id[rows].tolist()
-            fields[1::2] = tails.tolist()
-            fh.write(("%d%s" * detector.shape[0]) % tuple(fields))
+    if axes:
+        tails[d1] = _d1_tails(batch.readout[d1], axes)
+    # One "%d%s" per row, formatted at once: faster than str() on each id
+    # followed by a join.
+    fields = [None] * (2 * len(batch))
+    fields[0::2] = batch.shot_id.tolist()
+    fields[1::2] = tails.tolist()
+    fh.write(("%d%s" * len(batch)) % tuple(fields))
+
+
+def _check_free_space(out_dir: Path, shots: int) -> None:
+    """Raise OSError when ``shots`` rows of at least ``_MIN_ROW_BYTES`` cannot fit under ``out_dir``.
+
+    The free space is read at the nearest existing ancestor, since
+    ``out_dir`` itself may not exist yet.
+    """
+    existing = out_dir.absolute()
+    while not existing.exists():
+        existing = existing.parent
+    free = shutil.disk_usage(existing).free
+    need = _MIN_ROW_BYTES * shots
+    if need > free:
+        raise OSError(f"{shots} shots need at least {need} bytes of shots.csv, but {existing} has {free} free")
 
 
 def _write_summary(out_dir: Path, summary: dict) -> None:
@@ -416,18 +449,31 @@ def _write_summary(out_dir: Path, summary: dict) -> None:
 
 
 def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
-    """Sample the configured experiment, write its files, and return its summary dict."""
-    batch = sample_shots(experiment, config.shots, config.seed)
-    stats = estimate(batch, experiment)
+    """Sample the configured experiment chunk by chunk, write its files, and return its summary dict."""
+    _check_free_space(config.out_dir, config.shots)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    partial = config.out_dir / "shots.csv.partial"
+    tally = Tally(len(experiment.couplings))
+    try:
+        with open(partial, "w", newline="", encoding="ascii") as fh:
+            fh.write(_CSV_HEADER)
+            for start in range(0, config.shots, _CHUNK_SHOTS):
+                n = min(_CHUNK_SHOTS, config.shots - start)
+                batch = sample_shots(experiment, n, config.seed, first_shot=start)
+                tally.add(batch)
+                write_shots_csv(fh, batch, experiment)
+        stats = tally.stats(experiment)
+        partial.replace(config.out_dir / "shots.csv")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     expected = expected_summary(config, experiment)
     summary = {
         "config": config.as_dict(),
         "expected": expected,
         "estimated": estimated_summary(stats),
-        "diagnostics": _diagnostics(experiment, expected, stats, batch),
+        "diagnostics": _diagnostics(experiment, expected, stats, tally.attempts),
     }
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_shots_csv(config.out_dir / "shots.csv", batch, experiment)
     _write_summary(config.out_dir, summary)
     return summary
 

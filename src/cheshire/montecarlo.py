@@ -5,8 +5,10 @@ coupled to the configured pointers, through the detection chain.  The
 detector click is drawn from the exact entangled-state probabilities; shots
 that reach D1 (the post-selecting detector) additionally record the pointer
 readout, drawn from the post-selected mixture density by rejection sampling.
-All shots of a run are evaluated together as numpy arrays, in blocks of
-``_BLOCK_SHOTS`` shots so that transient arrays stay bounded.
+All shots of one :func:`sample_shots` call are evaluated together as
+numpy arrays, so its memory grows with its shot range; a caller that wants
+bounded memory shards the range with ``first_shot`` and folds each shard
+into a :class:`Tally`, as the CLI does.
 
 An :class:`Experiment` is immutable (its kets and observables are frozen,
 and every experiment uses the fixed detection chain), so :func:`analyze`
@@ -118,8 +120,6 @@ MIN_ACCEPTANCE = 1e-3
 _MASK64 = (1 << 64) - 1
 #: Second key word of the detector stream; shot ids are below 2**63.
 _DETECTOR_KEY = _MASK64
-#: Shots evaluated together; bounds the size of transient arrays.
-_BLOCK_SHOTS = 1 << 16
 #: Readout attempts evaluated together once few shots are left pending.
 _PASS_ROWS = 1 << 12
 #: A pass gives a pending shot no more attempts than leave it still pending
@@ -480,7 +480,8 @@ def sample_shots(
     post-selection that can never succeed is not an error here: every shot
     is simply rejected to D2/D3.  A near-null one, whose expected readout
     acceptance is below MIN_ACCEPTANCE, raises LowAcceptance before any
-    shot is drawn.
+    shot is drawn.  The whole range is held at once, about 65 bytes a shot
+    at its peak; shard a large range to bound memory.
     """
     if n < 1:
         raise ValueError("need at least one shot")
@@ -499,20 +500,13 @@ def sample_shots(
                 f"{MIN_ACCEPTANCE:g} (near-null post-selection)"
             )
     shot_id = np.arange(first_shot, first_shot + n, dtype=np.int64)
-    detector = np.empty(n, dtype=np.uint8)
+    u = _detector_uniforms(seed, first_shot, n)
+    detector = np.where(u < p_d1, _D1, np.where(u < p_d12, 2, 3)).astype(np.uint8)
     readout = np.full((n, len(experiment.couplings)), np.nan)
     attempts = 0
-    for start in range(0, n, _BLOCK_SHOTS):
-        rows = slice(start, start + _BLOCK_SHOTS)
-        ids = shot_id[rows].astype(np.uint64)
-        u = _detector_uniforms(seed, first_shot + start, ids.shape[0])
-        codes = np.where(u < p_d1, _D1, np.where(u < p_d12, 2, 3))
-        detector[rows] = codes
-        d1 = np.flatnonzero(codes == _D1)
-        if sampler is not None and d1.size:
-            values, used = sampler.sample(seed, ids[d1])
-            readout[start + d1] = values
-            attempts += used
+    d1 = np.flatnonzero(detector == _D1)
+    if sampler is not None and d1.size:
+        readout[d1], attempts = sampler.sample(seed, shot_id[d1].astype(np.uint64))
     return ShotBatch(shot_id=shot_id, detector=detector, readout=readout, attempts=attempts)
 
 
@@ -533,25 +527,63 @@ class SummaryStats:
     axes: dict[Axis, AxisEstimate]
 
 
-def estimate(batch: ShotBatch, experiment: Experiment) -> SummaryStats:
-    """Aggregate shot records into post-selection rate and per-axis estimates.
+class Tally:
+    """Running statistics of shot batches: shot and D1 counts, attempts, and each axis's D1 readout mean and M2.
 
-    Raises InsufficientData when fewer than two D1 readouts exist: a
-    standard error needs at least two samples.
+    :meth:`add` folds one batch in.  A batch's mean and M2 (sum of squared
+    deviations from its mean) are numpy's pairwise reductions over each
+    readout column, the ones ``np.mean`` and ``np.std`` make, and batches
+    merge in the order they are added by Chan, Golub and LeVeque's update
+    (1979).  One batch therefore gives ``np.mean`` and ``np.std(ddof=1)``
+    bit for bit, and any sharding of a run agrees with them to rounding.
     """
-    n = len(batch)
-    if n == 0:
-        raise ValueError("batch must be non-empty")
-    readouts = batch.readout[batch.detector == _D1]
-    d1_count = readouts.shape[0]
-    post_rate = d1_count / n
-    if d1_count < 2:
-        raise InsufficientData(f"only {d1_count} post-selected shots; need at least 2")
-    axes: dict[Axis, AxisEstimate] = {}
-    for k, pointer in enumerate(experiment.pointers()):
-        values = readouts[:, k]
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / np.sqrt(d1_count))
-        ratio = mean / pointer.coupling if pointer.coupling > 0 else None
-        axes[pointer.axis] = AxisEstimate(mean=mean, stderr=stderr, mean_over_coupling=ratio)
-    return SummaryStats(n_shots=n, d1_count=d1_count, post_rate=post_rate, axes=axes)
+
+    def __init__(self, axes: int) -> None:
+        self.n_shots = 0
+        self.d1_count = 0
+        self.attempts = 0
+        self.means = [0.0] * axes
+        self.m2 = [0.0] * axes
+
+    def add(self, batch: ShotBatch) -> None:
+        readouts = batch.readout[batch.detector == _D1]
+        count = readouts.shape[0]
+        self.n_shots += len(batch)
+        self.attempts += batch.attempts
+        if not count:
+            return
+        total = self.d1_count + count
+        share = count / total  # exactly 1 for the first readouts, so they are kept as they are
+        for k in range(len(self.means)):
+            values = readouts[:, k]
+            mean = float(values.mean())
+            deviations = values - mean
+            delta = mean - self.means[k]
+            self.means[k] += delta * share
+            self.m2[k] += float((deviations * deviations).sum()) + delta * delta * self.d1_count * share
+        self.d1_count = total
+
+    def stats(self, experiment: Experiment) -> SummaryStats:
+        """Post-selection rate and per-axis estimates of the shots added so far.
+
+        Raises InsufficientData when fewer than two D1 readouts exist: a
+        standard error needs at least two samples.
+        """
+        if self.n_shots == 0:
+            raise ValueError("no shots tallied")
+        d1_count = self.d1_count
+        if d1_count < 2:
+            raise InsufficientData(f"only {d1_count} post-selected shots; need at least 2")
+        axes: dict[Axis, AxisEstimate] = {}
+        for pointer, mean, m2 in zip(experiment.pointers(), self.means, self.m2):
+            stderr = math.sqrt(m2 / (d1_count - 1)) / math.sqrt(d1_count)
+            ratio = mean / pointer.coupling if pointer.coupling > 0 else None
+            axes[pointer.axis] = AxisEstimate(mean=mean, stderr=stderr, mean_over_coupling=ratio)
+        return SummaryStats(n_shots=self.n_shots, d1_count=d1_count, post_rate=d1_count / self.n_shots, axes=axes)
+
+
+def estimate(batch: ShotBatch, experiment: Experiment) -> SummaryStats:
+    """Post-selection rate and per-axis estimates of one batch: a :class:`Tally` of it alone."""
+    tally = Tally(len(experiment.couplings))
+    tally.add(batch)
+    return tally.stats(experiment)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,9 @@ def test_unknown_config_key_rejected(tmp_path):
         # shot ids must fit in int64
         (["--shots", str(2**63)], "shots"),
         (["--shots", str(2**63 + 1)], "shots"),
+        # nonzero couplings below the smallest width
+        (["--g-vertical", "1e-151"], "g_vertical"),
+        ({"g_horizontal": 5e-324}, "g_horizontal"),
     ],
 )
 def test_invalid_values_name_the_key(tmp_path, argv, key):
@@ -129,6 +133,8 @@ def test_width_range_edges_accepted():
     assert parse_config(["--s", "1e150"]).s == 1e150
     config = parse_config(["--g-vertical", "1e150", "--g-horizontal", "1e150"])
     assert config.g_vertical == config.g_horizontal == 1e150
+    config = parse_config(["--g-vertical", "1e-150", "--g-horizontal", "1e-150"])
+    assert config.g_vertical == config.g_horizontal == 1e-150
 
 
 def test_seed_range_edges_accepted():
@@ -160,10 +166,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (config_argv(tmp_path / "b.json", {"shots": 2.5}), "shots"),
         (config_argv(tmp_path / "c.json", {"shots": True}), "shots"),
         (["--shots", "9223372036854775809"], "shots"),
+        (["--g-vertical", "1e-151"], "g_vertical"),
+        (["--preset", "which-path", "--g-vertical", "5e-324"], "g_vertical"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"cheshire: {key}:")
+
+
+def test_default_coupling_error_names_the_preset_default(capsys):
+    # joint-strong couples at 10 * s by default, so its widths end at 1e149;
+    # the error says the coupling came from that default, not from a flag.
+    assert parse_config(["--preset", "joint-strong", "--s", "1e149"]).g_vertical == 1e150
+    assert main(["--preset", "joint-strong", "--s", "1e150"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("cheshire: g_vertical: the joint-strong default coupling 10 * s")
+    assert "s <= 1e+149" in err
+    config = parse_config(["--preset", "joint-strong", "--s", "1e150", "--g-vertical", "1", "--g-horizontal", "1"])
+    assert config.s == 1e150
 
 
 # --- running presets ---------------------------------------------------------
@@ -272,6 +292,30 @@ def test_single_run_analyzes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     # One Gram matrix for the detector probabilities, one for the mixture.
     assert len(grams) <= 2
+
+
+def reject_constant(name):
+    raise ValueError(f"summary.json holds {name}, which JSON does not allow")
+
+
+@pytest.mark.parametrize("preset", [*PRESETS, "sweep"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--s", "1e-150"],
+        ["--s", "1e149"],
+        ["--s", "1e150", "--g-vertical", "1e-150", "--g-horizontal", "1e-150"],
+        ["--s", "1e-150", "--g-vertical", "1e150", "--g-horizontal", "1e150"],
+        ["--s", "1e150", "--g-vertical", "1e150", "--g-horizontal", "1e150"],
+    ],
+)
+def test_summaries_at_the_range_edges_are_strict_json(tmp_path, preset, argv):
+    # A subnormal coupling once gave mean_over_coupling -Infinity.
+    assert main(["--preset", preset, "--shots", "3000", "--out-dir", str(tmp_path), *argv]) == 0
+    summaries = list(tmp_path.rglob("summary.json"))
+    assert len(summaries) == (4 if preset == "sweep" else 1)
+    for path in summaries:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
 
 
 def test_extreme_coupling_over_width_runs_quietly(tmp_path, capsys):
@@ -384,7 +428,7 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
     # The byte format of shots.csv: csv.writer rows of str(shot_id), the
     # detector name and repr of each Python float readout, x horizontal and
     # y vertical, for every column layout and across chunk boundaries.
-    chunks = (7, cli._CSV_CHUNK)
+    chunks = (7, cli._CHUNK_SHOTS)
     for preset in ("weak-cheshire", "which-path", "smile-only", "joint-strong"):
         config = run_config(tmp_path, preset=preset, shots=600)
         experiment = build_experiment(config)
@@ -404,9 +448,50 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
                 writer.writerow([shot_id, f"D{code}", *fields])
         reference = (tmp_path / "reference.csv").read_bytes()
         for chunk in chunks:
-            monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
-            cli.write_shots_csv(tmp_path / "shots.csv", batch, experiment)
+            with open(tmp_path / "shots.csv", "w", newline="", encoding="ascii") as fh:
+                fh.write(cli._CSV_HEADER)
+                for start in range(0, config.shots, chunk):
+                    shard = sample_shots(
+                        experiment, min(chunk, config.shots - start), config.seed, first_shot=2**40 - 300 + start
+                    )
+                    cli.write_shots_csv(fh, shard, experiment)
             assert (tmp_path / "shots.csv").read_bytes() == reference, (preset, chunk)
+
+
+def assert_close(value, reference, path="summary"):
+    """Equal JSON values, except that floats need only agree to 1e-12 relative."""
+    if isinstance(reference, dict):
+        assert list(value) == list(reference), path
+        for key in reference:
+            assert_close(value[key], reference[key], f"{path}.{key}")
+    elif isinstance(reference, list):
+        assert len(value) == len(reference), path
+        for k, (item, expected) in enumerate(zip(value, reference)):
+            assert_close(item, expected, f"{path}[{k}]")
+    elif isinstance(reference, float):
+        assert value == pytest.approx(reference, rel=1e-12, abs=0), path
+    else:
+        assert value == reference, path
+
+
+@pytest.mark.parametrize("preset", [*PRESETS, "sweep"])
+def test_chunking_leaves_the_outputs_unchanged(tmp_path, monkeypatch, preset):
+    # One 1500-shot chunk against chunks of 7: the same shots.csv bytes, and
+    # summaries equal up to the rounding of the merged means and M2.
+    argv = ["--preset", preset, "--shots", "1500", "--seed", "9", "--out-dir"]
+    one, many = tmp_path / "one", tmp_path / "many"
+    assert main([*argv, str(one)]) == 0
+    monkeypatch.setattr(cli, "_CHUNK_SHOTS", 7)
+    assert main([*argv, str(many)]) == 0
+    files = sorted(path.relative_to(one) for path in one.rglob("*"))
+    assert files == sorted(path.relative_to(many) for path in many.rglob("*"))
+    assert len([path for path in files if path.name == "shots.csv"]) == (3 if preset == "sweep" else 1)
+    for path in files:
+        if path.name == "shots.csv":
+            assert (many / path).read_bytes() == (one / path).read_bytes(), path
+        elif path.name == "summary.json":
+            text = (many / path).read_text(encoding="utf-8").replace(str(many), str(one))
+            assert_close(json.loads(text), read_summary(one / path))
 
 
 def test_single_axis_preset_leaves_other_column_empty(tmp_path):
@@ -482,11 +567,59 @@ def test_runtime_failures_exit_1(tmp_path, capsys):
 
 
 def test_unallocatable_shot_count_exits_1(tmp_path, capsys):
-    # 1e15 shot ids need 8 PB: the allocation fails at once.
+    # 1e15 shots need at least 7 PB of shots.csv: the run is refused at once.
     assert main(["--shots", str(10**15), "--out-dir", str(tmp_path / "huge")]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("cheshire: out of memory")
+    assert err.count("\n") == 1 and err.startswith("cheshire: cannot write outputs:")
+    assert "7000000000000000 bytes" in err
     assert not (tmp_path / "huge").exists()
+
+
+def assert_no_shots_csv(out_dir: Path) -> None:
+    assert not (out_dir / "shots.csv").exists()
+    assert not (out_dir / "shots.csv.partial").exists()
+
+
+def test_failed_runs_leave_no_shots_csv(tmp_path, monkeypatch, capsys):
+    # Too few D1 shots, a near-null post-selection and too little free space
+    # all exit 1; rows go to shots.csv.partial, which a failure removes.
+    assert main(["--shots", "1", "--out-dir", str(tmp_path / "tiny")]) == 1
+    assert "post-selected shots" in capsys.readouterr().err
+    assert_no_shots_csv(tmp_path / "tiny")
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "MIN_ACCEPTANCE", 0.99)
+        assert main(["--shots", "200", "--out-dir", str(tmp_path / "low")]) == 1
+    assert "acceptance" in capsys.readouterr().err
+    assert_no_shots_csv(tmp_path / "low")
+    disk_usage = shutil.disk_usage
+    with monkeypatch.context() as patch:
+        patch.setattr(shutil, "disk_usage", lambda path: disk_usage(path)._replace(free=7 * 1000 - 1))
+        assert main(["--shots", "1000", "--out-dir", str(tmp_path / "full")]) == 1
+        assert "7000 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "full").exists()
+        # 7 bytes a row is the floor the check holds a run to
+        assert main(["--shots", "999", "--out-dir", str(tmp_path / "fits")]) == 0
+        assert (tmp_path / "fits" / "shots.csv").exists()
+
+
+def test_interrupted_run_leaves_no_shots_csv(tmp_path, monkeypatch):
+    # Ctrl-C (or any exception) in a later chunk removes the partial file.
+    write = cli.write_shots_csv
+    chunks = []
+
+    def interrupt_on_second_chunk(fh, batch, experiment):
+        chunks.append(len(batch))
+        if len(chunks) == 2:
+            raise KeyboardInterrupt
+        write(fh, batch, experiment)
+
+    monkeypatch.setattr(cli, "_CHUNK_SHOTS", 50)
+    monkeypatch.setattr(cli, "write_shots_csv", interrupt_on_second_chunk)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--shots", "200", "--out-dir", str(tmp_path / "run")])
+    assert chunks == [50, 50]
+    assert_no_shots_csv(tmp_path / "run")
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 def test_low_acceptance_exits_1(tmp_path, monkeypatch, capsys):
@@ -525,3 +658,30 @@ def test_runs_do_not_load_numpy_random(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run" / "shots.csv").exists()
+
+
+@pytest.mark.slow
+def test_peak_memory_does_not_grow_with_shots(tmp_path):
+    # A run holds one chunk whatever its shot count.  VmHWM is the child's
+    # own peak; ru_maxrss would carry over the peak of the spawning pytest.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    script = (
+        "import sys\n"
+        "import cheshire.cli\n"
+        "code = cheshire.cli.main(['--shots', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+        "assert code == 0, code\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    path = [str(Path(cheshire.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    peaks = {}
+    for shots in (100_000, 2_000_000):
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(shots), str(tmp_path / str(shots))],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        peaks[shots] = int(result.stdout) / 1024  # kB to MB
+    assert peaks[2_000_000] - peaks[100_000] < 8, peaks

@@ -10,6 +10,7 @@ from cheshire import (
     LowAcceptance,
     ShotBatch,
     SpectralObservable,
+    Tally,
     abl_distribution,
     analyze,
     canonical_observables,
@@ -58,6 +59,13 @@ def concatenate(batches) -> ShotBatch:
     )
 
 
+def sharded(experiment, n: int, seed: int, size: int, first_shot: int = 0) -> ShotBatch:
+    """Shots ``first_shot .. first_shot + n - 1`` drawn in shards of ``size`` shots."""
+    return concatenate(
+        sample_shots(experiment, min(size, n - k), seed=seed, first_shot=first_shot + k) for k in range(0, n, size)
+    )
+
+
 def assert_batches_equal(first: ShotBatch, second: ShotBatch) -> None:
     assert np.array_equal(first.shot_id, second.shot_id)
     assert np.array_equal(first.detector, second.detector)
@@ -99,7 +107,7 @@ def test_shard_invariance(sizes):
 
 
 def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
-    # Shot blocks of 7, one readout attempt per pass, and the per-pass
+    # Shards of 7 shots, one readout attempt per pass, and the per-pass
     # attempt cap at 1 or binding at its derived value give the same
     # records, under the centre envelope (weak-cheshire) and the midpoint one
     # (g/s = 1).
@@ -117,9 +125,8 @@ def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
             patch.setattr(montecarlo, "_attempt_cap", lambda acceptance: 1)
             assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
             patch.setattr(montecarlo, "_PASS_ROWS", 1)
-            assert_batches_equal(sample_shots(experiment, 300, seed=13), baseline)
+            assert_batches_equal(sharded(experiment, 300, 13, 7), baseline)
 
 
 def test_one_component_envelope_ignores_word_0():
@@ -153,10 +160,10 @@ def test_philox_blocks_match_numpy_random_raw():
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_detector_column_equals_numpy_philox_stream(seed, monkeypatch):
+def test_detector_column_equals_numpy_philox_stream(seed):
     # Stream v4: the detector uniform of shot i is numpy's random() number i
     # on the key [seed, 2**64 - 1], whatever the first shot's offset mod 4,
-    # up to the last shot ids, and under any shot blocking.
+    # up to the last shot ids, and under any sharding.
     n = 300
     experiment = cheshire_experiment()
     probabilities = analyze(experiment).detector_probabilities
@@ -170,10 +177,7 @@ def test_detector_column_equals_numpy_philox_stream(seed, monkeypatch):
         assert _detector_uniforms(seed, first_shot, n).tolist() == uniforms
         expected = [1 if u < p_d1 else 2 if u < p_d1 + p_d2 else 3 for u in uniforms]
         assert sample_shots(experiment, n, seed=seed, first_shot=first_shot).detector.tolist() == expected
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_BLOCK_SHOTS", 7)
-            batch = sample_shots(experiment, n, seed=seed, first_shot=first_shot)
-            assert batch.detector.tolist() == expected
+        assert sharded(experiment, n, seed, 7, first_shot).detector.tolist() == expected
 
 
 # Stream v4 records of shots 2**40 .. 2**40 + 23 at seed 2**63 + 12345:
@@ -418,6 +422,35 @@ def test_estimate_interface():
     empty = ShotBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), np.empty((0, 2)))
     with pytest.raises(ValueError):
         estimate(empty, experiment)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        pytest.param([6000], id="1"),
+        pytest.param([1, 3, 7, 2989, 3000], id="1-3-7-2989-3000"),
+        pytest.param([5, 1000] * 5 + [970], id="5-1000"),
+    ],
+)
+def test_merged_tally_matches_numpy_over_the_whole_run(sizes):
+    # Chan-Golub-LeVeque merges of uneven shards against numpy's reductions
+    # of all readouts: bit for bit for one shard, to rounding otherwise.
+    experiment = cheshire_experiment(0.5, 0.5)
+    n = sum(sizes)
+    batch = sample_shots(experiment, n, seed=4)
+    readouts = batch.readout[batch.detector == 1]
+    tally = Tally(2)
+    for start, size in zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes):
+        tally.add(sample_shots(experiment, size, seed=4, first_shot=start))
+    stats = tally.stats(experiment)
+    assert (stats.n_shots, stats.d1_count, tally.attempts) == (n, readouts.shape[0], batch.attempts)
+    for k, pointer in enumerate(experiment.pointers()):
+        mean, std = float(np.mean(readouts[:, k])), float(np.std(readouts[:, k], ddof=1))
+        est = stats.axes[pointer.axis]
+        if len(sizes) == 1:
+            assert (est.mean, est.stderr) == (mean, std / np.sqrt(stats.d1_count))
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert est.stderr * np.sqrt(stats.d1_count) == pytest.approx(std, rel=1e-12, abs=0)
 
 
 def test_estimate_requires_two_d1_shots():
