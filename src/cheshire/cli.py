@@ -223,12 +223,12 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
 
 
 def _number(key: str, value) -> float:
-    """A finite float config value; booleans and non-numbers are usage errors naming ``key``."""
-    if isinstance(value, bool):
+    """A finite float config value; booleans, strings and non-numbers are usage errors naming ``key``."""
+    if isinstance(value, (bool, str)):
         raise UsageError(f"{key}: must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except TypeError:
         raise UsageError(f"{key}: must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise UsageError(f"{key}: must be finite, got {number}")
@@ -236,12 +236,12 @@ def _number(key: str, value) -> float:
 
 
 def _integer(key: str, value) -> int:
-    """An integer config value; booleans and fractional numbers are usage errors naming ``key``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config value; booleans, strings and fractional numbers are usage errors naming ``key``."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise UsageError(f"{key}: must be an integer, got {value!r}")
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except TypeError:
         raise UsageError(f"{key}: must be an integer, got {value!r}") from None
 
 

@@ -44,10 +44,6 @@ as ``(w >> 11) * 2**-53``, numpy's ``random()`` transform.
   ``w3`` is the accept test: the uniform ``u3`` accepts ``x`` when ``u3 *
   E(x) < f(x)``.  Block 1 of a shot's key is unused.
 
-Version 4 changed only the detector uniforms, which version 3 took from
-word 0 of block 1 of each shot's own key.  The attempt blocks are those of
-version 3, so a shot that is D1 under both versions has the same readout.
-
 Records therefore depend only on ``(experiment, seed, shot_id)``: any
 sharding of a shot range reproduces the same records bit for bit.  The
 Philox words and the detector uniforms are exact integer arithmetic; the

@@ -86,11 +86,6 @@ _PROJECTORS = MappingProxyType({det: _projector(modes) for det, modes in _DETECT
 _POST_STATE = normalize(ket(_UNITARY.conj().T[:, _D1_MODE]))
 
 
-def circuit_unitary() -> np.ndarray:
-    """Product of the chain's element unitaries, first element applied first (read-only)."""
-    return _UNITARY
-
-
 def detector_projectors() -> dict[Detector, np.ndarray]:
     """Projector (in the inside-the-arms basis) onto each detector's subspace.
 

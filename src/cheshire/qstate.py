@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,31 +35,6 @@ DIM = 4
 # Absolute tolerance for algebraic identities.  The space is 4-dimensional
 # and dominated by exactly representable values, so this is not generous.
 ATOL = 1e-12
-
-ARMS = (1, 2)
-POLS = (+1, -1)
-
-
-class BasisLabel(NamedTuple):
-    """Canonical basis label: interferometer arm and circular polarisation."""
-
-    arm: int
-    pol: int
-
-
-#: Canonical basis order: (1,+), (1,-), (2,+), (2,-).
-BASIS = tuple(BasisLabel(arm, pol) for arm in ARMS for pol in POLS)
-
-_INDEX = {label: i for i, label in enumerate(BASIS)}
-
-
-def basis_index(label: BasisLabel | tuple[int, int]) -> int:
-    """Return the canonical index of a (arm, pol) label."""
-    label = BasisLabel(*label)
-    try:
-        return _INDEX[label]
-    except KeyError:
-        raise ValueError(f"invalid basis label {label!r}: arm must be 1 or 2, pol +1 or -1") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +72,6 @@ def ket(amps) -> Ket:
     return Ket(amps, normalized=bool(abs(norm2 - 1.0) <= ATOL))
 
 
-def basis_ket(label: BasisLabel | tuple[int, int]) -> Ket:
-    """Unit ket with amplitude 1 at ``label`` and 0 elsewhere."""
-    amps = np.zeros(DIM, dtype=np.complex128)
-    amps[basis_index(label)] = 1.0
-    return Ket(amps, normalized=True)
-
-
 def normalize(state: Ket) -> Ket:
     """Rescale to unit norm; rejects (near-)zero vectors."""
     n = state.norm()
@@ -130,18 +97,6 @@ def identity() -> np.ndarray:
     return np.eye(DIM, dtype=np.complex128)
 
 
-def is_hermitian(op: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.all(np.abs(op - op.conj().T) <= atol))
-
-
-def is_unitary(op: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.all(np.abs(op @ op.conj().T - identity()) <= atol))
-
-
-def is_projector(op: np.ndarray, atol: float = ATOL) -> bool:
-    return is_hermitian(op, atol) and bool(np.all(np.abs(op @ op - op) <= atol))
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralObservable:
     """Observable given by its spectral data: (eigenvalue, eigenspace projector) pairs.
@@ -160,12 +115,9 @@ class SpectralObservable:
             frozen.append((float(value), proj))
         object.__setattr__(self, "branches", tuple(frozen))
 
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(value for value, _ in self.branches)
-
-    def projector(self, eigenvalue: float, atol: float = ATOL) -> np.ndarray:
+    def projector(self, eigenvalue: float) -> np.ndarray:
         for value, proj in self.branches:
-            if abs(value - eigenvalue) <= atol:
+            if abs(value - eigenvalue) <= ATOL:
                 return proj
         raise ValueError(f"{eigenvalue!r} is not an eigenvalue of this observable")
 
@@ -194,28 +146,32 @@ class SpectralViolation:
         return f"{self.reason} (max entrywise residual {self.residual:.3e})"
 
 
-def validate_spectral(obs: SpectralObservable, atol: float = ATOL) -> SpectralViolation | None:
+def validate_spectral(obs: SpectralObservable) -> SpectralViolation | None:
     """Check the spectral-observable invariants; None means valid.
 
-    Checks, in order: every projector is a projector (hermitian and
-    idempotent), projectors are pairwise orthogonal, they sum to the
-    identity, and eigenvalues are pairwise distinct.  Returns a report for
-    the first violation instead of raising.
+    Checks, in order: every eigenvalue is finite and every projector is a
+    finite 4x4 projector (hermitian and idempotent), projectors are pairwise
+    orthogonal, they sum to the identity, and eigenvalues are pairwise
+    distinct.  Returns a report for the first violation instead of raising.
     """
     branches = obs.branches
     if not branches:
         return SpectralViolation("observable has no branches", 0.0)
     for value, proj in branches:
+        if proj.shape != (DIM, DIM):
+            return SpectralViolation(f"projector for eigenvalue {value} has shape {proj.shape}", 0.0)
+        if not (np.isfinite(value) and np.all(np.isfinite(proj))):
+            return SpectralViolation(f"eigenvalue {value} or its projector is not finite", 0.0)
         res = float(np.max(np.abs(proj - proj.conj().T)))
-        if res > atol:
+        if not res <= ATOL:
             return SpectralViolation(f"projector for eigenvalue {value} is not hermitian", res)
         res = float(np.max(np.abs(proj @ proj - proj)))
-        if res > atol:
+        if not res <= ATOL:
             return SpectralViolation(f"projector for eigenvalue {value} is not idempotent", res)
     for i in range(len(branches)):
         for j in range(i + 1, len(branches)):
             res = float(np.max(np.abs(branches[i][1] @ branches[j][1])))
-            if res > atol:
+            if not res <= ATOL:
                 return SpectralViolation(
                     f"projectors for eigenvalues {branches[i][0]} and {branches[j][0]}"
                     " are not orthogonal",
@@ -223,11 +179,11 @@ def validate_spectral(obs: SpectralObservable, atol: float = ATOL) -> SpectralVi
                 )
     total = sum(proj for _, proj in branches)
     res = float(np.max(np.abs(total - identity())))
-    if res > atol:
+    if not res <= ATOL:
         return SpectralViolation("projectors do not sum to the identity", res)
     for i in range(len(branches)):
         for j in range(i + 1, len(branches)):
-            if abs(branches[i][0] - branches[j][0]) <= atol:
+            if abs(branches[i][0] - branches[j][0]) <= ATOL:
                 return SpectralViolation(f"duplicate eigenvalue {branches[i][0]}", 0.0)
     return None
 

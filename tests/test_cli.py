@@ -115,6 +115,11 @@ def test_unknown_config_key_rejected(tmp_path):
         # nonzero couplings below the smallest width
         (["--g-vertical", "1e-151"], "g_vertical"),
         ({"g_horizontal": 5e-324}, "g_horizontal"),
+        # numbers written as JSON strings
+        ({"shots": "100"}, "shots"),
+        ({"seed": " 7 "}, "seed"),
+        ({"s": "0.5"}, "s"),
+        ({"g_vertical": "0.01"}, "g_vertical"),
     ],
 )
 def test_invalid_values_name_the_key(tmp_path, argv, key):

@@ -7,11 +7,10 @@ from cheshire.optics import (
     CHAIN,
     HALF_WAVE_PLATE_ARM2,
     POLARISING_BS,
-    circuit_unitary,
     detector_projectors,
     postselected_state,
 )
-from cheshire.qstate import ATOL, apply, inner, is_projector, is_unitary, ket
+from cheshire.qstate import ATOL, apply, inner, ket
 
 SQ2 = np.sqrt(2.0)
 
@@ -111,8 +110,10 @@ def test_full_chain_is_unitary():
     total = np.eye(4, dtype=complex)
     for element in CHAIN:
         total = element @ total
-    np.testing.assert_array_equal(total, circuit_unitary())
-    assert is_unitary(total)
+    np.testing.assert_allclose(total @ total.conj().T, np.eye(4), atol=ATOL)
+    # The detector projectors are built from this product: M_D1 = U^dag P_(L,H) U.
+    d1_row = total[[0], :]
+    np.testing.assert_array_equal(detector_projectors()[Detector.D1], d1_row.conj().T @ d1_row)
 
 
 def test_detector_projectors_resolve_identity():
@@ -121,7 +122,8 @@ def test_detector_projectors_resolve_identity():
     total = sum(projectors.values())
     np.testing.assert_allclose(total, np.eye(4), atol=ATOL)
     for detector, proj in projectors.items():
-        assert is_projector(proj), detector
+        np.testing.assert_allclose(proj, proj.conj().T, atol=ATOL, err_msg=detector)
+        np.testing.assert_allclose(proj @ proj, proj, atol=ATOL, err_msg=detector)
     assert np.linalg.matrix_rank(projectors[Detector.D1]) == 1
     assert np.linalg.matrix_rank(projectors[Detector.D2]) == 2
     assert np.linalg.matrix_rank(projectors[Detector.D3]) == 1
@@ -146,7 +148,5 @@ def test_circuit_constants_are_cached_read_only():
             proj[0, 0] = 1.0
     for element in CHAIN:
         assert not element.flags.writeable
-    assert not circuit_unitary().flags.writeable
-    assert circuit_unitary() is circuit_unitary()
     assert postselected_state() is postselected_state()
     assert not postselected_state().amps.flags.writeable

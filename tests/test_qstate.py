@@ -2,46 +2,26 @@ import numpy as np
 import pytest
 
 from cheshire import (
+    Axis,
+    GaussianPointer,
     Ket,
     SpectralObservable,
     canonical_observables,
     canonical_states,
+    couple,
     observable_operator,
     validate_spectral,
 )
 from cheshire.qstate import (
     ATOL,
-    BASIS,
-    BasisLabel,
     apply,
-    basis_index,
-    basis_ket,
     identity,
     inner,
-    is_hermitian,
-    is_projector,
-    is_unitary,
     ket,
     normalize,
 )
 
 SQ2 = np.sqrt(2.0)
-
-
-def test_basis_order_and_index_bijection():
-    assert BASIS == (BasisLabel(1, 1), BasisLabel(1, -1), BasisLabel(2, 1), BasisLabel(2, -1))
-    for i, label in enumerate(BASIS):
-        assert basis_index(label) == i
-    with pytest.raises(ValueError):
-        basis_index((3, 1))
-    with pytest.raises(ValueError):
-        basis_index((1, 0))
-
-
-def test_basis_kets():
-    np.testing.assert_array_equal(basis_ket((1, +1)).amps, [1, 0, 0, 0])
-    np.testing.assert_array_equal(basis_ket((2, -1)).amps, [0, 0, 0, 1])
-    assert inner(basis_ket((1, +1)), basis_ket((2, +1))) == 0
 
 
 def test_ket_construction_and_flags():
@@ -61,7 +41,7 @@ def test_ket_construction_and_flags():
 
 
 def test_ket_amps_are_read_only():
-    state = basis_ket((1, +1))
+    state = ket([1, 0, 0, 0])
     with pytest.raises(ValueError):
         state.amps[0] = 2.0
 
@@ -157,7 +137,7 @@ def test_canonical_observables_are_valid(observables):
 
 def test_arm2_angular_momentum_branches(observables):
     obs = observables["angular_momentum_arm2"]
-    assert obs.eigenvalues() == (1.0, -1.0, 0.0)
+    assert tuple(value for value, _ in obs.branches) == (1.0, -1.0, 0.0)
     np.testing.assert_array_equal(obs.projector(1.0), np.diag([0, 0, 1, 0]).astype(complex))
     np.testing.assert_array_equal(obs.projector(-1.0), np.diag([0, 0, 0, 1]).astype(complex))
     np.testing.assert_array_equal(obs.projector(0.0), np.diag([1, 1, 0, 0]).astype(complex))
@@ -178,16 +158,6 @@ def test_all_canonical_observables_commute(observables):
     for i, a in enumerate(operators):
         for b in operators[i + 1 :]:
             np.testing.assert_allclose(a @ b - b @ a, np.zeros((4, 4)), atol=ATOL)
-
-
-def test_operator_predicates(observables):
-    sigma_z = observable_operator(observables["angular_momentum"])
-    assert is_hermitian(sigma_z)
-    assert is_unitary(sigma_z)  # sigma_z is an involution
-    assert not is_projector(sigma_z)
-    arm1 = observables["photon_in_arm1"].projector(1.0)
-    assert is_projector(arm1)
-    assert not is_unitary(arm1)
 
 
 def test_validate_spectral_violations(observables):
@@ -214,6 +184,26 @@ def test_validate_spectral_violations(observables):
     assert violation is not None
     assert "identity" in violation.reason
     assert str(violation)  # report renders
+
+
+def test_validate_spectral_reports_non_finite_and_mis_shaped_observables(observables, pre_post):
+    arm1 = observables["photon_in_arm1"].projector(1.0)
+    arm2 = observables["photon_in_arm2"].projector(1.0)
+    cases = {
+        "nan projector": SpectralObservable(((1.0, np.full((4, 4), np.nan)), (0.0, arm2))),
+        "inf eigenvalue": SpectralObservable(((np.inf, arm1), (0.0, arm2))),
+        "-inf eigenvalue": SpectralObservable(((-np.inf, arm1), (0.0, arm2))),
+        "nan eigenvalue": SpectralObservable(((np.nan, arm1), (0.0, arm2))),
+        "3x3 projector": SpectralObservable(((1.0, np.eye(3)),)),
+    }
+    for name, obs in cases.items():
+        violation = validate_spectral(obs)
+        assert violation is not None, name
+        assert str(violation), name
+    pre, _ = pre_post
+    pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
+    with pytest.raises(ValueError, match="^invalid spectral observable: "):
+        couple(pre, cases["inf eigenvalue"], pointer)
 
 
 def test_canonical_constants_are_shared_read_only_and_freshly_contained():
