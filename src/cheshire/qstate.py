@@ -160,6 +160,9 @@ def validate_spectral(obs: SpectralObservable) -> SpectralViolation | None:
     for value, proj in branches:
         if proj.shape != (DIM, DIM):
             return SpectralViolation(f"projector for eigenvalue {value} has shape {proj.shape}", 0.0)
+        # The residual tests below reject a non-finite projector too, but as
+        # "not hermitian" with a NaN residual; this names the cause.  A
+        # non-finite eigenvalue enters no residual, so only this check sees it.
         if not (np.isfinite(value) and np.all(np.isfinite(proj))):
             return SpectralViolation(f"eigenvalue {value} or its projector is not finite", 0.0)
         res = float(np.max(np.abs(proj - proj.conj().T)))

@@ -110,7 +110,7 @@ def test_full_chain_is_unitary():
     total = np.eye(4, dtype=complex)
     for element in CHAIN:
         total = element @ total
-    np.testing.assert_allclose(total @ total.conj().T, np.eye(4), atol=ATOL)
+    np.testing.assert_allclose(total @ total.conj().T, np.eye(4), rtol=0, atol=ATOL)
     # The detector projectors are built from this product: M_D1 = U^dag P_(L,H) U.
     d1_row = total[[0], :]
     np.testing.assert_array_equal(detector_projectors()[Detector.D1], d1_row.conj().T @ d1_row)
@@ -122,8 +122,8 @@ def test_detector_projectors_resolve_identity():
     total = sum(projectors.values())
     np.testing.assert_allclose(total, np.eye(4), atol=ATOL)
     for detector, proj in projectors.items():
-        np.testing.assert_allclose(proj, proj.conj().T, atol=ATOL, err_msg=detector)
-        np.testing.assert_allclose(proj @ proj, proj, atol=ATOL, err_msg=detector)
+        np.testing.assert_allclose(proj, proj.conj().T, rtol=0, atol=ATOL, err_msg=detector)
+        np.testing.assert_allclose(proj @ proj, proj, rtol=0, atol=ATOL, err_msg=detector)
     assert np.linalg.matrix_rank(projectors[Detector.D1]) == 1
     assert np.linalg.matrix_rank(projectors[Detector.D2]) == 2
     assert np.linalg.matrix_rank(projectors[Detector.D3]) == 1

@@ -160,7 +160,7 @@ def test_all_canonical_observables_commute(observables):
             np.testing.assert_allclose(a @ b - b @ a, np.zeros((4, 4)), atol=ATOL)
 
 
-def test_validate_spectral_violations(observables):
+def test_validate_spectral_violations(observables, pre_post):
     arm1 = observables["photon_in_arm1"].projector(1.0)
     arm2 = observables["photon_in_arm2"].projector(1.0)
     repeated = SpectralObservable(((1.0, arm1), (0.0, arm1)))
@@ -185,25 +185,23 @@ def test_validate_spectral_violations(observables):
     assert "identity" in violation.reason
     assert str(violation)  # report renders
 
-
-def test_validate_spectral_reports_non_finite_and_mis_shaped_observables(observables, pre_post):
-    arm1 = observables["photon_in_arm1"].projector(1.0)
-    arm2 = observables["photon_in_arm2"].projector(1.0)
-    cases = {
-        "nan projector": SpectralObservable(((1.0, np.full((4, 4), np.nan)), (0.0, arm2))),
-        "inf eigenvalue": SpectralObservable(((np.inf, arm1), (0.0, arm2))),
-        "-inf eigenvalue": SpectralObservable(((-np.inf, arm1), (0.0, arm2))),
-        "nan eigenvalue": SpectralObservable(((np.nan, arm1), (0.0, arm2))),
-        "3x3 projector": SpectralObservable(((1.0, np.eye(3)),)),
-    }
-    for name, obs in cases.items():
+    inf_eigenvalue = SpectralObservable(((np.inf, arm1), (0.0, arm2)))
+    cases = [
+        (SpectralObservable(((1.0, np.full((4, 4), np.nan)), (0.0, arm2))), "not finite"),
+        (inf_eigenvalue, "not finite"),
+        (SpectralObservable(((-np.inf, arm1), (0.0, arm2))), "not finite"),
+        (SpectralObservable(((np.nan, arm1), (0.0, arm2))), "not finite"),
+        (SpectralObservable(((1.0, np.eye(3)),)), "shape"),
+    ]
+    for obs, reason in cases:
         violation = validate_spectral(obs)
-        assert violation is not None, name
-        assert str(violation), name
+        assert violation is not None, reason
+        assert reason in violation.reason
+        assert str(violation)
     pre, _ = pre_post
     pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
     with pytest.raises(ValueError, match="^invalid spectral observable: "):
-        couple(pre, cases["inf eigenvalue"], pointer)
+        couple(pre, inf_eigenvalue, pointer)
 
 
 def test_canonical_constants_are_shared_read_only_and_freshly_contained():
