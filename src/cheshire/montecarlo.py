@@ -15,6 +15,17 @@ and every experiment uses the fixed detection chain), so :func:`analyze`
 computes its analysis once and returns the same :class:`ExperimentAnalysis`
 on every later call; the analysis is frozen too.
 
+Analyses split in two.  What no coupling g or width s changes is built
+once per (pre-state, couplings) and kept in a 32-entry least-recently-used
+cache: the branch systems of ``couple`` and their pruning, the eigenvalue
+pattern v (branch i moves by g_k v_ik on axis k), the post-selected weights
+and the D2/D3 cross matrices systems^dag M systems.  The cache is safe: its
+keys are the frozen kets and observables themselves, which compare by
+identity; its arrays are read-only; a build that raises is not cached.
+Each analysis then evaluates one Gram matrix: the D2/D3 probabilities sum
+cross * Gram, and the mixture's pair expansion reads the kept branches'
+block of it, which is elementwise and so bit-identical to a new evaluation.
+
 Random stream, ``STREAM_VERSION = 4``
 -------------------------------------
 Randomness is counter-based: Philox4x64-10 with a two-word key ``[seed,
@@ -85,9 +96,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -101,9 +112,9 @@ from .pointer import (
     _gaussian_exponent,
     _gaussian_norm,
     _overlap_matrix,
+    _postselected_weights,
     couple,
     mixture_density,
-    postselect_pointer,
 )
 from .qstate import Ket, SpectralObservable
 
@@ -224,25 +235,53 @@ def analyze(experiment: Experiment) -> ExperimentAnalysis:
     and O the pointer overlap Gram matrix, so measurement disturbance is
     included; P(D1) is the post-selected mixture's normalisation Z.  A
     post-selection that can never succeed yields mixture None and P(D1) = 0
-    rather than an exception.  Computed once per experiment (module
-    docstring).
+    rather than an exception.  Computed once per experiment, from one Gram
+    matrix and a structure cached per (pre-state, couplings) (module docstring).
     """
     return experiment._analysis
 
 
-def _analyze(experiment: Experiment) -> ExperimentAnalysis:
-    coupled = CoupledState(experiment.pre.amps[None, :], np.zeros((1, 0)), ())
-    for obs, pointer in experiment.couplings:
-        coupled = couple(coupled, obs, pointer)
-    try:
-        mixture, success = postselect_pointer(coupled, postselected_state())
-    except NullPostSelection:
-        mixture, success = None, 0.0
-    gram = _overlap_matrix(coupled.displacements, coupled.widths())
+class _Structure(NamedTuple):
+    """The part of an analysis that no coupling g or width s changes (module docstring); arrays read-only."""
+
+    pattern: np.ndarray  # v, (branches, axes): branch i's displacement on axis k is g_k v_ik
+    cross: tuple[np.ndarray, np.ndarray]  # systems^dag M systems of D2 and D3, (branches, branches)
+    kept: np.ndarray  # indices of the branches whose post-selected weight is not negligible
+    weights: np.ndarray  # post-selected weights of the kept branches
+
+
+@lru_cache(maxsize=32)
+def _structure(pre: Ket, couplings: tuple[tuple[SpectralObservable, Axis], ...]) -> _Structure:
+    """The structure of ``pre`` coupled to ``(observable, axis)`` pairs in order: ``couple`` at g = s = 1."""
+    coupled = CoupledState(pre.amps[None, :], np.zeros((1, 0)), ())
+    for obs, axis in couplings:
+        coupled = couple(coupled, obs, GaussianPointer(width=1.0, coupling=1.0, axis=axis))
+    systems = coupled.systems
     projectors = detector_projectors()
+    cross = tuple(systems.conj() @ projectors[detector] @ systems.T for detector in (Detector.D2, Detector.D3))
+    weights, keep = _postselected_weights(systems, postselected_state())
+    kept, weights = np.flatnonzero(keep), weights[keep]
+    for array in (*cross, kept, weights):
+        array.setflags(write=False)
+    return _Structure(coupled.displacements, cross, kept, weights)
+
+
+def _analyze(experiment: Experiment) -> ExperimentAnalysis:
+    pointers = experiment.pointers()
+    structure = _structure(experiment.pre, tuple((obs, pointer.axis) for obs, pointer in experiment.couplings))
+    widths = np.array([pointer.width for pointer in pointers], dtype=float)
+    displacements = structure.pattern * np.array([pointer.coupling for pointer in pointers], dtype=float)
+    gram = _overlap_matrix(displacements, widths)
+    mixture, success, kept = None, 0.0, structure.kept
+    if kept.size:
+        kept_gram = gram[kept[:, None], kept]
+        mixture = PointerMixture(structure.weights, displacements[kept], widths, experiment.axes(), _gram=kept_gram)
+        try:
+            success = mixture.expansion.total
+        except NullPostSelection:
+            mixture = None
     probabilities = {Detector.D1: success}
-    for detector in (Detector.D2, Detector.D3):
-        cross = coupled.systems.conj() @ projectors[detector] @ coupled.systems.T
+    for detector, cross in zip((Detector.D2, Detector.D3), structure.cross):
         probabilities[detector] = min(1.0, max(0.0, float(np.sum(cross * gram).real)))
     return ExperimentAnalysis(detector_probabilities=MappingProxyType(probabilities), mixture=mixture)
 

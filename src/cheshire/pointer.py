@@ -30,9 +30,9 @@ value, at the price of needing many repetitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -171,6 +171,9 @@ class PointerMixture:
     displacements: np.ndarray
     widths: np.ndarray
     axes: tuple[Axis, ...]
+    # The overlap Gram matrix of these branches when the caller has it already;
+    # the expansion releases it, so a ``dataclasses.replace`` copy cannot inherit it.
+    _gram: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         weights = _freeze(self, "weights", np.complex128)
@@ -197,13 +200,16 @@ class PointerMixture:
         bits.  The arrays are read-only, as the expansion is shared by every
         user of the mixture.  Raises NullPostSelection when Z < NULL_TOLERANCE.
         """
-        weights, displacements = self.weights, self.displacements
-        products = (weights.conj()[:, None] * weights[None, :] * _overlap_matrix(displacements, self.widths)).real
+        weights, displacements, gram = self.weights, self.displacements, self._gram
+        if gram is None:
+            gram = _overlap_matrix(displacements, self.widths)
+        object.__setattr__(self, "_gram", None)
+        products = (weights.conj()[:, None] * weights[None, :] * gram).real
         total = float(products.sum())
         if total < NULL_TOLERANCE:
             raise NullPostSelection("post-selected pointer state has vanishing norm")
-        i, j = np.triu_indices(len(weights))
-        coefficients = np.where(i == j, 1.0, 2.0) * products[i, j] / total
+        i, j, doubling = _pairs(len(weights))
+        coefficients = doubling * products[i, j] / total
         midpoints = 0.5 * (displacements[i] + displacements[j])
         for array in (coefficients, midpoints):
             array.setflags(write=False)
@@ -256,13 +262,25 @@ def postselect_pointer(coupled: CoupledState, post: Ket) -> tuple[PointerMixture
     sum_ij conj(w_i) w_j O_ij, which is real and nonnegative.  Raises
     NullPostSelection when it is below NULL_TOLERANCE.
     """
-    weights = coupled.systems @ post.amps.conj()
-    magnitudes = np.abs(weights)
-    keep = magnitudes > _PRUNE * max(1.0, float(magnitudes.max()))
+    weights, keep = _postselected_weights(coupled.systems, post)
     if not keep.any():
         raise NullPostSelection("post-state is orthogonal to every surviving branch")
     mixture = PointerMixture(weights[keep], coupled.displacements[keep], coupled.widths(), coupled.axes())
     return mixture, mixture.expansion.total
+
+
+@lru_cache(maxsize=16)
+def _pairs(branches: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column of each pair i <= j in row-major order, and its factor: 1 on the diagonal, else 2."""
+    i, j = np.triu_indices(branches)
+    return i, j, np.where(i == j, 1.0, 2.0)
+
+
+def _postselected_weights(systems: np.ndarray, post: Ket) -> tuple[np.ndarray, np.ndarray]:
+    """Weights <post|branch_i> of system rows, and the mask of those not negligible."""
+    weights = systems @ post.amps.conj()
+    magnitudes = np.abs(weights)
+    return weights, magnitudes > _PRUNE * max(1.0, float(magnitudes.max()))
 
 
 def mixture_moments(m: PointerMixture) -> dict[Axis, Moments]:

@@ -295,8 +295,8 @@ def test_single_run_analyzes_once(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "_overlap_matrix", counting_overlaps)
     assert main(["--preset", "weak-cheshire", "--shots", "300", "--out-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
-    # One Gram matrix for the detector probabilities, one for the mixture.
-    assert len(grams) <= 2
+    # One Gram matrix serves the detector probabilities and the mixture.
+    assert len(grams) == 1
 
 
 def reject_constant(name):
@@ -365,6 +365,35 @@ def test_expected_summary_reuses_the_memoised_analysis(monkeypatch):
     assert expected_summary(config, experiment) == first
     assert analyze(experiment) is analysis
     assert calls == [experiment]
+
+
+REFERENCE_SCAN = Path(__file__).resolve().parents[1] / "perfbench" / "reference_scan.json"
+
+
+def assert_matches_reference(got, want, path="expected"):
+    """``got`` equals the recorded ``want`` to 1e-12 relative + 1e-15 absolute, as perfbench checks it."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), path
+        for key in want:
+            assert_matches_reference(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, (int, float)) and isinstance(got, (int, float)):
+        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)) + 1e-15, (path, got, want)
+    else:
+        assert got == want, path
+
+
+def test_expected_summary_matches_the_recorded_scan():
+    reference = json.loads(REFERENCE_SCAN.read_text(encoding="utf-8"))
+    width = reference["width"]
+    for preset, table in reference["couplings"].items():
+        for index in range(0, len(table["g_over_s"]), 8):
+            g = table["g_over_s"][index] * width
+            config = ExperimentConfig(
+                preset=preset, g_vertical=g, g_horizontal=g, s=width, shots=1, seed=0, out_dir=Path(".")
+            )
+            want = {**table["shared"], **table["points"][index]}
+            del want["density_sum"]
+            assert_matches_reference(expected_summary(config, build_experiment(config)), want, f"{preset}[{index}]")
 
 
 def test_separately_built_experiments_give_bit_equal_summaries():

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cheshire import (
     Axis,
     Detector,
+    DuplicateAxis,
     Experiment,
     GaussianPointer,
     InsufficientData,
     LowAcceptance,
+    NullPostSelection,
+    PointerMixture,
     ShotBatch,
     SpectralObservable,
     Tally,
@@ -15,14 +20,18 @@ from cheshire import (
     analyze,
     canonical_observables,
     canonical_states,
+    couple,
     estimate,
     mixture_density,
     mixture_moments,
+    postselect_pointer,
     run_interferometer,
     sample_shots,
 )
-from cheshire import montecarlo
+from cheshire import cli, montecarlo
+from cheshire.optics import detector_projectors, postselected_state
 from cheshire.montecarlo import STREAM_VERSION, _detector_uniforms, _philox
+from cheshire.pointer import _overlap_matrix
 from cheshire.qstate import ket, normalize
 from oracles import bin_masses, detector_uniforms
 
@@ -40,9 +49,9 @@ def cheshire_experiment(g=1e-2, h=1e-2, s=1.0):
     )
 
 
-def single_probe_experiment(name, g, axis=Axis.HORIZONTAL, s=1.0):
+def single_probe_experiment(name, g, axis=Axis.HORIZONTAL, s=1.0, pre=PRE):
     return Experiment(
-        pre=PRE, couplings=((OBS[name], GaussianPointer(width=s, coupling=g, axis=axis)),)
+        pre=pre, couplings=((OBS[name], GaussianPointer(width=s, coupling=g, axis=axis)),)
     )
 
 
@@ -368,6 +377,125 @@ def test_impossible_postselection_rejects_every_shot():
     assert batch.attempts == 0
     with pytest.raises(InsufficientData):
         estimate(batch, experiment)
+
+
+# --- the per-structure analysis ----------------------------------------------
+
+#: (observable, axis) couplings of the four single-run presets; joint-strong shares weak-cheshire's.
+PRESET_COUPLINGS = {
+    preset: tuple((OBS[name], axis) for name, axis in config.couplings) for preset, config in cli.PRESETS.items()
+}
+RATIOS = np.logspace(-3.0, 2.0, 64)
+
+
+def oracle_analysis(pre, couplings):
+    """Detector probabilities and mixture from the public chain: couple, postselect_pointer and the Gram sums."""
+    coupled = pre
+    for obs, pointer in couplings:
+        coupled = couple(coupled, obs, pointer)
+    try:
+        mixture, success = postselect_pointer(coupled, postselected_state())
+    except NullPostSelection:
+        mixture, success = None, 0.0
+    gram = _overlap_matrix(coupled.displacements, coupled.widths())
+    probabilities = {Detector.D1: success}
+    for detector in (Detector.D2, Detector.D3):
+        cross = coupled.systems.conj() @ detector_projectors()[detector] @ coupled.systems.T
+        probabilities[detector] = min(1.0, max(0.0, float(np.sum(cross * gram).real)))
+    return probabilities, mixture
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_COUPLINGS))
+def test_analysis_matches_the_public_chain(preset):
+    # Unequal couplings per axis, and one run with the first coupling zero.
+    width = 0.5
+    scales = [(0.0, 1.0)] + [(ratio, 0.6 * ratio) for ratio in RATIOS]
+    for scale in scales:
+        couplings = tuple(
+            (obs, GaussianPointer(width=width, coupling=factor * width, axis=axis))
+            for (obs, axis), factor in zip(PRESET_COUPLINGS[preset], scale)
+        )
+        analysis = analyze(Experiment(pre=PRE, couplings=couplings))
+        probabilities, mixture = oracle_analysis(PRE, couplings)
+        for detector in Detector:
+            assert_close(analysis.detector_probabilities[detector], probabilities[detector])
+        got, want = analysis.mixture, mixture
+        assert got.axes == want.axes
+        for name in ("weights", "displacements", "widths"):
+            assert_close(getattr(got, name), getattr(want, name))
+        for got_part, want_part in zip(got.expansion, want.expansion):
+            assert_close(got_part, want_part)
+
+
+def test_a_copy_of_an_analysed_mixture_evaluates_its_own_gram():
+    mixture = analyze(cheshire_experiment(g=0.5, h=0.5)).mixture
+    moved = dataclasses.replace(mixture, displacements=3.0 * mixture.displacements)
+    fresh = PointerMixture(moved.weights, moved.displacements, moved.widths, moved.axes)
+    for got, want in zip(moved.expansion, fresh.expansion):
+        assert np.array_equal(got, want)
+
+
+def test_experiments_with_equal_inputs_share_one_structure():
+    pre = ket(np.full(4, 0.5))  # a new key: no earlier test built its structure
+    couplings = cheshire_experiment().couplings
+    misses = montecarlo._structure.cache_info().misses
+    first = analyze(Experiment(pre=pre, couplings=couplings))
+    second = analyze(Experiment(pre=pre, couplings=couplings))
+    assert montecarlo._structure.cache_info().misses == misses + 1
+    assert second is not first
+    assert dict(second.detector_probabilities) == dict(first.detector_probabilities)
+
+
+def test_a_new_observable_with_equal_projectors_gives_equal_results():
+    obs = OBS["angular_momentum_arm2"]
+    twin = SpectralObservable(obs.branches)
+    pointer = GaussianPointer(width=1.0, coupling=0.3, axis=Axis.HORIZONTAL)
+    analysis = analyze(Experiment(pre=PRE, couplings=((obs, pointer),)))
+    other = analyze(Experiment(pre=PRE, couplings=((twin, pointer),)))
+    assert dict(other.detector_probabilities) == dict(analysis.detector_probabilities)
+    for got, want in zip(other.mixture.expansion, analysis.mixture.expansion):
+        assert np.array_equal(got, want)
+
+
+def test_invalid_observables_raise_on_every_analysis():
+    bad = SpectralObservable(((1.0, 2.0 * np.eye(4)),))
+    experiment = Experiment(
+        pre=PRE, couplings=((bad, GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)),)
+    )
+    before = montecarlo._structure.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid spectral observable"):
+            analyze(experiment)
+    after = montecarlo._structure.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+def test_repeated_axis_raises_duplicate_axis():
+    pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
+    experiment = Experiment(
+        pre=PRE, couplings=((OBS["photon_in_arm1"], pointer), (OBS["angular_momentum_arm2"], pointer))
+    )
+    for _ in range(2):
+        with pytest.raises(DuplicateAxis):
+            analyze(experiment)
+
+
+def test_structure_arrays_are_read_only():
+    structure = montecarlo._structure(PRE, PRESET_COUPLINGS["weak-cheshire"])
+    for array in (structure.pattern, *structure.cross, structure.kept, structure.weights):
+        assert not array.flags.writeable
+
+
+def test_structure_cache_stays_bounded():
+    bound = montecarlo._structure.cache_info().maxsize
+    for k in range(bound + 3):
+        pre = normalize(ket([1.0, 1.0, 1.0, 1.0 + k]))
+        analyze(single_probe_experiment("photon_in_arm1", 0.1, pre=pre))
+    assert montecarlo._structure.cache_info().currsize <= bound
 
 
 # --- shot records and estimates -----------------------------------------------
