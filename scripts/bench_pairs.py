@@ -1,0 +1,88 @@
+"""Compare two source trees on one benchmark workload by alternating pairs of runs.
+
+Usage: ``python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W [--pairs 10] [--seconds 40]``
+
+Each tree is a checkout with ``perfbench/`` and the package under ``src/``.
+Pair ``k`` (from 1) runs ``python3 perfbench/run.py --workload W --seed k
+--seconds S --trace 0`` in each tree, the parent first on odd pairs and the
+change first on even ones, so drift in the host's speed falls on both sides
+alike.  The script prints each pair's end-to-end metrics, then per metric
+each side's median and quartiles and the number of pairs the change won:
+had a strictly better value, in the direction ``BENCHMARK.json`` gives for
+the metric.  Exits 0 when every run was correct, 1 as soon as a run fails
+or reports a failed process, and 2 on wrong arguments.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+SIDES = ("parent", "change")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """One benchmark run in ``tree``; returns its end-to-end metric values, or exits 1 if it failed."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    result = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = result.stdout.strip().splitlines()
+    try:
+        report = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        report = {}
+    if result.returncode or not report.get("correct") or report.get("failed"):
+        sys.stderr.write(result.stdout + result.stderr)
+        sys.exit(f"{tree}: {workload} at seed {seed} failed (exit {result.returncode})")
+    return {name: row["value"] for name, row in report["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, as perfbench summarises its processes."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="source tree of the parent commit")
+    parser.add_argument("change", type=Path, help="source tree of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=40.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
+    better = {metric["name"]: metric["better"] for metric in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    samples: dict[str, list[dict[str, float]]] = {side: [] for side in SIDES}
+    for pair in range(1, args.pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for side in order:
+            samples[side].append(run_once(trees[side], args.workload, pair, args.seconds))
+        cells = "  ".join(
+            f"{name} {samples['parent'][-1][name]:.6g} -> {samples['change'][-1][name]:.6g}" for name in better
+        )
+        print(f"pair {pair} ({order[0]} first): {cells}", flush=True)
+    for name, direction in better.items():
+        values = {side: [sample[name] for sample in samples[side]] for side in SIDES}
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        cells = []
+        for side in SIDES:
+            q1, median, q3 = quartiles(values[side])
+            cells.append(f"{side} {median:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
+        summary = "  ".join(cells)
+        print(f"{args.workload} {name} ({direction} is better): {summary}  change won {wins} of {args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -23,8 +23,8 @@ and the D2/D3 cross matrices systems^dag M systems.  The cache is safe: its
 keys are the frozen kets and observables themselves, which compare by
 identity; its arrays are read-only; a build that raises is not cached.
 Each analysis then evaluates one Gram matrix: the D2/D3 probabilities sum
-cross * Gram, and the mixture's pair expansion reads the kept branches'
-block of it, which is elementwise and so bit-identical to a new evaluation.
+cross * Gram, and the mixture is built from the kept branches' block of
+it, which is elementwise and so bit-identical to a new evaluation.
 
 Random stream, ``STREAM_VERSION = 4``
 -------------------------------------
@@ -71,7 +71,7 @@ expected acceptance is ``1 / (mass of E)``.  There is one envelope type,
 strictly higher expected acceptance (the midpoint one on a tie), built
 once, on first use, as ``ExperimentAnalysis.envelope``.
 
-- Midpoint.  The pair expansion (``PointerMixture.expansion``) writes the
+- Midpoint.  The mixture's pair expansion (``PointerMixture``) writes the
   density as a signed sum of midpoint Gaussians, ``f(x) = sum_{i<=j}
   Re(c_ij) N(x; m_ij, s^2)``.  Dropping the negative terms leaves ``a`` =
   the positive ``Re c_ij``, ``mu`` = their midpoints and ``sigma = 1``.
@@ -95,6 +95,7 @@ drawing anything.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -272,15 +273,12 @@ def _analyze(experiment: Experiment) -> ExperimentAnalysis:
     widths = np.array([pointer.width for pointer in pointers], dtype=float)
     displacements = structure.pattern * np.array([pointer.coupling for pointer in pointers], dtype=float)
     gram = _overlap_matrix(displacements, widths)
-    mixture, success, kept = None, 0.0, structure.kept
+    mixture, kept = None, structure.kept
     if kept.size:
         kept_gram = gram[kept[:, None], kept]
-        mixture = PointerMixture(structure.weights, displacements[kept], widths, experiment.axes(), _gram=kept_gram)
-        try:
-            success = mixture.expansion.total
-        except NullPostSelection:
-            mixture = None
-    probabilities = {Detector.D1: success}
+        with suppress(NullPostSelection):
+            mixture = PointerMixture(structure.weights, displacements[kept], widths, experiment.axes(), _gram=kept_gram)
+    probabilities = {Detector.D1: 0.0 if mixture is None else mixture.total}
     for detector, cross in zip((Detector.D2, Detector.D3), structure.cross):
         probabilities[detector] = min(1.0, max(0.0, float(np.sum(cross * gram).real)))
     return ExperimentAnalysis(detector_probabilities=MappingProxyType(probabilities), mixture=mixture)
@@ -375,11 +373,10 @@ class _Envelope:
     @classmethod
     def midpoint(cls, mixture: PointerMixture) -> _Envelope:
         """The positive midpoint terms of the pair expansion: a = max(Re c_ij, 0), mu = m_ij, sigma = 1."""
-        pairs = mixture.expansion
-        keep = pairs.coefficients > 0
-        weights = pairs.coefficients[keep]
+        keep = mixture.coefficients > 0
+        weights = mixture.coefficients[keep]
         acceptance = min(1.0, 1.0 / float(weights.sum()))
-        return cls("midpoint", mixture, weights, pairs.midpoints[keep], 1.0, acceptance)
+        return cls("midpoint", mixture, weights, mixture.midpoints[keep], 1.0, acceptance)
 
     @classmethod
     def centre(cls, mixture: PointerMixture) -> _Envelope:
@@ -476,7 +473,7 @@ def _centre_log_bounds(
         h = size + (magnitudes * b * np.exp(b)).sum(axis=2)
         cells = (-k[:, None] * r[:, :-1] ** 2 + 2.0 * np.log(h[:, 1:])).max(axis=1)
         beyond = 2.0 * np.log(alpha + beta * tail) - k * tail**2 + reach * tail + reach**2 / 2.0
-        log_bounds = mixture.widths.shape[0] * np.log1p(eps) - math.log(mixture.expansion.total)
+        log_bounds = mixture.widths.shape[0] * np.log1p(eps) - math.log(mixture.total)
         log_bounds = log_bounds + np.maximum(cells, beyond)
     return np.where(np.isnan(log_bounds), np.inf, log_bounds)
 

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .qstate import ATOL, Ket, identity, ket, normalize
+from .qstate import ATOL, Ket, identity, normalize
 
 # Balanced 50:50 mixing of two modes, real (Hadamard-like) convention.
 _MIXER = np.array([[1, 1], [1, -1]], dtype=np.complex128) * (1.0 / np.sqrt(2.0))
@@ -83,7 +83,7 @@ def _projector(modes: tuple[int, ...]) -> np.ndarray:
 
 _PROJECTORS = MappingProxyType({det: _projector(modes) for det, modes in _DETECTOR_MODES.items()})
 (_D1_MODE,) = _DETECTOR_MODES[Detector.D1]
-_POST_STATE = normalize(ket(_UNITARY.conj().T[:, _D1_MODE]))
+_POST_STATE = normalize(Ket(_UNITARY.conj().T[:, _D1_MODE]))
 
 
 def detector_projectors() -> dict[Detector, np.ndarray]:
@@ -134,5 +134,5 @@ def run_interferometer(state_inside: Ket) -> DetectionResult:
         p = float(np.vdot(collapsed, collapsed).real)
         probabilities[detector] = p
         if p > ATOL:
-            conditional[detector] = Ket(collapsed / np.sqrt(p), normalized=True)
+            conditional[detector] = Ket(collapsed / np.sqrt(p))
     return DetectionResult(probabilities=probabilities, conditional_states=conditional)

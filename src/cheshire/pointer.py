@@ -8,10 +8,11 @@ terms and the post-selected pointer state is an exact complex-weighted
 mixture of displaced Gaussians.  All readout statistics then reduce to
 Gaussian overlap (Gram) sums in closed form; no wavepacket grid is evolved.
 
-Branches are array rows from :func:`couple` to the sampler, and each mixture
-computes the Gram sums once, as its pair expansion
-(:attr:`PointerMixture.expansion`); the success probability, the moments,
-the density and the readout sampler in ``cheshire.montecarlo`` all read it.
+Branches are array rows from :func:`couple` to the sampler.  A mixture
+forms its pair expansion from the Gram sums once, when it is built
+(:class:`PointerMixture`), and a mixture whose post-selection cannot succeed
+is never built; the success probability, the moments, the density and the
+readout sampler in ``cheshire.montecarlo`` all read that expansion.
 Every Gaussian in the package, whether Gram overlap, branch amplitude or
 envelope term, is exp(-e) of the one exponent ``_gaussian_exponent``,
 e = sum_ax ((x - c) / s)^2 / scale.
@@ -30,14 +31,14 @@ value, at the price of needing many repetitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ATOL, DIM, Ket, SpectralObservable
+from .qstate import ATOL, DIM, Ket, SpectralObservable, validate_spectral
 
 #: Post-selection success probabilities below this are treated as impossible.
 NULL_TOLERANCE = 1e-15
@@ -130,9 +131,9 @@ def couple(
     up an extra displacement ``coupling * eigenvalue`` on the new axis.
     Branches projected to (near) zero are dropped.  Raises DuplicateAxis if
     the axis is already in use, and ValueError if ``obs`` is not a valid
-    spectral observable (checked once per observable).
+    spectral observable.
     """
-    violation = obs.violation
+    violation = validate_spectral(obs)
     if violation is not None:
         raise ValueError(f"invalid spectral observable: {violation}")
     coupled = state_or_coupled
@@ -148,14 +149,6 @@ def couple(
     return CoupledState(systems[keep], displacements[keep], coupled.pointers + (pointer,))
 
 
-class PairExpansion(NamedTuple):
-    """A mixture's density as a signed sum of midpoint Gaussians (see PointerMixture)."""
-
-    total: float  # Z, the Gram sum
-    coefficients: np.ndarray  # Re c_ij for i <= j, off-diagonal doubled
-    midpoints: np.ndarray  # m_ij, shape (pairs, axes)
-
-
 @dataclass(frozen=True, eq=False)
 class PointerMixture:
     """Post-selected pointer state: complex weights on displaced Gaussians.
@@ -164,18 +157,32 @@ class PointerMixture:
     ``widths`` (axes) may be any sequences; they are stored as read-only
     array copies.  The unnormalized density is |sum_i w_i prod_ax G(x_ax -
     d_i_ax)|^2, whose norm is the success probability :func:`postselect_pointer`
-    returns.
+    returns.  When built, the mixture also sets its pair expansion, the
+    density as a signed sum of midpoint Gaussians (Gaussian product rule):
+
+        f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2),
+        c_ij = conj(w_i) w_j O_ij / Z,   m_ij = (d_i + d_j) / 2,
+
+    with O the overlap Gram matrix and ``total`` Z = sum_ij conj(w_i) w_j
+    O_ij.  Pairs (i, j) and (j, i) share the midpoint and the real part, so
+    off-diagonal ``coefficients`` Re c_ij are doubled; ``midpoints`` m_ij
+    has shape (pairs, axes), pairs in row-major branch order.  Sums run in
+    a fixed order: sampled readouts depend on these bits.  Both arrays are
+    read-only.  A caller that has the Gram matrix of these branches passes
+    it as ``_gram``; it is not kept, so a ``dataclasses.replace`` copy
+    evaluates its own.  Raises NullPostSelection when Z < NULL_TOLERANCE.
     """
 
     weights: np.ndarray
     displacements: np.ndarray
     widths: np.ndarray
     axes: tuple[Axis, ...]
-    # The overlap Gram matrix of these branches when the caller has it already;
-    # the expansion releases it, so a ``dataclasses.replace`` copy cannot inherit it.
-    _gram: np.ndarray | None = field(default=None, repr=False)
+    _gram: InitVar[np.ndarray | None] = None
+    total: float = field(init=False)
+    coefficients: np.ndarray = field(init=False, repr=False)
+    midpoints: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _gram: np.ndarray | None) -> None:
         weights = _freeze(self, "weights", np.complex128)
         displacements = _freeze(self, "displacements", float)
         widths = _freeze(self, "widths", float)
@@ -185,25 +192,7 @@ class PointerMixture:
             raise ValueError("one displacement vector per weight, one entry per axis, required")
         if widths.shape != (len(self.axes),):
             raise ValueError("one width per axis required")
-
-    @cached_property
-    def expansion(self) -> PairExpansion:
-        """The density as a signed sum of midpoint Gaussians (Gaussian product rule):
-
-            f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2),
-            c_ij = conj(w_i) w_j O_ij / Z,   m_ij = (d_i + d_j) / 2,
-
-        with O the overlap Gram matrix and Z = sum_ij conj(w_i) w_j O_ij.
-        Pairs (i, j) and (j, i) share the midpoint and the real part, so
-        off-diagonal coefficients are doubled; pairs are in row-major branch
-        order.  Sums run in a fixed order: sampled readouts depend on these
-        bits.  The arrays are read-only, as the expansion is shared by every
-        user of the mixture.  Raises NullPostSelection when Z < NULL_TOLERANCE.
-        """
-        weights, displacements, gram = self.weights, self.displacements, self._gram
-        if gram is None:
-            gram = _overlap_matrix(displacements, self.widths)
-        object.__setattr__(self, "_gram", None)
+        gram = _overlap_matrix(displacements, widths) if _gram is None else _gram
         products = (weights.conj()[:, None] * weights[None, :] * gram).real
         total = float(products.sum())
         if total < NULL_TOLERANCE:
@@ -213,7 +202,9 @@ class PointerMixture:
         midpoints = 0.5 * (displacements[i] + displacements[j])
         for array in (coefficients, midpoints):
             array.setflags(write=False)
-        return PairExpansion(total, coefficients, midpoints)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "midpoints", midpoints)
 
 
 class Moments(NamedTuple):
@@ -266,7 +257,7 @@ def postselect_pointer(coupled: CoupledState, post: Ket) -> tuple[PointerMixture
     if not keep.any():
         raise NullPostSelection("post-state is orthogonal to every surviving branch")
     mixture = PointerMixture(weights[keep], coupled.displacements[keep], coupled.widths(), coupled.axes())
-    return mixture, mixture.expansion.total
+    return mixture, mixture.total
 
 
 @lru_cache(maxsize=16)
@@ -286,7 +277,7 @@ def _postselected_weights(systems: np.ndarray, post: Ket) -> tuple[np.ndarray, n
 def mixture_moments(m: PointerMixture) -> dict[Axis, Moments]:
     """Per-axis mean and variance of the pointer density, in closed form.
 
-    Each term of the pair expansion (:attr:`PointerMixture.expansion`) is a
+    Each term of the mixture's pair expansion (:class:`PointerMixture`) is a
     Gaussian of variance s^2 centred at its midpoint m_p, so
 
         mean   = sum_p c_p m_p
@@ -294,11 +285,10 @@ def mixture_moments(m: PointerMixture) -> dict[Axis, Moments]:
 
     with c_p the real pair coefficients, which sum to 1.
     """
-    pairs = m.expansion
-    coefficients = pairs.coefficients[:, None]
+    coefficients = m.coefficients[:, None]
     # Fixed-order sums: symmetric terms cancel exactly, as BLAS may not.
-    means = (coefficients * pairs.midpoints).sum(axis=0)
-    seconds = (coefficients * (pairs.midpoints**2 + m.widths**2)).sum(axis=0)
+    means = (coefficients * m.midpoints).sum(axis=0)
+    seconds = (coefficients * (m.midpoints**2 + m.widths**2)).sum(axis=0)
     return {
         axis: Moments(mean=float(means[k]), variance=float(seconds[k] - means[k] ** 2))
         for k, axis in enumerate(m.axes)
@@ -320,7 +310,7 @@ def weak_limit_error(m: PointerMixture, couplings, weak_values) -> np.ndarray:
     overlap_minus_1 = np.expm1(-_gaussian_exponent(d, d, m.widths, 8.0))
     factors = (m.weights.conj()[:, None] * m.weights[None, :]).real * overlap_minus_1
     deviations = 0.5 * (d[:, None, :] + d[None, :, :]) / np.asarray(couplings) - np.asarray(weak_values)
-    return np.abs((factors[:, :, None] * deviations).sum(axis=(0, 1))) / m.expansion.total
+    return np.abs((factors[:, :, None] * deviations).sum(axis=(0, 1))) / m.total
 
 
 def mixture_density(m: PointerMixture, point) -> float | np.ndarray:
@@ -338,5 +328,5 @@ def mixture_density(m: PointerMixture, point) -> float | np.ndarray:
     amps = np.exp(-_gaussian_exponent(flat, m.displacements, m.widths, 4.0))
     real = (m.weights.real[:, None] * amps).sum(axis=0)
     imag = (m.weights.imag[:, None] * amps).sum(axis=0)
-    density = (_gaussian_norm(m.widths) / m.expansion.total) * (real * real + imag * imag)
+    density = (_gaussian_norm(m.widths) / m.total) * (real * real + imag * imag)
     return float(density[0]) if points.ndim == 1 else density.reshape(batch_shape)

@@ -12,21 +12,19 @@ eigenvalues +1/-1).  Linear polarisations follow the real convention
 so every canonical state and observable in this package has real
 coefficients in the canonical basis.
 
-Operators are plain 4x4 complex numpy arrays; states carry an explicit
-``normalized`` flag because intermediate results of projections are
-deliberately left unnormalized.
+Operators are plain 4x4 complex numpy arrays.  Intermediate results of
+projections are deliberately left unnormalized, so each ket derives a
+``normalized`` flag from its amplitudes when it is built.
 
-Kets and spectral observables freeze their arrays read-only, so values
-derived from them alone are computed once: the canonical states and
-observables once per process (the observables come in a new dict on each
-call) and an observable's spectral check once per observable
-(:attr:`SpectralObservable.violation`).
+Kets and spectral observables freeze their arrays read-only, so the
+canonical states and observables are built once per process (the
+observables come in a new dict on each call).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -41,35 +39,26 @@ ATOL = 1e-12
 class Ket:
     """State vector over the canonical basis.
 
-    ``amps`` is a read-only complex array of length 4.  ``normalized`` is
-    True only when the squared norm is 1 within ``ATOL``; projections and
-    other intermediates carry False.
+    ``amps`` is a read-only complex copy of the 4 amplitudes given.
+    ``normalized``, derived from them, is True exactly when the squared
+    norm is 1 within ``ATOL``.
     """
 
     amps: np.ndarray
-    normalized: bool
+    normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=np.complex128)
+        amps = np.array(self.amps, dtype=np.complex128)
         if amps.shape != (DIM,):
             raise ValueError(f"ket must have {DIM} amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("ket amplitudes must be finite")
-        if self.normalized and abs(np.vdot(amps, amps).real - 1.0) > ATOL:
-            raise ValueError("ket flagged normalized but its squared norm is not 1")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "normalized", bool(abs(np.vdot(amps, amps).real - 1.0) <= ATOL))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-
-def ket(amps) -> Ket:
-    """Build a Ket from amplitudes, setting the normalized flag from the norm."""
-    amps = np.asarray(amps, dtype=np.complex128)
-    norm2 = float(np.vdot(amps, amps).real) if amps.shape == (DIM,) else np.nan
-    return Ket(amps, normalized=bool(abs(norm2 - 1.0) <= ATOL))
 
 
 def normalize(state: Ket) -> Ket:
@@ -77,7 +66,7 @@ def normalize(state: Ket) -> Ket:
     n = state.norm()
     if n < ATOL:
         raise ValueError("cannot normalize a zero ket")
-    return Ket(state.amps / n, normalized=True)
+    return Ket(state.amps / n)
 
 
 def inner(bra: Ket, ket: Ket) -> complex:
@@ -86,11 +75,11 @@ def inner(bra: Ket, ket: Ket) -> complex:
 
 
 def apply(op: np.ndarray, state: Ket) -> Ket:
-    """Matrix-vector product ``op @ state``; the result is flagged unnormalized."""
+    """Matrix-vector product ``op @ state``; the result's ``normalized`` flag is derived from its norm."""
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (DIM, DIM):
         raise ValueError(f"operator must be {DIM}x{DIM}, got shape {op.shape}")
-    return Ket(op @ state.amps, normalized=False)
+    return Ket(op @ state.amps)
 
 
 def identity() -> np.ndarray:
@@ -120,11 +109,6 @@ class SpectralObservable:
             if abs(value - eigenvalue) <= ATOL:
                 return proj
         raise ValueError(f"{eigenvalue!r} is not an eigenvalue of this observable")
-
-    @cached_property
-    def violation(self) -> SpectralViolation | None:
-        """``validate_spectral(self)``, run once: the projectors are read-only."""
-        return validate_spectral(self)
 
 
 def observable_operator(obs: SpectralObservable) -> np.ndarray:
@@ -204,8 +188,8 @@ def canonical_states() -> tuple[Ket, Ket]:
 
     Built once per process; Kets are immutable, and so is the tuple.
     """
-    pre = ket(np.full(DIM, 0.5))
-    post = ket([0.5, 0.5, 0.5, -0.5])
+    pre = Ket(np.full(DIM, 0.5))
+    post = Ket([0.5, 0.5, 0.5, -0.5])
     return pre, post
 
 

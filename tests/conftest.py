@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cheshire import canonical_observables, canonical_states
-from cheshire.qstate import ket, normalize
+from cheshire.qstate import Ket, normalize
 
 
 def pytest_addoption(parser):
@@ -39,6 +39,6 @@ def random_state():
 
     def make(rng: np.random.Generator):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        return normalize(ket(amps))
+        return normalize(Ket(amps))
 
     return make

@@ -28,7 +28,7 @@ from cheshire import (
     weak_value,
 )
 from cheshire.cli import write_shots_csv
-from cheshire.qstate import inner, ket, normalize
+from cheshire.qstate import Ket, inner, normalize
 from oracles import collapse_chain_distribution, lobe_masses, quadrature_moments
 
 PRE, POST = canonical_states()
@@ -99,7 +99,7 @@ def test_criterion_5_postselection_equivalence():
     worst = 0.0
     for _ in range(120):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        state = normalize(ket(amps))
+        state = normalize(Ket(amps))
         p_d1 = run_interferometer(state).probabilities[Detector.D1]
         worst = max(worst, abs(p_d1 - abs(inner(POST, state)) ** 2))
     overlap = abs(inner(POST, PRE)) ** 2

@@ -83,6 +83,23 @@ def test_unknown_config_key_rejected(tmp_path):
         parse_config(["--config", str(config_file)])
 
 
+def test_unreadable_config_files_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json")
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    for path, message in (
+        (missing, f"config: cannot read {missing}: "),
+        (invalid, f"config: cannot read {invalid}: "),
+        (array, "config: file must contain a JSON object"),
+    ):
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"cheshire: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [
@@ -120,6 +137,10 @@ def test_unknown_config_key_rejected(tmp_path):
         ({"seed": " 7 "}, "seed"),
         ({"s": "0.5"}, "s"),
         ({"g_vertical": "0.01"}, "g_vertical"),
+        # JSON values of the wrong type
+        ({"s": [1.0]}, "s"),
+        ({"shots": None}, "shots"),
+        ({"seed": {}}, "seed"),
     ],
 )
 def test_invalid_values_name_the_key(tmp_path, argv, key):
@@ -612,6 +633,24 @@ def test_unallocatable_shot_count_exits_1(tmp_path, capsys):
 def assert_no_shots_csv(out_dir: Path) -> None:
     assert not (out_dir / "shots.csv").exists()
     assert not (out_dir / "shots.csv.partial").exists()
+
+
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    # The second of two chunks fails to allocate: the run exits 1 and removes its rows.
+    calls = []
+
+    def failing_sample_shots(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError()
+        return sample_shots(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_shots", failing_sample_shots)
+    out_dir = tmp_path / "oom"
+    assert main(["--shots", "70000", "--out-dir", str(out_dir)]) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == "cheshire: out of memory: allocation failed\n"
+    assert_no_shots_csv(out_dir)
 
 
 def test_failed_runs_leave_no_shots_csv(tmp_path, monkeypatch, capsys):

@@ -32,7 +32,7 @@ from cheshire import cli, montecarlo
 from cheshire.optics import detector_projectors, postselected_state
 from cheshire.montecarlo import STREAM_VERSION, _detector_uniforms, _philox
 from cheshire.pointer import _overlap_matrix
-from cheshire.qstate import ket, normalize
+from cheshire.qstate import Ket, normalize
 from oracles import bin_masses, detector_uniforms
 
 OBS = canonical_observables()
@@ -260,7 +260,7 @@ def test_near_null_postselection_fails_fast():
     # have weights a, a, -2a, so both the weights and their first moment sum
     # to 0, and the density is O(g^4) while the envelope bounds keep O(g^2).
     experiment = Experiment(
-        pre=normalize(ket([-1, -1, 1, -1])),
+        pre=normalize(Ket([-1, -1, 1, -1])),
         couplings=(
             (OBS["angular_momentum_arm2"], GaussianPointer(width=1.0, coupling=1e-2, axis=Axis.HORIZONTAL)),
         ),
@@ -281,7 +281,7 @@ def test_first_order_near_null_postselection_samples():
     arm1 = [p for value, p in OBS["photon_in_arm1"].branches if value == 1.0][0]
     amps = arm1 @ POST.amps - (np.eye(4) - arm1) @ POST.amps + 1e-3 * POST.amps
     experiment = Experiment(
-        pre=normalize(ket(amps)),
+        pre=normalize(Ket(amps)),
         couplings=((OBS["photon_in_arm1"], GaussianPointer(width=1.0, coupling=1e-2, axis=Axis.VERTICAL)),),
     )
     analysis = analyze(experiment)
@@ -295,6 +295,29 @@ def test_first_order_near_null_postselection_samples():
     assert len(sample_shots(experiment, 1000, seed=0)) == 1000  # no LowAcceptance
 
 
+def null_norm_experiment(post_share):
+    """An arm-1 probe at g = 0 on the pre-state's part orthogonal to the post-state, plus ``post_share`` of that."""
+    orth = normalize(Ket(PRE.amps - np.vdot(POST.amps, PRE.amps) * POST.amps))
+    pre = normalize(Ket(orth.amps + post_share * POST.amps))
+    return single_probe_experiment("photon_in_arm1", 0.0, axis=Axis.VERTICAL, pre=pre)
+
+
+def test_analysis_falls_back_when_kept_branches_have_a_null_norm():
+    # The branches survive pruning, but their Gram sum Z ~ 1e-16 is below NULL_TOLERANCE.
+    experiment = null_norm_experiment(1e-8)
+    analysis = analyze(experiment)
+    probabilities = analysis.detector_probabilities
+    assert analysis.mixture is None and analysis.envelope is None
+    assert probabilities[Detector.D1] == 0.0
+    assert probabilities[Detector.D2] + probabilities[Detector.D3] == pytest.approx(1.0, abs=1e-12)
+    batch = sample_shots(experiment, 1000, seed=0)
+    assert not (batch.detector == 1).any() and batch.attempts == 0
+    # Ten times the post-state share gives Z ~ 1e-14, and the mixture exists.
+    analysis = analyze(null_norm_experiment(1e-7))
+    assert analysis.mixture is not None
+    assert analysis.detector_probabilities[Detector.D1] == pytest.approx(1e-14, rel=0.1)
+
+
 # --- analysis ----------------------------------------------------------------
 
 
@@ -303,7 +326,7 @@ def test_detector_probabilities_sum_to_one():
         analysis = analyze(experiment)
         assert sum(analysis.detector_probabilities.values()) == pytest.approx(1.0, abs=1e-12)
         assert analysis.detector_probabilities[Detector.D1] == pytest.approx(
-            analysis.mixture.expansion.total, abs=1e-12
+            analysis.mixture.total, abs=1e-12
         )
 
 
@@ -314,7 +337,9 @@ def test_analysis_is_memoised_per_experiment_and_read_only():
     with pytest.raises(TypeError):
         analysis.detector_probabilities[Detector.D1] = 0.0
     with pytest.raises(ValueError):
-        analysis.mixture.expansion.coefficients[:] = 0.0
+        analysis.mixture.coefficients[:] = 0.0
+    with pytest.raises(ValueError):
+        analysis.mixture.midpoints[:] = 0.0
     other = cheshire_experiment()
     assert analyze(other) is not analysis
     assert dict(analyze(other).detector_probabilities) == dict(analysis.detector_probabilities)
@@ -363,7 +388,7 @@ def test_experiment_without_pointers_samples_detectors_only():
 
 def test_impossible_postselection_rejects_every_shot():
     # Arm-1 V-polarised light never reaches D1; all shots land on D2/D3.
-    pre = normalize(ket([1, -1, 0, 0]))
+    pre = normalize(Ket([1, -1, 0, 0]))
     experiment = Experiment(
         pre=pre,
         couplings=((OBS["photon_in_arm1"], GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)),),
@@ -427,20 +452,20 @@ def test_analysis_matches_the_public_chain(preset):
         assert got.axes == want.axes
         for name in ("weights", "displacements", "widths"):
             assert_close(getattr(got, name), getattr(want, name))
-        for got_part, want_part in zip(got.expansion, want.expansion):
-            assert_close(got_part, want_part)
+        for name in ("total", "coefficients", "midpoints"):
+            assert_close(getattr(got, name), getattr(want, name))
 
 
 def test_a_copy_of_an_analysed_mixture_evaluates_its_own_gram():
     mixture = analyze(cheshire_experiment(g=0.5, h=0.5)).mixture
     moved = dataclasses.replace(mixture, displacements=3.0 * mixture.displacements)
     fresh = PointerMixture(moved.weights, moved.displacements, moved.widths, moved.axes)
-    for got, want in zip(moved.expansion, fresh.expansion):
-        assert np.array_equal(got, want)
+    for name in ("total", "coefficients", "midpoints"):
+        assert np.array_equal(getattr(moved, name), getattr(fresh, name))
 
 
 def test_experiments_with_equal_inputs_share_one_structure():
-    pre = ket(np.full(4, 0.5))  # a new key: no earlier test built its structure
+    pre = Ket(np.full(4, 0.5))  # a new key: no earlier test built its structure
     couplings = cheshire_experiment().couplings
     misses = montecarlo._structure.cache_info().misses
     first = analyze(Experiment(pre=pre, couplings=couplings))
@@ -457,8 +482,8 @@ def test_a_new_observable_with_equal_projectors_gives_equal_results():
     analysis = analyze(Experiment(pre=PRE, couplings=((obs, pointer),)))
     other = analyze(Experiment(pre=PRE, couplings=((twin, pointer),)))
     assert dict(other.detector_probabilities) == dict(analysis.detector_probabilities)
-    for got, want in zip(other.mixture.expansion, analysis.mixture.expansion):
-        assert np.array_equal(got, want)
+    for name in ("total", "coefficients", "midpoints"):
+        assert np.array_equal(getattr(other.mixture, name), getattr(analysis.mixture, name))
 
 
 def test_invalid_observables_raise_on_every_analysis():
@@ -493,7 +518,7 @@ def test_structure_arrays_are_read_only():
 def test_structure_cache_stays_bounded():
     bound = montecarlo._structure.cache_info().maxsize
     for k in range(bound + 3):
-        pre = normalize(ket([1.0, 1.0, 1.0, 1.0 + k]))
+        pre = normalize(Ket([1.0, 1.0, 1.0, 1.0 + k]))
         analyze(single_probe_experiment("photon_in_arm1", 0.1, pre=pre))
     assert montecarlo._structure.cache_info().currsize <= bound
 

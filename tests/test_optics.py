@@ -10,7 +10,7 @@ from cheshire.optics import (
     detector_projectors,
     postselected_state,
 )
-from cheshire.qstate import ATOL, apply, inner, ket
+from cheshire.qstate import ATOL, Ket, apply, inner
 
 SQ2 = np.sqrt(2.0)
 
@@ -31,12 +31,12 @@ def test_input_beamsplitter_prepares_pre_state(pre_post):
     # A horizontally polarised photon entering one port of a balanced
     # beamsplitter comes out as the pre-state.
     pre, _ = pre_post
-    arm1_h = ket([1 / SQ2, 1 / SQ2, 0, 0])
+    arm1_h = Ket([1 / SQ2, 1 / SQ2, 0, 0])
     np.testing.assert_allclose(apply(BEAMSPLITTER, arm1_h).amps, pre.amps, atol=ATOL)
 
 
 def test_balanced_input_leaves_left_port():
-    balanced_h = ket([0.5, 0.5, 0.5, 0.5])
+    balanced_h = Ket([0.5, 0.5, 0.5, 0.5])
     out = apply(BEAMSPLITTER, balanced_h).amps
     np.testing.assert_allclose(out, [1 / SQ2, 1 / SQ2, 0, 0], atol=ATOL)
     assert abs(out[0]) ** 2 + abs(out[1]) ** 2 == pytest.approx(1.0, abs=ATOL)
@@ -63,7 +63,7 @@ def test_post_state_reaches_d1_with_certainty(pre_post):
     ],
 )
 def test_detection_probabilities_by_hand(amps):
-    result = run_interferometer(ket(amps))
+    result = run_interferometer(Ket(amps))
     assert result.probabilities[Detector.D1] == pytest.approx(0.25, abs=ATOL)
     assert result.probabilities[Detector.D2] == pytest.approx(0.5, abs=ATOL)
     assert result.probabilities[Detector.D3] == pytest.approx(0.25, abs=ATOL)
@@ -71,7 +71,7 @@ def test_detection_probabilities_by_hand(amps):
 
 def test_rejects_unnormalized_input():
     with pytest.raises(ValueError):
-        run_interferometer(ket([1, 1, 0, 0]))
+        run_interferometer(Ket([1, 1, 0, 0]))
 
 
 def test_postselection_equivalence_random_states(pre_post, random_state):

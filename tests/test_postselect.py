@@ -14,7 +14,7 @@ from cheshire import (
     sequential_distribution,
     weak_value,
 )
-from cheshire.qstate import ATOL, apply, inner, ket, normalize
+from cheshire.qstate import ATOL, Ket, apply, inner, normalize
 from oracles import collapse_chain_distribution
 
 SQ2 = np.sqrt(2.0)
@@ -48,7 +48,7 @@ def test_weak_value_of_identity_is_one(random_state):
 
 def test_weak_value_orthogonal_selection_raises(pre_post):
     _, post = pre_post
-    arm2_h = ket([0, 0, 1 / SQ2, 1 / SQ2])  # orthogonal to the post-state
+    arm2_h = Ket([0, 0, 1 / SQ2, 1 / SQ2])  # orthogonal to the post-state
     with pytest.raises(OrthogonalSelection):
         weak_value(np.eye(4), arm2_h, post)
 
@@ -147,7 +147,7 @@ def test_abl_with_post_equal_pre(pre_post, observables):
             assert dist.outcomes[value] == pytest.approx(born, abs=ATOL), name
     rng = np.random.default_rng(8)
     for _ in range(20):
-        psi = normalize(ket(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        psi = normalize(Ket(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
         for obs in observables.values():
             dist = abl_distribution(obs, psi, psi)
             squared = {
@@ -160,8 +160,8 @@ def test_abl_with_post_equal_pre(pre_post, observables):
 
 
 def test_abl_no_valid_history(observables):
-    pre = ket([1, 0, 0, 0])
-    post = ket([0, 0, 1, 0])
+    pre = Ket([1, 0, 0, 0])
+    post = Ket([0, 0, 1, 0])
     with pytest.raises(NoValidHistory):
         abl_distribution(observables["angular_momentum"], pre, post)
 
@@ -263,8 +263,8 @@ def test_sequential_requires_observables(pre_post):
 
 
 def test_sequential_no_valid_history(observables):
-    pre = ket([1, 0, 0, 0])
-    post = ket([0, 0, 1, 0])
+    pre = Ket([1, 0, 0, 0])
+    post = Ket([0, 0, 1, 0])
     with pytest.raises(NoValidHistory):
         sequential_distribution([observables["angular_momentum"]], pre, post)
 
@@ -282,12 +282,12 @@ def test_collapse_not_found_in_arm1(pre_post, observables):
 def test_collapse_momentum_found_in_arm2(pre_post, observables):
     pre, _ = pre_post
     state = collapse(observables["angular_momentum_arm2"], +1.0, pre)
-    np.testing.assert_allclose(state.amps, ket([0, 0, 1, 0]).amps, atol=ATOL)
+    np.testing.assert_allclose(state.amps, Ket([0, 0, 1, 0]).amps, atol=ATOL)
 
 
 def test_collapse_impossible_outcome(observables):
     with pytest.raises(ImpossibleOutcome):
-        collapse(observables["photon_in_arm1"], 1.0, ket([0, 0, 1, 0]))
+        collapse(observables["photon_in_arm1"], 1.0, Ket([0, 0, 1, 0]))
 
 
 def test_collapse_unknown_eigenvalue(pre_post, observables):

@@ -52,23 +52,25 @@ def mixtures(draw):
     displacements = [
         tuple(g_over_s * width * draw(steps) for _ in range(n_axes)) for _ in range(n_branches)
     ]
-    mixture = PointerMixture(
-        weights=tuple(complex(w) for w in weights),
+    weights = tuple(complex(w) for w in weights)
+    widths = (width,) * n_axes
+    # Skip (near-)null post-selections before building: their normalization
+    # is all rounding, and a mixture of zero norm raises when built.
+    products = pair_products(weights, displacements, widths)
+    assume(products.sum() > 1e-8 * np.abs(products).sum())
+    return PointerMixture(
+        weights=weights,
         displacements=tuple(displacements),
-        widths=(width,) * n_axes,
+        widths=widths,
         axes=(Axis.VERTICAL, Axis.HORIZONTAL)[:n_axes],
     )
-    # Skip (near-)null post-selections: their normalization is all rounding.
-    products = pair_products(mixture)
-    assume(products.sum() > 1e-8 * np.abs(products).sum())
-    return mixture
 
 
-def pair_products(mixture):
+def pair_products(weights, displacements, widths):
     """Re(conj(w_i) w_j O_ij) for every ordered pair (i, j)."""
-    w = np.asarray(mixture.weights)
-    d = np.asarray(mixture.displacements, dtype=float)
-    s = np.asarray(mixture.widths)
+    w = np.asarray(weights)
+    d = np.asarray(displacements, dtype=float)
+    s = np.asarray(widths)
     overlap = np.exp(-np.sum((d[:, None] - d[None, :]) ** 2 / (8 * s**2), axis=-1))
     return (np.conj(w)[:, None] * w[None, :] * overlap).real
 
@@ -76,7 +78,7 @@ def pair_products(mixture):
 def pair_terms(mixture):
     """Re c_ij, m_ij and the widths, for every ordered pair (i, j), from the definition."""
     d = np.asarray(mixture.displacements, dtype=float)
-    products = pair_products(mixture)
+    products = pair_products(mixture.weights, mixture.displacements, mixture.widths)
     midpoints = 0.5 * (d[:, None] + d[None, :])
     return (products / products.sum()).ravel(), midpoints.reshape(-1, d.shape[1]), np.asarray(mixture.widths)
 
