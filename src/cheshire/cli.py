@@ -262,10 +262,6 @@ def _complex_pair(value: complex) -> dict[str, float]:
     return {"re": value.real, "im": value.imag}
 
 
-def _axis_dict(values: dict[Axis, float | None]) -> dict[str, float | None]:
-    return {axis.value: value for axis, value in values.items()}
-
-
 @cache
 def _constant_blocks(preset: str) -> tuple[dict, dict]:
     """The weak-value and ABL blocks of a preset's summary, which depend on constants only."""
@@ -292,21 +288,19 @@ def expected_summary(config: ExperimentConfig, experiment: Experiment) -> dict:
     weak_values, abl_tables = _constant_blocks(config.preset)
     analysis = analyze(experiment)
     moments = mixture_moments(analysis.mixture) if analysis.mixture is not None else {}
-    means: dict[Axis, float | None] = {}
-    ratios: dict[Axis, float | None] = {}
-    variances: dict[Axis, float | None] = {}
+    means, variances, ratios = {}, {}, {}  # axis name -> value, or None
     for _, pointer in experiment.couplings:
-        m = moments.get(pointer.axis)
-        means[pointer.axis] = m.mean if m else None
-        variances[pointer.axis] = m.variance if m else None
-        ratios[pointer.axis] = (m.mean / pointer.coupling) if m and pointer.coupling > 0 else None
+        m, axis = moments.get(pointer.axis), pointer.axis.value
+        means[axis] = m.mean if m else None
+        variances[axis] = m.variance if m else None
+        ratios[axis] = (m.mean / pointer.coupling) if m and pointer.coupling > 0 else None
     return {
         "weak_values": {name: dict(pair) for name, pair in weak_values.items()},
         "abl": {name: dict(table) for name, table in abl_tables.items()},
         "success_probability": analysis.detector_probabilities[Detector.D1],
-        "pointer_mean": _axis_dict(means),
-        "pointer_variance": _axis_dict(variances),
-        "pointer_mean_over_coupling": _axis_dict(ratios),
+        "pointer_mean": means,
+        "pointer_variance": variances,
+        "pointer_mean_over_coupling": ratios,
     }
 
 

@@ -275,12 +275,12 @@ def _analyze(experiment: Experiment) -> ExperimentAnalysis:
     gram = _overlap_matrix(displacements, widths)
     mixture, kept = None, structure.kept
     if kept.size:
-        kept_gram = gram[kept[:, None], kept]
+        kept_gram = gram.take(kept, axis=0).take(kept, axis=1)
         with suppress(NullPostSelection):
             mixture = PointerMixture(structure.weights, displacements[kept], widths, experiment.axes(), _gram=kept_gram)
     probabilities = {Detector.D1: 0.0 if mixture is None else mixture.total}
     for detector, cross in zip((Detector.D2, Detector.D3), structure.cross):
-        probabilities[detector] = min(1.0, max(0.0, float(np.sum(cross * gram).real)))
+        probabilities[detector] = min(1.0, max(0.0, float((cross * gram).sum().real)))
     return ExperimentAnalysis(detector_probabilities=MappingProxyType(probabilities), mixture=mixture)
 
 
@@ -399,7 +399,7 @@ class _Envelope:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """E(x) at points of shape (n, axes)."""
         exponent = _gaussian_exponent(points, self.means, self.widths, 2.0 * self.sigma**2)
-        return self._peak * (self.weights[:, None] * np.exp(-exponent)).sum(axis=0)
+        return self._peak * (self.weights[:, None] * np.exp(exponent, out=exponent)).sum(axis=0)
 
     def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Proposals and accept flags of one attempt per row of Philox words."""

@@ -14,8 +14,8 @@ forms its pair expansion from the Gram sums once, when it is built
 is never built; the success probability, the moments, the density and the
 readout sampler in ``cheshire.montecarlo`` all read that expansion.
 Every Gaussian in the package, whether Gram overlap, branch amplitude or
-envelope term, is exp(-e) of the one exponent ``_gaussian_exponent``,
-e = sum_ax ((x - c) / s)^2 / scale.
+envelope term, is exp of the one exponent ``_gaussian_exponent``, which
+returns -sum_ax ((x - c) / s)^2 / scale with the sign already folded in.
 
 The pointer wavefunction is G(x) = (2 pi s^2)^(-1/4) exp(-x^2 / (4 s^2)),
 i.e. ``width`` s is the standard deviation of the position *density*.  Two
@@ -71,9 +71,9 @@ class GaussianPointer:
     axis: Axis
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.width) and self.width > 0):
+        if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError("pointer width must be positive and finite")
-        if not (np.isfinite(self.coupling) and self.coupling >= 0):
+        if not (math.isfinite(self.coupling) and self.coupling >= 0):
             raise ValueError("pointer coupling must be nonnegative and finite")
 
 
@@ -193,13 +193,13 @@ class PointerMixture:
         if widths.shape != (len(self.axes),):
             raise ValueError("one width per axis required")
         gram = _overlap_matrix(displacements, widths) if _gram is None else _gram
-        products = (weights.conj()[:, None] * weights[None, :] * gram).real
+        products = (weights.conj()[:, None] * weights * gram).real
         total = float(products.sum())
         if total < NULL_TOLERANCE:
             raise NullPostSelection("post-selected pointer state has vanishing norm")
         i, j, doubling = _pairs(len(weights))
         coefficients = doubling * products[i, j] / total
-        midpoints = 0.5 * (displacements[i] + displacements[j])
+        midpoints = 0.5 * (displacements.take(i, axis=0) + displacements.take(j, axis=0))
         for array in (coefficients, midpoints):
             array.setflags(write=False)
         object.__setattr__(self, "total", total)
@@ -213,36 +213,38 @@ class Moments(NamedTuple):
 
 
 def _gaussian_exponent(points: np.ndarray, centres: np.ndarray, widths: np.ndarray, scale: float) -> np.ndarray:
-    """sum_ax ((x - c) / s)^2 / scale, shape (centres, points): the one Gaussian exponent.
+    """-sum_ax ((x - c) / s)^2 / scale, shape (centres, points): the one Gaussian exponent, negated.
 
     The Gram matrix (scale 8), the amplitudes of :func:`mixture_density`
-    (scale 4) and the readout envelopes (scale 2 sigma^2) all read it.
-    Dividing by s before squaring keeps the exponent accurate for widths
-    whose square is not a normal float64.  Sums run in a fixed order over
-    axes (no BLAS), so a row's value does not depend on how many rows are
-    evaluated with it.  An overflowing exponent is a sum of squares, so
-    exp(-inf) = 0 is exact and the overflow is not reported.  Updates are
-    in place to spare temporaries.
+    (scale 4) and the envelopes (scale 2 sigma^2) exponentiate it in place.
+    Dividing by s before squaring keeps it accurate for widths whose square
+    is not a normal float64.  A power-of-two scale is a multiply by the exact
+    -1 / scale, with the bits of the division by -scale other scales get.
+    Axes are summed in a fixed order from the first (no BLAS), so a row does
+    not depend on the rows evaluated with it.  An overflow is a sum of
+    squares: exp(-inf) = 0 is exact, and the overflow is not reported.
     """
-    exponent = np.zeros((centres.shape[0], points.shape[0]))
+    apply, by = (np.multiply, -1.0 / scale) if math.frexp(scale)[0] == 0.5 else (np.divide, -scale)
+    exponent = None
     with np.errstate(over="ignore"):
         for k, width in enumerate(widths.tolist()):
             delta = points[:, k] - centres[:, k, None]
             delta /= width
             delta *= delta
-            delta /= scale
-            exponent += delta
-    return exponent
+            apply(delta, by, out=delta)
+            exponent = delta if exponent is None else np.add(exponent, delta, out=exponent)
+    return np.zeros((centres.shape[0], points.shape[0])) if exponent is None else exponent
 
 
 def _overlap_matrix(displacements: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Gram matrix O_ij = exp(-sum_ax ((d_i - d_j) / s)^2 / 8) of displaced Gaussians."""
-    return np.exp(-_gaussian_exponent(displacements, displacements, widths, 8.0))
+    exponent = _gaussian_exponent(displacements, displacements, widths, 8.0)
+    return np.exp(exponent, out=exponent)
 
 
 def _gaussian_norm(widths: np.ndarray) -> float:
     """prod_ax 1 / sqrt(2 pi s^2): the peak of a unit-mass Gaussian over the axes."""
-    return float(np.prod(1.0 / np.sqrt(2.0 * np.pi * widths**2)))
+    return math.prod(1.0 / math.sqrt(2.0 * math.pi * (width * width)) for width in widths.tolist())
 
 
 def postselect_pointer(coupled: CoupledState, post: Ket) -> tuple[PointerMixture, float]:
@@ -307,8 +309,8 @@ def weak_limit_error(m: PointerMixture, couplings, weak_values) -> np.ndarray:
         mean / g - Re A_w = sum_ij Re(conj(w_i) w_j) expm1(...) (m_ij / g - Re A_w) / Z.
     """
     d = m.displacements
-    overlap_minus_1 = np.expm1(-_gaussian_exponent(d, d, m.widths, 8.0))
-    factors = (m.weights.conj()[:, None] * m.weights[None, :]).real * overlap_minus_1
+    exponent = _gaussian_exponent(d, d, m.widths, 8.0)
+    factors = (m.weights.conj()[:, None] * m.weights[None, :]).real * np.expm1(exponent, out=exponent)
     deviations = 0.5 * (d[:, None, :] + d[None, :, :]) / np.asarray(couplings) - np.asarray(weak_values)
     return np.abs((factors[:, :, None] * deviations).sum(axis=(0, 1))) / m.total
 
@@ -325,8 +327,12 @@ def mixture_density(m: PointerMixture, point) -> float | np.ndarray:
         raise ValueError(f"point dimension must be {len(m.axes)}")
     batch_shape = points.shape[:-1]
     flat = points.reshape(math.prod(batch_shape), len(m.axes))
-    amps = np.exp(-_gaussian_exponent(flat, m.displacements, m.widths, 4.0))
+    amps = _gaussian_exponent(flat, m.displacements, m.widths, 4.0)
+    np.exp(amps, out=amps)
     real = (m.weights.real[:, None] * amps).sum(axis=0)
-    imag = (m.weights.imag[:, None] * amps).sum(axis=0)
-    density = (_gaussian_norm(m.widths) / m.total) * (real * real + imag * imag)
+    density = real * real
+    if m.weights.imag.any():  # real weights would add an imaginary part of 0, which changes no bit
+        imag = (m.weights.imag[:, None] * amps).sum(axis=0)
+        density += imag * imag
+    density *= _gaussian_norm(m.widths) / m.total
     return float(density[0]) if points.ndim == 1 else density.reshape(batch_shape)

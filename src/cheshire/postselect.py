@@ -84,9 +84,9 @@ def sequential_distribution(
 
     Outcome tuple (a_1, ..., a_k) gets probability proportional to
     |<post| P_{a_k} ... P_{a_1} |pre>|^2.  Order matters when the
-    observables do not commute.  Tuples with zero probability are omitted;
-    for a single observable this reduces to the nonzero part of
-    :func:`abl_distribution`.
+    observables do not commute.  Tuples whose conditional probability is at
+    or below ``ATOL`` are omitted; for a single observable this reduces to
+    the part of :func:`abl_distribution` above ``ATOL``.
     """
     if not obs_list:
         raise ValueError("obs_list must contain at least one observable")

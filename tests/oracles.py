@@ -5,7 +5,9 @@ moment formulas: measurement sequences are simulated by explicit normalize-
 project-renormalize steps with Born factors, pointer moments come from
 trapezoid quadrature of the density on a fine grid, the weak-limit error
 from the plain Gram sums at 50 decimal digits, and detector uniforms from
-numpy's own Philox generator.
+numpy's own Philox generator.  The plain Gaussian kernel below is the other
+kind: the pointer formulas written in their first, unfused form, which the
+package's in-place kernel must match bit for bit.
 """
 
 import mpmath
@@ -148,3 +150,46 @@ def bin_masses(density, lo, hi, bins, points_per_bin=16):
         cells = (xs[1] - xs[0]) * (sums - edges[:-1] / 2 + edges[1:] / 2)
         values = np.moveaxis(cells, 0, k)
     return values
+
+
+def plain_gaussian_exponent(points, centres, widths, scale):
+    """sum_ax ((x - c) / s)^2 / scale, shape (centres, points), summed onto zeros one axis at a time."""
+    exponent = np.zeros((centres.shape[0], points.shape[0]))
+    with np.errstate(over="ignore"):
+        for k, width in enumerate(np.asarray(widths, dtype=float).tolist()):
+            delta = (points[:, k] - centres[:, k, None]) / width
+            exponent += delta * delta / scale
+    return exponent
+
+
+def plain_gaussian_norm(widths):
+    return float(np.prod(1.0 / np.sqrt(2.0 * np.pi * np.asarray(widths) ** 2)))
+
+
+def plain_overlap_matrix(displacements, widths):
+    return np.exp(-plain_gaussian_exponent(displacements, displacements, widths, 8.0))
+
+
+def plain_mixture_density(mixture, points):
+    """|sum_i w_i A_i(x)|^2 / Z at points of shape (n, axes), with both the real and the imaginary pass."""
+    amps = np.exp(-plain_gaussian_exponent(points, mixture.displacements, mixture.widths, 4.0))
+    real = (mixture.weights.real[:, None] * amps).sum(axis=0)
+    imag = (mixture.weights.imag[:, None] * amps).sum(axis=0)
+    return (plain_gaussian_norm(mixture.widths) / mixture.total) * (real * real + imag * imag)
+
+
+def plain_envelope(envelope, points):
+    """sum_k a_k N(x; mu_k, (sigma s)^2) of a readout envelope at points of shape (n, axes)."""
+    widths = envelope.mixture.widths
+    exponent = plain_gaussian_exponent(points, envelope.means, widths, 2.0 * envelope.sigma**2)
+    peak = plain_gaussian_norm(widths) / envelope.sigma ** widths.shape[0]
+    return peak * (envelope.weights[:, None] * np.exp(-exponent)).sum(axis=0)
+
+
+def plain_weak_limit_error(mixture, couplings, weak_values):
+    """sum_ij Re(conj(w_i) w_j) expm1(-e_ij) (m_ij / g - Re A_w) / Z per axis, in absolute value."""
+    d = mixture.displacements
+    overlap_minus_1 = np.expm1(-plain_gaussian_exponent(d, d, mixture.widths, 8.0))
+    factors = (mixture.weights.conj()[:, None] * mixture.weights[None, :]).real * overlap_minus_1
+    deviations = 0.5 * (d[:, None, :] + d[None, :, :]) / np.asarray(couplings) - np.asarray(weak_values)
+    return np.abs((factors[:, :, None] * deviations).sum(axis=(0, 1))) / mixture.total

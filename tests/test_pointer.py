@@ -18,9 +18,18 @@ from cheshire import (
     weak_value,
 )
 from cheshire import qstate
-from cheshire.pointer import weak_limit_error
+from cheshire.cli import PRESETS
+from cheshire.montecarlo import Experiment, _Envelope, analyze
+from cheshire.pointer import _overlap_matrix, weak_limit_error
 from cheshire.qstate import ATOL, Ket
-from oracles import lobe_masses, quadrature_moments
+from oracles import (
+    lobe_masses,
+    plain_envelope,
+    plain_mixture_density,
+    plain_overlap_matrix,
+    plain_weak_limit_error,
+    quadrature_moments,
+)
 from oracles import weak_limit_error as oracle_weak_limit_error
 
 SQ2 = np.sqrt(2.0)
@@ -83,6 +92,21 @@ def test_couple_rejects_bad_inputs(pre_post, observables):
         GaussianPointer(width=0.0, coupling=0.1, axis=Axis.VERTICAL)
     with pytest.raises(ValueError):
         GaussianPointer(width=1.0, coupling=-0.1, axis=Axis.VERTICAL)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("inf")])
+def test_pointer_rejects_non_finite_widths_and_couplings(value):
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        GaussianPointer(width=value, coupling=0.1, axis=Axis.VERTICAL)
+    with pytest.raises(ValueError, match="coupling must be nonnegative and finite"):
+        GaussianPointer(width=1.0, coupling=value, axis=Axis.VERTICAL)
+
+
+def test_pointer_accepts_numpy_floats(pre_post, observables):
+    pointer = GaussianPointer(width=np.float64(0.5), coupling=np.float64(0.25), axis=Axis.VERTICAL)
+    coupled = couple(pre_post[0], observables["photon_in_arm1"], pointer)
+    assert coupled.displacements.tolist() == [[0.25], [0.0]]
+    assert GaussianPointer(width=np.float64(1.0), coupling=np.float64(0.0), axis=Axis.HORIZONTAL).coupling == 0.0
 
 
 def test_couple_validates_each_observable_once(pre_post, observables):
@@ -492,3 +516,59 @@ def test_degenerate_mixture_propagates_null(pre_post):
             widths=(1.0,),
             axes=(Axis.HORIZONTAL,),
         )
+
+
+# --- kernel bits --------------------------------------------------------------
+
+
+def kernel_cases(preset, pre_post, observables):
+    """(label, mixture, per-axis couplings, per-axis Re A_w) to hold the kernel's bits on."""
+    pre, post = pre_post
+    if preset == "random-complex":  # complex weights, which no preset has
+        rng = np.random.default_rng(15)
+        weights = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        displacements = 0.4 * rng.integers(-2, 3, size=(4, 2))
+        # Widths at which 2 pi s^2 rounds differently as (2 pi s) s, so the norm's order is held too.
+        mixture = PointerMixture(weights, displacements, (0.73, 1.33), (Axis.VERTICAL, Axis.HORIZONTAL))
+        return [(preset, mixture, (0.4, 0.4), (0.7, -0.2))]
+    names = [name for name, _ in PRESETS[preset].couplings]
+    weak_values = [weak_value(observable_operator(observables[name]), pre, post).real for name in names]
+    cases = []
+    for ratio in (1e-3, 1e-2, 1.0, 10.0):
+        for s in (0.7, 1.0):
+            couplings = tuple(
+                (observables[name], GaussianPointer(width=s, coupling=ratio * s, axis=axis))
+                for name, axis in PRESETS[preset].couplings
+            )
+            mixture = analyze(Experiment(pre=pre, couplings=couplings)).mixture
+            cases.append((f"g/s={ratio:g}, s={s:g}", mixture, [ratio * s] * len(names), weak_values))
+    return cases
+
+
+def kernel_points(mixture):
+    """A grid around the branches, out to where exp(-e) is subnormal (54 s) or 0 (60 s)."""
+    offsets = np.array([-60.0, -54.0, -8.0, -3.0, -1.0, -0.3, 0.0, 0.7, 2.0, 5.0, 38.0])
+    axes = [np.unique(mixture.displacements[:, k, None] + s * offsets) for k, s in enumerate(mixture.widths)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def assert_same_bits(got, want, label):
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("preset", [*PRESETS, "random-complex"])
+def test_kernel_matches_the_plain_formulas_bit_for_bit(preset, pre_post, observables):
+    # Sampled readouts accept against the density and the envelopes, so
+    # their in-place evaluation must give the plain formulas' exact bits.
+    for label, mixture, couplings, weak_values in kernel_cases(preset, pre_post, observables):
+        d, widths = mixture.displacements, mixture.widths
+        assert_same_bits(_overlap_matrix(d, widths), plain_overlap_matrix(d, widths), f"Gram, {label}")
+        points = kernel_points(mixture)
+        want = plain_mixture_density(mixture, points)
+        assert_same_bits(mixture_density(mixture, points), want, f"density, {label}")
+        for envelope in (_Envelope.midpoint(mixture), _Envelope.centre(mixture)):
+            want = plain_envelope(envelope, points)
+            assert_same_bits(envelope.evaluate(points), want, f"{envelope.name} envelope, {label}")
+        want = plain_weak_limit_error(mixture, couplings, weak_values)
+        assert_same_bits(weak_limit_error(mixture, couplings, weak_values), want, f"weak-limit error, {label}")
