@@ -48,7 +48,6 @@ from .qstate import (
     canonical_observables,
     canonical_states,
     observable_operator,
-    validate_spectral,
 )
 
 __all__ = [
@@ -83,6 +82,5 @@ __all__ = [
     "run_interferometer",
     "sample_shots",
     "sequential_distribution",
-    "validate_spectral",
     "weak_value",
 ]

@@ -25,6 +25,13 @@ so a run holds one chunk in memory whatever its shot count.
   accepted count and expected against observed acceptance, and the
   ``checks`` z-scores of the estimates against their analytic values).
 
+Each ``expected.abl`` table is ``abl_distribution`` of one coupled
+observable, as if it were the only strong measurement.  ``joint-strong``
+measures both observables strongly, so its shots follow the joint table
+``sequential_distribution([photon_in_arm1, angular_momentum_arm2])``,
+{(1, 0): 2/3, (0, 1): 1/6, (0, -1): 1/6} at success probability 0.375,
+while its ``abl.photon_in_arm1`` still reads {1: 1.0, 0: 0.0}.
+
 Presets: ``weak-cheshire`` couples a which-path probe (vertical axis) and an
 arm-2 angular-momentum probe (horizontal axis), both weak; ``which-path``
 and ``smile-only`` couple one of them; ``joint-strong`` runs both at

@@ -122,10 +122,10 @@ class DetectionResult:
 def run_interferometer(state_inside: Ket) -> DetectionResult:
     """Send a state from inside the arms through the detection chain.
 
-    Raises ValueError on unnormalized input: click probabilities are only
-    meaningful for unit states.
+    Raises ValueError on unnormalized input (``Ket.normalized`` false):
+    click probabilities are only meaningful for unit states.
     """
-    if abs(state_inside.norm() - 1.0) > ATOL:
+    if not state_inside.normalized:
         raise ValueError("run_interferometer requires a normalized state")
     probabilities: dict[Detector, float] = {}
     conditional: dict[Detector, Ket] = {}

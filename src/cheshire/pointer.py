@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ATOL, DIM, Ket, SpectralObservable, validate_spectral
+from .qstate import ATOL, DIM, Ket, SpectralObservable
 
 #: Post-selection success probabilities below this are treated as impossible.
 NULL_TOLERANCE = 1e-15
@@ -130,12 +130,8 @@ def couple(
     Every existing branch splits per eigenspace: the projected system picks
     up an extra displacement ``coupling * eigenvalue`` on the new axis.
     Branches projected to (near) zero are dropped.  Raises DuplicateAxis if
-    the axis is already in use, and ValueError if ``obs`` is not a valid
-    spectral observable.
+    the axis is already in use.
     """
-    violation = validate_spectral(obs)
-    if violation is not None:
-        raise ValueError(f"invalid spectral observable: {violation}")
     coupled = state_or_coupled
     if isinstance(coupled, Ket):
         coupled = CoupledState(coupled.amps[None, :], np.zeros((1, 0)), ())

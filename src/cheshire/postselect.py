@@ -58,6 +58,23 @@ def weak_value(op: np.ndarray, pre: Ket, post: Ket) -> complex:
     return inner(post, apply(op, pre)) / overlap
 
 
+def _histories(obs_list: Sequence[SpectralObservable], pre: Ket, post: Ket) -> tuple[dict[tuple, float], float]:
+    """Map each outcome tuple (a_1, ..., a_k) to |<post| P_{a_k} ... P_{a_1} |pre>|^2, and their sum.
+
+    Tuples come in branch order, the last observable's branch varying
+    fastest.  Raises NoValidHistory when the sum is below ``ATOL**2``: the
+    post-selection can then never succeed.
+    """
+    vectors = {(): pre.amps}
+    for obs in obs_list:
+        vectors = {prefix + (value,): proj @ vec for prefix, vec in vectors.items() for value, proj in obs.branches}
+    numerators = {history: abs(complex(np.vdot(post.amps, vec))) ** 2 for history, vec in vectors.items()}
+    total = sum(numerators.values())
+    if total < ATOL**2:
+        raise NoValidHistory("post-selection cannot succeed through any measurement history")
+    return numerators, total
+
+
 def abl_distribution(obs: SpectralObservable, pre: Ket, post: Ket) -> ConditionalDistribution:
     """Conditional outcome distribution of one projective measurement.
 
@@ -65,15 +82,10 @@ def abl_distribution(obs: SpectralObservable, pre: Ket, post: Ket) -> Conditiona
     Raises NoValidHistory when every outcome is incompatible with the
     post-selection (it can then never succeed).
     """
-    numerators = {
-        value: abs(inner(post, apply(proj, pre))) ** 2 for value, proj in obs.branches
-    }
-    total = sum(numerators.values())
-    if total < ATOL**2:
-        raise NoValidHistory("post-selection cannot succeed through this measurement")
+    numerators, total = _histories((obs,), pre, post)
     return ConditionalDistribution(
-        outcomes={value: num / total for value, num in numerators.items()},
-        success_probability=float(total),
+        outcomes={value: num / total for (value,), num in numerators.items()},
+        success_probability=total,
     )
 
 
@@ -90,24 +102,9 @@ def sequential_distribution(
     """
     if not obs_list:
         raise ValueError("obs_list must contain at least one observable")
-    numerators: dict[tuple[float, ...], float] = {}
-    post_amps = post.amps
-
-    def walk(step: int, outcome_prefix: tuple[float, ...], vec: np.ndarray) -> None:
-        if step == len(obs_list):
-            numerators[outcome_prefix] = abs(np.vdot(post_amps, vec)) ** 2
-            return
-        for value, proj in obs_list[step].branches:
-            walk(step + 1, outcome_prefix + (value,), proj @ vec)
-
-    walk(0, (), pre.amps)
-    total = sum(numerators.values())
-    if total < ATOL**2:
-        raise NoValidHistory("post-selection cannot succeed through this measurement sequence")
-    outcomes = {
-        tup: float(num / total) for tup, num in numerators.items() if num / total > ATOL
-    }
-    return ConditionalDistribution(outcomes=outcomes, success_probability=float(total))
+    numerators, total = _histories(obs_list, pre, post)
+    outcomes = {history: num / total for history, num in numerators.items() if num / total > ATOL}
+    return ConditionalDistribution(outcomes=outcomes, success_probability=total)
 
 
 def collapse(obs: SpectralObservable, outcome: float, state: Ket) -> Ket:

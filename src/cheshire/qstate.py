@@ -18,7 +18,9 @@ projections are deliberately left unnormalized, so each ket derives a
 
 Kets and spectral observables freeze their arrays read-only, so the
 canonical states and observables are built once per process (the
-observables come in a new dict on each call).
+observables come in a new dict on each call).  A spectral observable checks
+its invariants when it is built and raises ValueError if they fail, so no
+later caller checks it again.
 """
 
 from __future__ import annotations
@@ -92,6 +94,13 @@ class SpectralObservable:
 
     Degenerate eigenspaces are kept as single higher-rank projectors; the
     conditional-probability and collapse rules only ever need the projectors.
+
+    The branches are frozen and checked when the observable is built, in
+    order: every eigenvalue is finite and every projector is a finite 4x4
+    projector (hermitian and idempotent), projectors are pairwise orthogonal,
+    they sum to the identity, and eigenvalues are pairwise distinct.  The
+    first violation raises ValueError naming it, so every observable that
+    exists is valid.
     """
 
     branches: tuple[tuple[float, np.ndarray], ...]
@@ -102,7 +111,11 @@ class SpectralObservable:
             proj = np.asarray(proj, dtype=np.complex128).copy()
             proj.setflags(write=False)
             frozen.append((float(value), proj))
-        object.__setattr__(self, "branches", tuple(frozen))
+        branches = tuple(frozen)
+        reason, residual = _spectral_violation(branches)
+        if reason is not None:
+            raise ValueError(f"invalid spectral observable: {reason} (max entrywise residual {residual:.3e})")
+        object.__setattr__(self, "branches", branches)
 
     def projector(self, eigenvalue: float) -> np.ndarray:
         for value, proj in self.branches:
@@ -119,60 +132,38 @@ def observable_operator(obs: SpectralObservable) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class SpectralViolation:
-    """First invariant violated by a would-be spectral observable."""
-
-    reason: str
-    residual: float
-
-    def __str__(self) -> str:
-        return f"{self.reason} (max entrywise residual {self.residual:.3e})"
-
-
-def validate_spectral(obs: SpectralObservable) -> SpectralViolation | None:
-    """Check the spectral-observable invariants; None means valid.
-
-    Checks, in order: every eigenvalue is finite and every projector is a
-    finite 4x4 projector (hermitian and idempotent), projectors are pairwise
-    orthogonal, they sum to the identity, and eigenvalues are pairwise
-    distinct.  Returns a report for the first violation instead of raising.
-    """
-    branches = obs.branches
+def _spectral_violation(branches) -> tuple[str | None, float]:
+    """The first spectral invariant ``branches`` violate and its residual; (None, 0.0) when valid."""
     if not branches:
-        return SpectralViolation("observable has no branches", 0.0)
+        return "observable has no branches", 0.0
     for value, proj in branches:
         if proj.shape != (DIM, DIM):
-            return SpectralViolation(f"projector for eigenvalue {value} has shape {proj.shape}", 0.0)
+            return f"projector for eigenvalue {value} has shape {proj.shape}", 0.0
         # The residual tests below reject a non-finite projector too, but as
         # "not hermitian" with a NaN residual; this names the cause.  A
         # non-finite eigenvalue enters no residual, so only this check sees it.
         if not (np.isfinite(value) and np.all(np.isfinite(proj))):
-            return SpectralViolation(f"eigenvalue {value} or its projector is not finite", 0.0)
+            return f"eigenvalue {value} or its projector is not finite", 0.0
         res = float(np.max(np.abs(proj - proj.conj().T)))
         if not res <= ATOL:
-            return SpectralViolation(f"projector for eigenvalue {value} is not hermitian", res)
+            return f"projector for eigenvalue {value} is not hermitian", res
         res = float(np.max(np.abs(proj @ proj - proj)))
         if not res <= ATOL:
-            return SpectralViolation(f"projector for eigenvalue {value} is not idempotent", res)
+            return f"projector for eigenvalue {value} is not idempotent", res
     for i in range(len(branches)):
         for j in range(i + 1, len(branches)):
             res = float(np.max(np.abs(branches[i][1] @ branches[j][1])))
             if not res <= ATOL:
-                return SpectralViolation(
-                    f"projectors for eigenvalues {branches[i][0]} and {branches[j][0]}"
-                    " are not orthogonal",
-                    res,
-                )
+                return f"projectors for eigenvalues {branches[i][0]} and {branches[j][0]} are not orthogonal", res
     total = sum(proj for _, proj in branches)
     res = float(np.max(np.abs(total - identity())))
     if not res <= ATOL:
-        return SpectralViolation("projectors do not sum to the identity", res)
+        return "projectors do not sum to the identity", res
     for i in range(len(branches)):
         for j in range(i + 1, len(branches)):
             if abs(branches[i][0] - branches[j][0]) <= ATOL:
-                return SpectralViolation(f"duplicate eigenvalue {branches[i][0]}", 0.0)
-    return None
+                return f"duplicate eigenvalue {branches[i][0]}", 0.0
+    return None, 0.0
 
 
 def _diag_projector(diagonal) -> np.ndarray:

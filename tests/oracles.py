@@ -10,6 +10,8 @@ kind: the pointer formulas written in their first, unfused form, which the
 package's in-place kernel must match bit for bit.
 """
 
+import math
+
 import mpmath
 import numpy as np
 
@@ -150,6 +152,22 @@ def bin_masses(density, lo, hi, bins, points_per_bin=16):
         cells = (xs[1] - xs[0]) * (sums - edges[:-1] / 2 + edges[1:] / 2)
         values = np.moveaxis(cells, 0, k)
     return values
+
+
+def ks_normal(samples):
+    """Kolmogorov-Smirnov statistic D of ``samples`` against N(0, 1).
+
+    D is the largest distance between the empirical CDF, on either side of
+    each step, and Phi(x) = (1 + erf(x / sqrt 2)) / 2.  Plain code, since
+    scipy is not a dependency.
+    """
+    xs = sorted(samples)
+    m = len(xs)
+    distance = 0.0
+    for i, x in enumerate(xs):
+        cdf = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        distance = max(distance, cdf - i / m, (i + 1) / m - cdf)
+    return distance
 
 
 def plain_gaussian_exponent(points, centres, widths, scale):

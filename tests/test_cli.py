@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cheshire
-from cheshire import Axis, analyze, sample_shots
+from cheshire import Axis, analyze, sample_shots, sequential_distribution
 from cheshire import cli, montecarlo, pointer
 from cheshire.cli import (
     PRESETS,
@@ -23,6 +23,7 @@ from cheshire.cli import (
     parse_config,
     run_preset,
 )
+from oracles import ks_normal
 from oracles import weak_limit_error as oracle_weak_limit_error
 
 
@@ -579,6 +580,23 @@ def test_joint_strong_reports_trimodal_masses(tmp_path):
     assert summary["diagnostics"]["g_over_s"] == {"vertical": 10.0, "horizontal": 10.0}
 
 
+def test_joint_strong_abl_tables_are_each_observable_measured_alone(observables, pre_post):
+    # joint-strong measures both observables strongly, so its shots follow
+    # the joint table; each `abl` table is its observable measured alone.
+    config = parse_config(["--preset", "joint-strong"])
+    expected = expected_summary(config, build_experiment(config))
+    assert expected["abl"]["photon_in_arm1"] == {"1": 1.0, "0": 0.0}
+    assert expected["abl"]["angular_momentum_arm2"] == pytest.approx({"1": 1 / 6, "-1": 1 / 6, "0": 2 / 3}, abs=1e-12)
+    joint = sequential_distribution(
+        [observables["photon_in_arm1"], observables["angular_momentum_arm2"]], *pre_post
+    )
+    assert joint.outcomes == pytest.approx({(1.0, 0.0): 2 / 3, (0.0, 1.0): 1 / 6, (0.0, -1.0): 1 / 6}, abs=1e-12)
+    assert joint.success_probability == pytest.approx(0.375, abs=1e-12)
+    assert expected["success_probability"] == pytest.approx(joint.success_probability, abs=1e-12)
+    # The vertical pointer reads the joint marginal P(arm 1) = 2/3, not 1.
+    assert expected["pointer_mean_over_coupling"]["vertical"] == pytest.approx(2 / 3, abs=1e-9)
+
+
 def test_sweep_writes_points_and_convergence(tmp_path):
     exit_code = main(
         ["--preset", "sweep", "--shots", "400", "--seed", "1", "--out-dir", str(tmp_path)]
@@ -731,6 +749,28 @@ def test_runs_do_not_load_numpy_random(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run" / "shots.csv").exists()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset", ["weak-cheshire", "which-path", "smile-only", "joint-strong"])
+def test_check_z_scores_are_standard_normal_over_seeds(preset):
+    # Each z of `checks` should be N(0, 1) over seeds.  The gate is the KS
+    # statistic at alpha ~ 0.001 (sqrt(m) D < 1.95), fixed before measuring:
+    # a bound on the sample sd would trip on ordinary 400-seed batches.
+    config = parse_config(["--preset", preset])
+    experiment = build_experiment(config)
+    expected = expected_summary(config, experiment)
+    zs = {}
+    for seed in range(400):
+        tally = montecarlo.Tally(len(experiment.couplings))
+        tally.add(sample_shots(experiment, 20_000, seed))
+        checks = cli._checks(expected, tally.stats(experiment))
+        for name, z in [("post_rate", checks["post_rate_z"]), *checks["mean_z"].items()]:
+            zs.setdefault(name, []).append(z)
+    assert set(zs) == {"post_rate", *(axis.value for axis in experiment.axes())}
+    for name, values in zs.items():
+        assert None not in values, name
+        assert math.sqrt(len(values)) * ks_normal(values) < 1.95, name
 
 
 @pytest.mark.slow

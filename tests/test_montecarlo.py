@@ -487,13 +487,17 @@ def test_a_new_observable_with_equal_projectors_gives_equal_results():
 
 
 def test_invalid_observables_raise_on_every_analysis():
-    bad = SpectralObservable(((1.0, 2.0 * np.eye(4)),))
+    # An invalid observable cannot be built, so it never reaches an analysis.
+    with pytest.raises(ValueError, match="invalid spectral observable"):
+        SpectralObservable(((1.0, 2.0 * np.eye(4)),))
+    # A structure whose build fails is not cached: each analysis raises afresh.
+    pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
     experiment = Experiment(
-        pre=PRE, couplings=((bad, GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)),)
+        pre=PRE, couplings=((OBS["photon_in_arm1"], pointer), (OBS["angular_momentum_arm2"], pointer))
     )
     before = montecarlo._structure.cache_info()
     for _ in range(2):
-        with pytest.raises(ValueError, match="invalid spectral observable"):
+        with pytest.raises(DuplicateAxis):
             analyze(experiment)
     after = montecarlo._structure.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)

@@ -72,6 +72,10 @@ def test_detection_probabilities_by_hand(amps):
 def test_rejects_unnormalized_input():
     with pytest.raises(ValueError):
         run_interferometer(Ket([1, 1, 0, 0]))
+    # The bound is the ket's own: squared norm within ATOL of 1.
+    run_interferometer(Ket([np.sqrt(1 + 0.5 * ATOL), 0, 0, 0]))
+    with pytest.raises(ValueError, match="normalized"):
+        run_interferometer(Ket([np.sqrt(1 + 1.5 * ATOL), 0, 0, 0]))
 
 
 def test_postselection_equivalence_random_states(pre_post, random_state):

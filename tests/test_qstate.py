@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from cheshire import (
-    Axis,
-    GaussianPointer,
     Ket,
     SpectralObservable,
     canonical_observables,
     canonical_states,
-    couple,
     observable_operator,
-    validate_spectral,
 )
 from cheshire.qstate import (
     ATOL,
@@ -128,7 +124,7 @@ def test_canonical_observables_are_valid(observables):
         "angular_momentum_arm2",
     }
     for name, obs in observables.items():
-        assert validate_spectral(obs) is None, name
+        SpectralObservable(obs.branches)  # building again runs every check, and raises if one fails
         total = sum(proj for _, proj in obs.branches)
         np.testing.assert_allclose(total, identity(), atol=ATOL)
 
@@ -158,48 +154,28 @@ def test_all_canonical_observables_commute(observables):
             np.testing.assert_allclose(a @ b - b @ a, np.zeros((4, 4)), atol=ATOL)
 
 
-def test_validate_spectral_violations(observables, pre_post):
+def test_invalid_spectral_observables_raise_when_built(observables):
     arm1 = observables["photon_in_arm1"].projector(1.0)
     arm2 = observables["photon_in_arm2"].projector(1.0)
-    repeated = SpectralObservable(((1.0, arm1), (0.0, arm1)))
-    violation = validate_spectral(repeated)
-    assert violation is not None
-    assert "orthogonal" in violation.reason
-    assert violation.residual > 0.5
-
-    duplicate = SpectralObservable(((1.0, arm1), (1.0, arm2)))
-    violation = validate_spectral(duplicate)
-    assert violation is not None
-    assert "duplicate" in violation.reason
-
-    not_projector = SpectralObservable(((1.0, 0.5 * arm1), (0.0, arm2)))
-    violation = validate_spectral(not_projector)
-    assert violation is not None
-    assert "idempotent" in violation.reason
-
-    incomplete = SpectralObservable(((1.0, arm1),))
-    violation = validate_spectral(incomplete)
-    assert violation is not None
-    assert "identity" in violation.reason
-    assert str(violation)  # report renders
-
-    inf_eigenvalue = SpectralObservable(((np.inf, arm1), (0.0, arm2)))
     cases = [
-        (SpectralObservable(((1.0, np.full((4, 4), np.nan)), (0.0, arm2))), "not finite"),
-        (inf_eigenvalue, "not finite"),
-        (SpectralObservable(((-np.inf, arm1), (0.0, arm2))), "not finite"),
-        (SpectralObservable(((np.nan, arm1), (0.0, arm2))), "not finite"),
-        (SpectralObservable(((1.0, np.eye(3)),)), "shape"),
+        (((1.0, arm1), (0.0, arm1)), "orthogonal", 1.0),  # residual |P_1 P_1| = 1
+        (((1.0, arm1), (1.0, arm2)), "duplicate eigenvalue 1.0", 0.0),
+        (((1.0, 0.5 * arm1), (0.0, arm2)), "idempotent", 0.25),
+        (((1.0, arm1),), "do not sum to the identity", 1.0),
+        (((1.0, np.full((4, 4), np.nan)), (0.0, arm2)), "not finite", 0.0),
+        (((np.inf, arm1), (0.0, arm2)), "not finite", 0.0),
+        (((-np.inf, arm1), (0.0, arm2)), "not finite", 0.0),
+        (((np.nan, arm1), (0.0, arm2)), "not finite", 0.0),
+        (((1.0, np.eye(3)),), "has shape (3, 3)", 0.0),
+        ((), "no branches", 0.0),
     ]
-    for obs, reason in cases:
-        violation = validate_spectral(obs)
-        assert violation is not None, reason
-        assert reason in violation.reason
-        assert str(violation)
-    pre, _ = pre_post
-    pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
-    with pytest.raises(ValueError, match="^invalid spectral observable: "):
-        couple(pre, inf_eigenvalue, pointer)
+    for branches, reason, residual in cases:
+        with pytest.raises(ValueError) as raised:
+            SpectralObservable(branches)
+        message = str(raised.value)
+        assert message.startswith("invalid spectral observable: "), message
+        assert reason in message, message
+        assert message.endswith(f"(max entrywise residual {residual:.3e})"), message
 
 
 def test_canonical_constants_are_shared_read_only_and_freshly_contained():
