@@ -3,10 +3,12 @@
 Usage: ``python3 scripts/output_identity.py PARENT_TREE CHANGE_TREE``
 
 Each tree is a checkout with the package under ``src/``.  Every preset
-(``sweep`` included) runs at seeds 0, 1 and 2**64 - 1 with 50,000 shots in
-each tree: 45 output files in all.  Both trees write to the same relative
-``--out-dir`` in their own scratch directory, so even the ``out_dir``
-values in the summaries agree, and the files are compared byte for byte.
+(``sweep`` included) runs at seeds 0, 1 and 2**64 - 1 with 50,000 shots, a
+single chunk, and weak-cheshire at seed 1 with 140,001 shots, three chunks
+with the last one partial, so a chunk boundary is compared too: 47 output
+files in each tree.  Both trees write to the same relative ``--out-dir`` in
+their own scratch directory, so even the ``out_dir`` values in the
+summaries agree, and the files are compared byte for byte.
 Exits 0 when all files are identical, 1 when any differs or is missing or
 a run fails, and 2 on wrong arguments.
 """
@@ -22,17 +24,18 @@ from pathlib import Path
 PRESETS = ("weak-cheshire", "which-path", "smile-only", "joint-strong", "sweep")
 SEEDS = (0, 1, 2**64 - 1)
 SHOTS = 50_000
+#: (preset, seed, shots) of every run.
+RUNS = (*((preset, seed, SHOTS) for preset in PRESETS for seed in SEEDS), ("weak-cheshire", 1, 140_001))
 
 
 def run_all(tree: Path, work: Path) -> None:
-    """Run every preset and seed with the package in ``tree``, writing under ``work``."""
+    """Run every entry of ``RUNS`` with the package in ``tree``, writing under ``work``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    for preset in PRESETS:
-        for seed in SEEDS:
-            argv = ["--preset", preset, "--seed", str(seed), "--shots", str(SHOTS), "--out-dir", f"{preset}-{seed}"]
-            result = subprocess.run([sys.executable, "-m", "cheshire.cli", *argv], cwd=work, env=env)
-            if result.returncode:
-                sys.exit(f"{tree}: {preset} at seed {seed} exited {result.returncode}")
+    for preset, seed, shots in RUNS:
+        argv = ["--preset", preset, "--seed", str(seed), "--shots", str(shots), "--out-dir", f"{preset}-{seed}-{shots}"]
+        result = subprocess.run([sys.executable, "-m", "cheshire.cli", *argv], cwd=work, env=env)
+        if result.returncode:
+            sys.exit(f"{tree}: {preset} at seed {seed} with {shots} shots exited {result.returncode}")
 
 
 def same(files: list[Path]) -> bool:

@@ -533,7 +533,11 @@ def sample_shots(
             )
     shot_id = np.arange(first_shot, first_shot + n, dtype=np.int64)
     u = _detector_uniforms(seed, first_shot, n)
-    detector = np.where(u < p_d1, _D1, np.where(u < p_d12, 2, 3)).astype(np.uint8)
+    # Code 3 - [u < p_d1] - [u < p_d12]: 1 (D1), 2 (D2) or 3 (D3), since
+    # p_d1 <= p_d12; summed in place as uint8 with no wider temporaries.
+    detector = (u < p_d1).view(np.uint8)
+    detector += (u < p_d12).view(np.uint8)
+    np.subtract(3, detector, out=detector)
     readout = np.full((n, len(experiment.couplings)), np.nan)
     attempts = 0
     d1 = np.flatnonzero(detector == _D1)

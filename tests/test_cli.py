@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -483,8 +484,11 @@ def test_csv_round_trips_the_records(tmp_path):
 def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
     # The byte format of shots.csv: csv.writer rows of str(shot_id), the
     # detector name and repr of each Python float readout, x horizontal and
-    # y vertical, for every column layout and across chunk boundaries.
-    chunks = (7, cli._CHUNK_SHOTS)
+    # y vertical, for every column layout, across chunk boundaries and
+    # across write blocks inside a chunk: batches one row short of, equal
+    # to and one row over a block, and a 600-row batch of 120 blocks.
+    monkeypatch.setattr(cli, "_WRITE_ROWS", 5)
+    chunks = (cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1, 7, cli._CHUNK_SHOTS)
     for preset in ("weak-cheshire", "which-path", "smile-only", "joint-strong"):
         config = run_config(tmp_path, preset=preset, shots=600)
         experiment = build_experiment(config)
@@ -512,6 +516,22 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
                     )
                     cli.write_shots_csv(fh, shard, experiment)
             assert (tmp_path / "shots.csv").read_bytes() == reference, (preset, chunk)
+
+
+def test_csv_writer_holds_one_block_of_text():
+    # Writing a whole chunk holds one block of rows at a time, not the
+    # chunk's text (a chunk formatted at once peaks near 8 MB).
+    for preset in ("weak-cheshire", "joint-strong"):
+        experiment = build_experiment(parse_config(["--preset", preset]))
+        batch = sample_shots(experiment, cli._CHUNK_SHOTS, seed=0)
+        with open(os.devnull, "w", encoding="ascii") as fh:
+            tracemalloc.start()
+            try:
+                cli.write_shots_csv(fh, batch, experiment)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2e6, (preset, peak)
 
 
 def assert_close(value, reference, path="summary"):

@@ -503,16 +503,6 @@ def test_invalid_observables_raise_on_every_analysis():
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
-def test_repeated_axis_raises_duplicate_axis():
-    pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
-    experiment = Experiment(
-        pre=PRE, couplings=((OBS["photon_in_arm1"], pointer), (OBS["angular_momentum_arm2"], pointer))
-    )
-    for _ in range(2):
-        with pytest.raises(DuplicateAxis):
-            analyze(experiment)
-
-
 def test_structure_arrays_are_read_only():
     structure = montecarlo._structure(PRE, PRESET_COUPLINGS["weak-cheshire"])
     for array in (structure.pattern, *structure.cross, structure.kept, structure.weights):
