@@ -17,7 +17,6 @@ from .montecarlo import (
     ShotBatch,
     Tally,
     analyze,
-    estimate,
     sample_shots,
 )
 from .optics import Detector, run_interferometer
@@ -74,7 +73,6 @@ __all__ = [
     "canonical_states",
     "collapse",
     "couple",
-    "estimate",
     "mixture_density",
     "mixture_moments",
     "observable_operator",

@@ -20,7 +20,8 @@ once is bounded as well as the shots.
 - ``summary.json`` with keys ``config`` (the fully resolved configuration),
   ``expected`` (analytic weak values as {re, im} pairs, conditional outcome
   tables, pointer moments -- never derived from the samples), ``estimated``
-  (post_rate, per-axis means and standard errors) and ``diagnostics``
+  (post_rate, d1_count, per-axis means, standard errors and
+  mean_over_coupling, built from the run's Tally) and ``diagnostics``
   (g/s per axis, branch count, ``stream_version``, the cheshire, numpy and
   python ``versions`` that byte identity depends on, the readout
   ``sampler``: its ``envelope`` (``midpoint`` or ``centre``), attempts,
@@ -68,7 +69,6 @@ from .montecarlo import (
     InsufficientData,
     LowAcceptance,
     ShotBatch,
-    SummaryStats,
     Tally,
     analyze,
     sample_shots,
@@ -313,13 +313,31 @@ def expected_summary(config: ExperimentConfig, experiment: Experiment) -> dict:
     }
 
 
-def estimated_summary(stats: SummaryStats) -> dict:
+def estimated_summary(tally: Tally, experiment: Experiment) -> dict:
+    """Post-selection rate, D1 count and per-axis means, standard errors and mean/coupling of the tallied shots.
+
+    A mean over a zero coupling is None.  Raises ValueError when no shots
+    were tallied, and InsufficientData when fewer than two D1 readouts
+    exist: a standard error needs at least two samples.
+    """
+    if tally.n_shots == 0:
+        raise ValueError("no shots tallied")
+    d1_count = tally.d1_count
+    if d1_count < 2:
+        raise InsufficientData(f"only {d1_count} post-selected shots; need at least 2")
+    pointers = experiment.pointers()
     return {
-        "post_rate": stats.post_rate,
-        "d1_count": stats.d1_count,
-        "means": {axis.value: est.mean for axis, est in stats.axes.items()},
-        "standard_errors": {axis.value: est.stderr for axis, est in stats.axes.items()},
-        "mean_over_coupling": {axis.value: est.mean_over_coupling for axis, est in stats.axes.items()},
+        "post_rate": d1_count / tally.n_shots,
+        "d1_count": d1_count,
+        "means": {pointer.axis.value: mean for pointer, mean in zip(pointers, tally.means)},
+        "standard_errors": {
+            pointer.axis.value: math.sqrt(m2 / (d1_count - 1)) / math.sqrt(d1_count)
+            for pointer, m2 in zip(pointers, tally.m2)
+        },
+        "mean_over_coupling": {
+            pointer.axis.value: mean / pointer.coupling if pointer.coupling > 0 else None
+            for pointer, mean in zip(pointers, tally.means)
+        },
     }
 
 
@@ -337,8 +355,8 @@ def _z_score(deviation: float, variance: float, count: int) -> float | None:
     return z if math.isfinite(z) else None
 
 
-def _checks(expected: dict, stats: SummaryStats) -> dict:
-    """z-scores of the estimates against the analytic values, with analytic standard errors.
+def _checks(expected: dict, estimated: dict, shots: int) -> dict:
+    """z-scores of the ``estimated`` block against the analytic values, with analytic standard errors.
 
     ``post_rate`` uses the binomial standard error sqrt(p (1 - p) / shots),
     with p the success probability, and each axis mean
@@ -347,19 +365,19 @@ def _checks(expected: dict, stats: SummaryStats) -> dict:
     """
     p = expected["success_probability"]
     return {
-        "post_rate_z": _z_score(stats.post_rate - p, p * (1.0 - p), stats.n_shots),
+        "post_rate_z": _z_score(estimated["post_rate"] - p, p * (1.0 - p), shots),
         "mean_z": {
-            axis.value: _z_score(
-                est.mean - expected["pointer_mean"][axis.value],
-                expected["pointer_variance"][axis.value],
-                stats.d1_count,
+            axis: _z_score(
+                mean - expected["pointer_mean"][axis],
+                expected["pointer_variance"][axis],
+                estimated["d1_count"],
             )
-            for axis, est in stats.axes.items()
+            for axis, mean in estimated["means"].items()
         },
     }
 
 
-def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, attempts: int) -> dict:
+def _diagnostics(experiment: Experiment, tally: Tally, checks: dict) -> dict:
     analysis = analyze(experiment)
     envelope = analysis.envelope
     return {
@@ -376,12 +394,12 @@ def _diagnostics(experiment: Experiment, expected: dict, stats: SummaryStats, at
         },
         "sampler": {
             "envelope": envelope.name if envelope is not None else None,
-            "attempts": attempts,
-            "accepted": stats.d1_count,
+            "attempts": tally.attempts,
+            "accepted": tally.d1_count,
             "expected_acceptance": envelope.acceptance if envelope is not None else None,
-            "observed_acceptance": stats.d1_count / attempts if attempts else None,
+            "observed_acceptance": tally.d1_count / tally.attempts if tally.attempts else None,
         },
-        "checks": _checks(expected, stats),
+        "checks": checks,
     }
 
 
@@ -474,7 +492,7 @@ def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
                 batch = sample_shots(experiment, n, config.seed, first_shot=start)
                 tally.add(batch)
                 write_shots_csv(fh, batch, experiment)
-        stats = tally.stats(experiment)
+        estimated = estimated_summary(tally, experiment)
         partial.replace(config.out_dir / "shots.csv")
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -483,8 +501,8 @@ def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
     summary = {
         "config": config.as_dict(),
         "expected": expected,
-        "estimated": estimated_summary(stats),
-        "diagnostics": _diagnostics(experiment, expected, stats, tally.attempts),
+        "estimated": estimated,
+        "diagnostics": _diagnostics(experiment, tally, _checks(expected, estimated, tally.n_shots)),
     }
     _write_summary(config.out_dir, summary)
     return summary

@@ -8,7 +8,8 @@ readout, drawn from the post-selected mixture density by rejection sampling.
 All shots of one :func:`sample_shots` call are evaluated together as
 numpy arrays, so its memory grows with its shot range; a caller that wants
 bounded memory shards the range with ``first_shot`` and folds each shard
-into a :class:`Tally`, as the CLI does.
+into a :class:`Tally` (shot and D1 counts, attempts, and each axis's D1
+readout mean and M2), as the CLI does.
 
 An :class:`Experiment` is immutable (its kets and observables are frozen,
 and every experiment uses the fixed detection chain), so :func:`analyze`
@@ -157,7 +158,7 @@ _PHILOX_ROUNDS = 10
 
 
 class InsufficientData(ValueError):
-    """Too few post-selected shots to form an estimate."""
+    """Too few post-selected shots for a standard error."""
 
 
 class LowAcceptance(ValueError):
@@ -512,8 +513,9 @@ def sample_shots(
     post-selection that can never succeed is not an error here: every shot
     is simply rejected to D2/D3.  A near-null one, whose expected readout
     acceptance is below MIN_ACCEPTANCE, raises LowAcceptance before any
-    shot is drawn.  The whole range is held at once, about 65 bytes a shot
-    at its peak; shard a large range to bound memory.
+    shot is drawn.  The whole range is held at once; the readout sampler
+    sets the peak, 61 (which-path) to 108 (joint-strong) traced bytes a shot
+    at 65,536 shots.  Shard a large range to bound memory.
     """
     if n < 1:
         raise ValueError("need at least one shot")
@@ -546,23 +548,6 @@ def sample_shots(
     return ShotBatch(shot_id=shot_id, detector=detector, readout=readout, attempts=attempts)
 
 
-@dataclass(frozen=True)
-class AxisEstimate:
-    """Sample statistics of the D1 readouts along one pointer axis."""
-
-    mean: float
-    stderr: float
-    mean_over_coupling: float | None  # None when the coupling is zero
-
-
-@dataclass(frozen=True, eq=False)
-class SummaryStats:
-    n_shots: int
-    d1_count: int
-    post_rate: float
-    axes: dict[Axis, AxisEstimate]
-
-
 class Tally:
     """Running statistics of shot batches: shot and D1 counts, attempts, and each axis's D1 readout mean and M2.
 
@@ -571,7 +556,9 @@ class Tally:
     readout column, the ones ``np.mean`` and ``np.std`` make, and batches
     merge in the order they are added by Chan, Golub and LeVeque's update
     (1979).  One batch therefore gives ``np.mean`` and ``np.std(ddof=1)``
-    bit for bit, and any sharding of a run agrees with them to rounding.
+    (``sqrt(m2 / (d1_count - 1))``) bit for bit, and any sharding of a run
+    agrees with them to rounding.  ``cli.estimated_summary`` forms a run's
+    estimates from these fields.
     """
 
     def __init__(self, axes: int) -> None:
@@ -598,28 +585,3 @@ class Tally:
             self.means[k] += delta * share
             self.m2[k] += float((deviations * deviations).sum()) + delta * delta * self.d1_count * share
         self.d1_count = total
-
-    def stats(self, experiment: Experiment) -> SummaryStats:
-        """Post-selection rate and per-axis estimates of the shots added so far.
-
-        Raises InsufficientData when fewer than two D1 readouts exist: a
-        standard error needs at least two samples.
-        """
-        if self.n_shots == 0:
-            raise ValueError("no shots tallied")
-        d1_count = self.d1_count
-        if d1_count < 2:
-            raise InsufficientData(f"only {d1_count} post-selected shots; need at least 2")
-        axes: dict[Axis, AxisEstimate] = {}
-        for pointer, mean, m2 in zip(experiment.pointers(), self.means, self.m2):
-            stderr = math.sqrt(m2 / (d1_count - 1)) / math.sqrt(d1_count)
-            ratio = mean / pointer.coupling if pointer.coupling > 0 else None
-            axes[pointer.axis] = AxisEstimate(mean=mean, stderr=stderr, mean_over_coupling=ratio)
-        return SummaryStats(n_shots=self.n_shots, d1_count=d1_count, post_rate=d1_count / self.n_shots, axes=axes)
-
-
-def estimate(batch: ShotBatch, experiment: Experiment) -> SummaryStats:
-    """Post-selection rate and per-axis estimates of one batch: a :class:`Tally` of it alone."""
-    tally = Tally(len(experiment.couplings))
-    tally.add(batch)
-    return tally.stats(experiment)

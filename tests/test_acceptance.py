@@ -12,12 +12,12 @@ from cheshire import (
     Detector,
     Experiment,
     GaussianPointer,
+    Tally,
     abl_distribution,
     analyze,
     canonical_observables,
     canonical_states,
     couple,
-    estimate,
     mixture_density,
     mixture_moments,
     observable_operator,
@@ -27,7 +27,7 @@ from cheshire import (
     sequential_distribution,
     weak_value,
 )
-from cheshire.cli import write_shots_csv
+from cheshire.cli import estimated_summary, write_shots_csv
 from cheshire.qstate import Ket, inner, normalize
 from oracles import collapse_chain_distribution, lobe_masses, quadrature_moments
 
@@ -166,12 +166,14 @@ def test_criterion_9_monte_carlo_statistical_tier(tmp_path):
         ),
     )
     batch = sample_shots(experiment, n, seed=0)
-    stats = estimate(batch, experiment)
+    tally = Tally(2)
+    tally.add(batch)
+    estimated = estimated_summary(tally, experiment)
     binom_sigma = np.sqrt(0.25 * 0.75 / n)
-    rate_ok = abs(stats.post_rate - 0.25) <= 3 * binom_sigma
+    rate_ok = abs(estimated["post_rate"] - 0.25) <= 3 * binom_sigma
     mean_ok = all(
-        abs(est.mean_over_coupling - 1.0) <= 4 * est.stderr / 1e-2
-        for est in stats.axes.values()
+        abs(ratio - 1.0) <= 4 * estimated["standard_errors"][axis] / 1e-2
+        for axis, ratio in estimated["mean_over_coupling"].items()
     )
 
     first_csv = tmp_path / "first.csv"
@@ -200,7 +202,7 @@ def test_criterion_9_monte_carlo_statistical_tier(tmp_path):
     report(
         9,
         ok,
-        f"post_rate {stats.post_rate} (3 sigma band {3 * binom_sigma:.2e}), "
-        f"mean/coupling {[est.mean_over_coupling for est in stats.axes.values()]}, "
+        f"post_rate {estimated['post_rate']} (3 sigma band {3 * binom_sigma:.2e}), "
+        f"mean/coupling {list(estimated['mean_over_coupling'].values())}, "
         f"byte-identical csv {csv_ok}, shard invariance {shard_ok}",
     )

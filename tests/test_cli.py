@@ -299,6 +299,25 @@ def test_summary_checks_are_within_5_sigma(tmp_path, preset):
             assert abs(z) < 5
 
 
+def test_estimates_match_numpy_over_the_runs_own_csv(tmp_path):
+    # Two chunks: the estimated block against numpy's reductions of the D1
+    # rows that the same run wrote to shots.csv.
+    shots = 70_000
+    assert cli._CHUNK_SHOTS < shots <= 2 * cli._CHUNK_SHOTS
+    assert main(["--shots", str(shots), "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    estimated = read_summary(tmp_path / "summary.json")["estimated"]
+    assert list(estimated) == ["post_rate", "d1_count", "means", "standard_errors", "mean_over_coupling"]
+    with open(tmp_path / "shots.csv", newline="", encoding="ascii") as fh:
+        d1 = [row for row in csv.DictReader(fh) if row["detector"] == "D1"]
+    assert estimated["d1_count"] == len(d1)
+    assert estimated["post_rate"] == len(d1) / shots
+    for axis, column in (("vertical", "y"), ("horizontal", "x")):
+        values = np.array([float(row[column]) for row in d1])
+        stderr = np.std(values, ddof=1) / math.sqrt(len(d1))
+        assert estimated["means"][axis] == pytest.approx(np.mean(values), rel=1e-12, abs=0)
+        assert estimated["standard_errors"][axis] == pytest.approx(stderr, rel=1e-12, abs=0)
+
+
 def test_single_run_analyzes_once(tmp_path, monkeypatch):
     calls = []
     grams = []
@@ -784,7 +803,7 @@ def test_check_z_scores_are_standard_normal_over_seeds(preset):
     for seed in range(400):
         tally = montecarlo.Tally(len(experiment.couplings))
         tally.add(sample_shots(experiment, 20_000, seed))
-        checks = cli._checks(expected, tally.stats(experiment))
+        checks = cli._checks(expected, cli.estimated_summary(tally, experiment), tally.n_shots)
         for name, z in [("post_rate", checks["post_rate_z"]), *checks["mean_z"].items()]:
             zs.setdefault(name, []).append(z)
     assert set(zs) == {"post_rate", *(axis.value for axis in experiment.axes())}

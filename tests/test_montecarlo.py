@@ -21,7 +21,6 @@ from cheshire import (
     canonical_observables,
     canonical_states,
     couple,
-    estimate,
     mixture_density,
     mixture_moments,
     postselect_pointer,
@@ -360,13 +359,12 @@ def test_result_objects_hash_by_identity():
     experiment = cheshire_experiment()
     results = (
         analyze(experiment),
-        estimate(sample_shots(experiment, 2000, seed=1), experiment),
         run_interferometer(PRE),
         abl_distribution(OBS["photon_in_arm1"], PRE, POST),
     )
     for result in results:
         assert hash(result) == hash(result) and result == result
-    assert len(set(results)) == 4
+    assert len(set(results)) == 3
 
 
 def test_zero_coupling_reproduces_bare_optics():
@@ -400,8 +398,10 @@ def test_impossible_postselection_rejects_every_shot():
     assert not (batch.detector == 1).any()
     assert np.isnan(batch.readout).all()
     assert batch.attempts == 0
+    tally = Tally(1)
+    tally.add(batch)
     with pytest.raises(InsufficientData):
-        estimate(batch, experiment)
+        cli.estimated_summary(tally, experiment)
 
 
 # --- the per-structure analysis ----------------------------------------------
@@ -558,17 +558,20 @@ def test_detector_rates_track_analysis():
 def test_estimate_interface():
     experiment = cheshire_experiment()
     batch = sample_shots(experiment, 5000, seed=8)
-    stats = estimate(batch, experiment)
-    assert stats.n_shots == 5000
-    assert stats.d1_count == int(np.sum(batch.detector == 1))
-    assert stats.post_rate == stats.d1_count / 5000
-    assert set(stats.axes) == {Axis.VERTICAL, Axis.HORIZONTAL}
-    for est in stats.axes.values():
-        assert est.stderr > 0
-        assert est.mean_over_coupling == pytest.approx(est.mean / 1e-2)
-    empty = ShotBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), np.empty((0, 2)))
-    with pytest.raises(ValueError):
-        estimate(empty, experiment)
+    tally = Tally(2)
+    tally.add(batch)
+    estimated = cli.estimated_summary(tally, experiment)
+    assert tally.n_shots == 5000
+    assert estimated["d1_count"] == tally.d1_count == int(np.sum(batch.detector == 1))
+    assert estimated["post_rate"] == estimated["d1_count"] / 5000
+    assert list(estimated["means"]) == ["vertical", "horizontal"]
+    for axis, mean in estimated["means"].items():
+        assert estimated["standard_errors"][axis] > 0
+        assert estimated["mean_over_coupling"][axis] == pytest.approx(mean / 1e-2)
+    empty = Tally(2)
+    empty.add(ShotBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), np.empty((0, 2))))
+    with pytest.raises(ValueError, match="no shots"):
+        cli.estimated_summary(empty, experiment)
 
 
 @pytest.mark.parametrize(
@@ -589,15 +592,16 @@ def test_merged_tally_matches_numpy_over_the_whole_run(sizes):
     tally = Tally(2)
     for start, size in zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes):
         tally.add(sample_shots(experiment, size, seed=4, first_shot=start))
-    stats = tally.stats(experiment)
-    assert (stats.n_shots, stats.d1_count, tally.attempts) == (n, readouts.shape[0], batch.attempts)
-    for k, pointer in enumerate(experiment.pointers()):
+    estimated = cli.estimated_summary(tally, experiment)
+    d1_count = estimated["d1_count"]
+    assert (tally.n_shots, d1_count, tally.attempts) == (n, readouts.shape[0], batch.attempts)
+    for k, axis in enumerate(estimated["means"]):
         mean, std = float(np.mean(readouts[:, k])), float(np.std(readouts[:, k], ddof=1))
-        est = stats.axes[pointer.axis]
+        est_mean, stderr = estimated["means"][axis], estimated["standard_errors"][axis]
         if len(sizes) == 1:
-            assert (est.mean, est.stderr) == (mean, std / np.sqrt(stats.d1_count))
-        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
-        assert est.stderr * np.sqrt(stats.d1_count) == pytest.approx(std, rel=1e-12, abs=0)
+            assert (est_mean, stderr) == (mean, std / np.sqrt(d1_count))
+        assert est_mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert stderr * np.sqrt(d1_count) == pytest.approx(std, rel=1e-12, abs=0)
 
 
 def test_estimate_requires_two_d1_shots():
@@ -606,39 +610,44 @@ def test_estimate_requires_two_d1_shots():
     detector[50] = 1
     readout = np.full((51, 2), np.nan)
     readout[50] = 0.0
-    batch = ShotBatch(np.arange(51, dtype=np.int64), detector, readout)
+    tally = Tally(2)
+    tally.add(ShotBatch(np.arange(51, dtype=np.int64), detector, readout))
     with pytest.raises(InsufficientData):
-        estimate(batch, experiment)
+        cli.estimated_summary(tally, experiment)
 
 
 def test_zero_coupling_mean_is_statistically_zero():
     experiment = cheshire_experiment(g=0.0, h=0.0)
-    stats = estimate(sample_shots(experiment, 5000, seed=21), experiment)
-    for est in stats.axes.values():
-        assert abs(est.mean) < 4 * est.stderr
-        assert est.mean_over_coupling is None
+    tally = Tally(2)
+    tally.add(sample_shots(experiment, 5000, seed=21))
+    estimated = cli.estimated_summary(tally, experiment)
+    for axis, mean in estimated["means"].items():
+        assert abs(mean) < 4 * estimated["standard_errors"][axis]
+        assert estimated["mean_over_coupling"][axis] is None
 
 
 def test_strong_probe_mean_matches_closed_form():
     # coupling/width = 10: sampled mean against the analytic mixture mean.
     experiment = single_probe_experiment("photon_in_arm1", 10.0, axis=Axis.VERTICAL)
-    stats = estimate(sample_shots(experiment, 4000, seed=12), experiment)
+    tally = Tally(1)
+    tally.add(sample_shots(experiment, 4000, seed=12))
+    estimated = cli.estimated_summary(tally, experiment)
     analysis = analyze(experiment)
     expected = mixture_moments(analysis.mixture)[Axis.VERTICAL].mean
     assert expected == pytest.approx(10.0, abs=1e-12)  # single displaced Gaussian
-    est = stats.axes[Axis.VERTICAL]
-    assert abs(est.mean - expected) < 4 * est.stderr
+    assert abs(estimated["means"]["vertical"] - expected) < 4 * estimated["standard_errors"]["vertical"]
 
 
 def test_interference_regime_sampling_respects_envelope():
     # coupling ~ width maximises the cross terms; the envelope assertion
     # inside the sampler runs on every draw under pytest (__debug__).
     experiment = single_probe_experiment("angular_momentum_arm2", 1.0)
-    stats = estimate(sample_shots(experiment, 3000, seed=9), experiment)
+    tally = Tally(1)
+    tally.add(sample_shots(experiment, 3000, seed=9))
+    estimated = cli.estimated_summary(tally, experiment)
     analysis = analyze(experiment)
     expected = mixture_moments(analysis.mixture)[Axis.HORIZONTAL]
-    est = stats.axes[Axis.HORIZONTAL]
-    assert abs(est.mean - expected.mean) < 4 * est.stderr
+    assert abs(estimated["means"]["horizontal"] - expected.mean) < 4 * estimated["standard_errors"]["horizontal"]
 
 
 @pytest.mark.slow
@@ -650,9 +659,11 @@ def test_estimator_consistency_over_many_seeds():
     moments = mixture_moments(analysis.mixture)
     hits = 0
     for seed in range(100):
-        stats = estimate(sample_shots(experiment, 10_000, seed=seed), experiment)
+        tally = Tally(2)
+        tally.add(sample_shots(experiment, 10_000, seed=seed))
+        estimated = cli.estimated_summary(tally, experiment)
         ok = all(
-            abs(stats.axes[axis].mean - moments[axis].mean) <= 4 * stats.axes[axis].stderr
+            abs(estimated["means"][axis.value] - moments[axis].mean) <= 4 * estimated["standard_errors"][axis.value]
             for axis in (Axis.VERTICAL, Axis.HORIZONTAL)
         )
         hits += ok

@@ -46,6 +46,8 @@ def test_readme_cli_quick_start_runs(tmp_path):
     described = section[section.index("`out/summary.json`") : section.index("|z| of 5")]
     named = set(re.findall(r"`([a-z][a-z0-9_]*)`", described))
     assert named <= keys(summary), named - keys(summary)
-    # and every top-level key and diagnostics entry is named
-    assert set(summary) <= named
-    assert set(summary["diagnostics"]) <= named
+    # and every top-level key and every key of estimated, diagnostics, the
+    # sampler and the checks is named
+    diagnostics = summary["diagnostics"]
+    for block in (summary, summary["estimated"], diagnostics, diagnostics["sampler"], diagnostics["checks"]):
+        assert set(block) <= named, set(block) - named
