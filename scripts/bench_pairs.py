@@ -7,10 +7,13 @@ Pair ``k`` (from 1) runs ``python3 perfbench/run.py --workload W --seed k
 --seconds S --trace 0`` in each tree, the parent first on odd pairs and the
 change first on even ones, so drift in the host's speed falls on both sides
 alike.  The script prints each pair's end-to-end metrics, then per metric
-each side's median and quartiles and the number of pairs the change won:
-had a strictly better value, in the direction ``BENCHMARK.json`` gives for
-the metric.  Exits 0 when every run was correct, 1 as soon as a run fails
-or reports a failed process, and 2 on wrong arguments.
+each side's median and quartiles, the number of pairs the change won (had
+a strictly better value, in the direction ``BENCHMARK.json`` gives for the
+metric), and the change's median relative to the parent's, signed so that
+positive is better, with whether it is within the metric's ``bound``: worse
+than the parent's median by no more than that fraction of it.  Exits 0
+when every run was correct, 1 as soon as a run fails or reports a failed
+process, and 2 on wrong arguments.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
-    better = {metric["name"]: metric["better"] for metric in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    better = {metric["name"]: metric["better"] for metric in metrics}
+    bound = {metric["name"]: metric["bound"] for metric in metrics}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     samples: dict[str, list[dict[str, float]]] = {side: [] for side in SIDES}
     for pair in range(1, args.pairs + 1):
@@ -75,12 +80,17 @@ def main(argv: list[str]) -> int:
         values = {side: [sample[name] for sample in samples[side]] for side in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        cells = []
+        cells, medians = [], {}
         for side in SIDES:
-            q1, median, q3 = quartiles(values[side])
-            cells.append(f"{side} {median:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
+            q1, medians[side], q3 = quartiles(values[side])
+            cells.append(f"{side} {medians[side]:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
         summary = "  ".join(cells)
-        print(f"{args.workload} {name} ({direction} is better): {summary}  change won {wins} of {args.pairs}")
+        gain = sign * (medians["change"] - medians["parent"]) / abs(medians["parent"])
+        verdict = "within" if gain >= -bound[name] else "BEYOND"
+        print(
+            f"{args.workload} {name} ({direction} is better): {summary}  change won {wins} of {args.pairs}"
+            f"  median {gain:+.1%}, {verdict} the {bound[name]:.0%} bound"
+        )
     return 0
 
 

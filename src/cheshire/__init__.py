@@ -19,7 +19,7 @@ from .montecarlo import (
     analyze,
     sample_shots,
 )
-from .optics import Detector, run_interferometer
+from .optics import Detector
 from .pointer import (
     Axis,
     CoupledState,
@@ -33,11 +33,9 @@ from .pointer import (
     postselect_pointer,
 )
 from .postselect import (
-    ImpossibleOutcome,
     NoValidHistory,
     OrthogonalSelection,
     abl_distribution,
-    collapse,
     sequential_distribution,
     weak_value,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "DuplicateAxis",
     "Experiment",
     "GaussianPointer",
-    "ImpossibleOutcome",
     "InsufficientData",
     "Ket",
     "LowAcceptance",
@@ -71,13 +68,11 @@ __all__ = [
     "analyze",
     "canonical_observables",
     "canonical_states",
-    "collapse",
     "couple",
     "mixture_density",
     "mixture_moments",
     "observable_operator",
     "postselect_pointer",
-    "run_interferometer",
     "sample_shots",
     "sequential_distribution",
     "weak_value",

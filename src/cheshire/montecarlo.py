@@ -551,11 +551,12 @@ def sample_shots(
 class Tally:
     """Running statistics of shot batches: shot and D1 counts, attempts, and each axis's D1 readout mean and M2.
 
-    :meth:`add` folds one batch in.  A batch's mean and M2 (sum of squared
-    deviations from its mean) are numpy's pairwise reductions over each
-    readout column, the ones ``np.mean`` and ``np.std`` make, and batches
-    merge in the order they are added by Chan, Golub and LeVeque's update
-    (1979).  One batch therefore gives ``np.mean`` and ``np.std(ddof=1)``
+    :meth:`add` folds one batch in, and raises ValueError unless the batch
+    has one readout column per tally axis.  A batch's mean and M2 (sum of
+    squared deviations from its mean) are numpy's pairwise reductions over
+    each readout column, the ones ``np.mean`` and ``np.std`` make, and
+    batches merge in the order they are added by Chan, Golub and LeVeque's
+    update (1979).  One batch therefore gives ``np.mean`` and ``np.std(ddof=1)``
     (``sqrt(m2 / (d1_count - 1))``) bit for bit, and any sharding of a run
     agrees with them to rounding.  ``cli.estimated_summary`` forms a run's
     estimates from these fields.
@@ -569,6 +570,8 @@ class Tally:
         self.m2 = [0.0] * axes
 
     def add(self, batch: ShotBatch) -> None:
+        if batch.readout.shape[1] != len(self.means):
+            raise ValueError(f"batch has {batch.readout.shape[1]} readout axes, the tally {len(self.means)}")
         readouts = batch.readout[batch.detector == _D1]
         count = readouts.shape[0]
         self.n_shots += len(batch)

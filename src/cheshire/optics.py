@@ -17,6 +17,9 @@ Beamsplitters use the real balanced (Hadamard-like) convention
 |1> -> (|L> + |R>)/sqrt(2), |2> -> (|L> - |R>)/sqrt(2).  Any other 50:50
 convention differs only by compensating phases; the convention-independent
 contract is P(D1) = |<post|state>|^2, which the tests check directly.
+Click probabilities, of a bare state as of one coupled to pointers, come
+from :func:`cheshire.montecarlo.analyze`; a bare state is
+``Experiment(pre=state, couplings=())``.
 
 The chain is fixed, so its elements, unitary, detector projectors and
 post-selected state are read-only module constants, computed once at
@@ -26,14 +29,13 @@ projectors on each call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .qstate import ATOL, Ket, identity, normalize
+from .qstate import Ket, identity, normalize
 
 # Balanced 50:50 mixing of two modes, real (Hadamard-like) convention.
 _MIXER = np.array([[1, 1], [1, -1]], dtype=np.complex128) * (1.0 / np.sqrt(2.0))
@@ -104,35 +106,3 @@ def postselected_state() -> Ket:
     post-state.
     """
     return _POST_STATE
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionResult:
-    """Detector click probabilities and the conditional collapsed states.
-
-    Conditional states are given in the inside-the-arms picture (the
-    normalized projection of the input onto the detector's subspace) and are
-    present only for detectors with nonzero click probability.
-    """
-
-    probabilities: dict[Detector, float]
-    conditional_states: dict[Detector, Ket]
-
-
-def run_interferometer(state_inside: Ket) -> DetectionResult:
-    """Send a state from inside the arms through the detection chain.
-
-    Raises ValueError on unnormalized input (``Ket.normalized`` false):
-    click probabilities are only meaningful for unit states.
-    """
-    if not state_inside.normalized:
-        raise ValueError("run_interferometer requires a normalized state")
-    probabilities: dict[Detector, float] = {}
-    conditional: dict[Detector, Ket] = {}
-    for detector in Detector:
-        collapsed = _PROJECTORS[detector] @ state_inside.amps
-        p = float(np.vdot(collapsed, collapsed).real)
-        probabilities[detector] = p
-        if p > ATOL:
-            conditional[detector] = Ket(collapsed / np.sqrt(p))
-    return DetectionResult(probabilities=probabilities, conditional_states=conditional)

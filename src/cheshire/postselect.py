@@ -19,7 +19,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .qstate import ATOL, Ket, SpectralObservable, apply, inner, normalize
+from .qstate import ATOL, Ket, SpectralObservable, apply, inner
 
 
 class OrthogonalSelection(ValueError):
@@ -28,10 +28,6 @@ class OrthogonalSelection(ValueError):
 
 class NoValidHistory(ValueError):
     """Every measurement history is incompatible with the post-selection."""
-
-
-class ImpossibleOutcome(ValueError):
-    """The requested outcome has no support in the given state."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +101,3 @@ def sequential_distribution(
     numerators, total = _histories(obs_list, pre, post)
     outcomes = {history: num / total for history, num in numerators.items() if num / total > ATOL}
     return ConditionalDistribution(outcomes=outcomes, success_probability=total)
-
-
-def collapse(obs: SpectralObservable, outcome: float, state: Ket) -> Ket:
-    """State after a projective measurement yielded ``outcome``.
-
-    Raises ImpossibleOutcome when the state has no support in the outcome's
-    eigenspace, and ValueError when ``outcome`` is not an eigenvalue at all.
-    """
-    projected = apply(obs.projector(outcome), state)
-    if projected.norm() < ATOL:
-        raise ImpossibleOutcome(f"state has no component with outcome {outcome}")
-    return normalize(projected)

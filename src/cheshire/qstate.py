@@ -12,9 +12,8 @@ eigenvalues +1/-1).  Linear polarisations follow the real convention
 so every canonical state and observable in this package has real
 coefficients in the canonical basis.
 
-Operators are plain 4x4 complex numpy arrays.  Intermediate results of
-projections are deliberately left unnormalized, so each ket derives a
-``normalized`` flag from its amplitudes when it is built.
+Operators are plain 4x4 complex numpy arrays.  A ket need not have unit
+norm: intermediate results of projections are left unnormalized.
 
 Kets and spectral observables freeze their arrays read-only, so the
 canonical states and observables are built once per process (the
@@ -25,7 +24,7 @@ later caller checks it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -42,12 +41,9 @@ class Ket:
     """State vector over the canonical basis.
 
     ``amps`` is a read-only complex copy of the 4 amplitudes given.
-    ``normalized``, derived from them, is True exactly when the squared
-    norm is 1 within ``ATOL``.
     """
 
     amps: np.ndarray
-    normalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
         amps = np.array(self.amps, dtype=np.complex128)
@@ -57,7 +53,6 @@ class Ket:
             raise ValueError("ket amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "normalized", bool(abs(np.vdot(amps, amps).real - 1.0) <= ATOL))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -77,7 +72,7 @@ def inner(bra: Ket, ket: Ket) -> complex:
 
 
 def apply(op: np.ndarray, state: Ket) -> Ket:
-    """Matrix-vector product ``op @ state``; the result's ``normalized`` flag is derived from its norm."""
+    """Matrix-vector product ``op @ state``, left unnormalized."""
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (DIM, DIM):
         raise ValueError(f"operator must be {DIM}x{DIM}, got shape {op.shape}")
@@ -93,7 +88,7 @@ class SpectralObservable:
     """Observable given by its spectral data: (eigenvalue, eigenspace projector) pairs.
 
     Degenerate eigenspaces are kept as single higher-rank projectors; the
-    conditional-probability and collapse rules only ever need the projectors.
+    conditional-probability rules only ever need the projectors.
 
     The branches are frozen and checked when the observable is built, in
     order: every eigenvalue is finite and every projector is a finite 4x4
@@ -116,12 +111,6 @@ class SpectralObservable:
         if reason is not None:
             raise ValueError(f"invalid spectral observable: {reason} (max entrywise residual {residual:.3e})")
         object.__setattr__(self, "branches", branches)
-
-    def projector(self, eigenvalue: float) -> np.ndarray:
-        for value, proj in self.branches:
-            if abs(value - eigenvalue) <= ATOL:
-                return proj
-        raise ValueError(f"{eigenvalue!r} is not an eigenvalue of this observable")
 
 
 def observable_operator(obs: SpectralObservable) -> np.ndarray:

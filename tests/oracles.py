@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check closed-form code paths.
 
-These deliberately avoid the library's conditional-probability, collapse and
-moment formulas: measurement sequences are simulated by explicit normalize-
+These deliberately avoid the library's conditional-probability and moment
+formulas: measurement sequences are simulated by explicit normalize-
 project-renormalize steps with Born factors, pointer moments come from
 trapezoid quadrature of the density on a fine grid, the weak-limit error
 from the plain Gram sums at 50 decimal digits, and detector uniforms from

@@ -22,7 +22,6 @@ from cheshire import (
     mixture_moments,
     observable_operator,
     postselect_pointer,
-    run_interferometer,
     sample_shots,
     sequential_distribution,
     weak_value,
@@ -100,7 +99,7 @@ def test_criterion_5_postselection_equivalence():
     for _ in range(120):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         state = normalize(Ket(amps))
-        p_d1 = run_interferometer(state).probabilities[Detector.D1]
+        p_d1 = analyze(Experiment(pre=state, couplings=())).detector_probabilities[Detector.D1]
         worst = max(worst, abs(p_d1 - abs(inner(POST, state)) ** 2))
     overlap = abs(inner(POST, PRE)) ** 2
     ok = worst <= 1e-12 and abs(overlap - 0.25) <= 1e-12

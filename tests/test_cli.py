@@ -652,6 +652,9 @@ def test_sweep_writes_points_and_convergence(tmp_path):
     for axis in ("vertical", "horizontal"):
         for ratio in summary["expected"]["weak_limit_error_ratio_per_decade"][axis]:
             assert 50 < ratio < 200
+    # The run builds each point's weak-cheshire experiment; the sweep config itself builds none.
+    with pytest.raises(ValueError, match="sweep is an orchestration preset"):
+        build_experiment(parse_config(["--preset", "sweep"]))
 
 
 def test_sweep_weak_limit_error_matches_mpmath_oracle(tmp_path):

@@ -24,7 +24,6 @@ from cheshire import (
     mixture_density,
     mixture_moments,
     postselect_pointer,
-    run_interferometer,
     sample_shots,
 )
 from cheshire import cli, montecarlo
@@ -359,18 +358,17 @@ def test_result_objects_hash_by_identity():
     experiment = cheshire_experiment()
     results = (
         analyze(experiment),
-        run_interferometer(PRE),
         abl_distribution(OBS["photon_in_arm1"], PRE, POST),
     )
     for result in results:
         assert hash(result) == hash(result) and result == result
-    assert len(set(results)) == 3
+    assert len(set(results)) == 2
 
 
 def test_zero_coupling_reproduces_bare_optics():
     experiment = cheshire_experiment(g=0.0, h=0.0)
     analysis = analyze(experiment)
-    bare = run_interferometer(PRE).probabilities
+    bare = analyze(Experiment(pre=PRE, couplings=())).detector_probabilities
     for detector in Detector:
         assert analysis.detector_probabilities[detector] == pytest.approx(
             bare[detector], abs=1e-12
@@ -536,6 +534,13 @@ def test_readout_present_exactly_for_d1():
     for code in (0, 4, 255):
         with pytest.raises(ValueError, match="detector codes"):
             ShotBatch(ids, np.array([code], dtype=np.uint8), np.array([[np.nan, np.nan]]))
+    d2, off_d1 = np.array([2], dtype=np.uint8), np.array([[np.nan, np.nan]])
+    for shot_id, detector in ((ids.astype(np.int32), d2), (ids, d2.astype(np.int64))):
+        with pytest.raises(ValueError, match="int64 and detector uint8"):
+            ShotBatch(shot_id, detector, off_d1)
+    for detector, readout in ((np.repeat(d2, 2), off_d1), (d2, off_d1[0]), (d2, np.repeat(off_d1, 2, axis=0))):
+        with pytest.raises(ValueError, match="rows must agree"):
+            ShotBatch(ids, detector, readout)
 
 
 def test_sample_shots_rejects_empty_run():
@@ -572,6 +577,16 @@ def test_estimate_interface():
     empty.add(ShotBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), np.empty((0, 2))))
     with pytest.raises(ValueError, match="no shots"):
         cli.estimated_summary(empty, experiment)
+
+
+def test_tally_rejects_a_batch_of_another_width():
+    # A weak-cheshire batch has two readout columns; a tally of one or three axes must not fold it.
+    batch = sample_shots(cheshire_experiment(), 200, seed=8)
+    for axes in (1, 3):
+        tally = Tally(axes)
+        with pytest.raises(ValueError, match=f"batch has 2 readout axes, the tally {axes}"):
+            tally.add(batch)
+        assert (tally.n_shots, tally.d1_count, tally.attempts) == (0, 0, 0)
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from cheshire import (
-    ImpossibleOutcome,
     NoValidHistory,
     OrthogonalSelection,
     abl_distribution,
-    collapse,
     observable_operator,
     sequential_distribution,
     weak_value,
@@ -267,30 +265,3 @@ def test_sequential_no_valid_history(observables):
     post = Ket([0, 0, 1, 0])
     with pytest.raises(NoValidHistory):
         sequential_distribution([observables["angular_momentum"]], pre, post)
-
-
-# --- collapse ----------------------------------------------------------------
-
-
-def test_collapse_not_found_in_arm1(pre_post, observables):
-    pre, _ = pre_post
-    state = collapse(observables["photon_in_arm1"], 0.0, pre)
-    np.testing.assert_allclose(state.amps, [0, 0, 1 / SQ2, 1 / SQ2], atol=ATOL)
-    assert state.normalized
-
-
-def test_collapse_momentum_found_in_arm2(pre_post, observables):
-    pre, _ = pre_post
-    state = collapse(observables["angular_momentum_arm2"], +1.0, pre)
-    np.testing.assert_allclose(state.amps, Ket([0, 0, 1, 0]).amps, atol=ATOL)
-
-
-def test_collapse_impossible_outcome(observables):
-    with pytest.raises(ImpossibleOutcome):
-        collapse(observables["photon_in_arm1"], 1.0, Ket([0, 0, 1, 0]))
-
-
-def test_collapse_unknown_eigenvalue(pre_post, observables):
-    pre, _ = pre_post
-    with pytest.raises(ValueError):
-        collapse(observables["photon_in_arm1"], 0.5, pre)

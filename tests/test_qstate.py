@@ -20,9 +20,9 @@ SQ2 = np.sqrt(2.0)
 
 
 def test_ket_construction_and_flags():
-    assert Ket([0.5, 0.5, 0.5, 0.5]).normalized
-    assert not Ket([1, 1, 0, 0]).normalized
-    assert normalize(Ket([1, 1, 0, 0])).normalized
+    assert Ket([0.5, 0.5, 0.5, 0.5]).norm() == pytest.approx(1.0, abs=ATOL)
+    assert Ket([1, 1, 0, 0]).norm() == pytest.approx(SQ2, abs=ATOL)
+    assert normalize(Ket([1, 1, 0, 0])).norm() == pytest.approx(1.0, abs=ATOL)
     with pytest.raises(ValueError):
         Ket([1, 2, 3])
     with pytest.raises(ValueError):
@@ -78,13 +78,15 @@ def test_apply_identity_and_flagging(pre_post):
     pre, _ = pre_post
     result = apply(identity(), pre)
     np.testing.assert_allclose(result.amps, pre.amps, atol=ATOL)
-    assert result.normalized  # derived from the amplitudes, not from the operation
-    assert not apply(canonical_observables()["photon_in_arm2"].projector(1.0), pre).normalized
+    arm2 = dict(canonical_observables()["photon_in_arm2"].branches)[1.0]
+    assert apply(arm2, pre).norm() == pytest.approx(1 / SQ2, abs=ATOL)  # a projection is left unnormalized
+    with pytest.raises(ValueError, match="operator must be 4x4"):
+        apply(np.eye(3), pre)
 
 
 def test_apply_arm2_projection(pre_post):
     pre, _ = pre_post
-    arm2 = canonical_observables()["photon_in_arm2"].projector(1.0)
+    arm2 = dict(canonical_observables()["photon_in_arm2"].branches)[1.0]
     np.testing.assert_allclose(apply(arm2, pre).amps, [0, 0, 0.5, 0.5], atol=ATOL)
 
 
@@ -101,7 +103,7 @@ def test_canonical_states_values(pre_post):
     pre, post = pre_post
     np.testing.assert_allclose(pre.amps, [0.5, 0.5, 0.5, 0.5], atol=ATOL)
     np.testing.assert_allclose(post.amps, [0.5, 0.5, 0.5, -0.5], atol=ATOL)
-    assert pre.normalized and post.normalized
+    assert pre.norm() == pytest.approx(1.0, abs=ATOL) and post.norm() == pytest.approx(1.0, abs=ATOL)
     # Arm-1 components agree; the states differ only in arm 2.
     np.testing.assert_allclose(pre.amps[:2], post.amps[:2], atol=ATOL)
 
@@ -109,8 +111,8 @@ def test_canonical_states_values(pre_post):
 def test_projectors_resolve_pre_state_exactly(pre_post):
     pre, _ = pre_post
     obs = canonical_observables()
-    arm1 = obs["photon_in_arm1"].projector(1.0)
-    arm2 = obs["photon_in_arm2"].projector(1.0)
+    arm1 = dict(obs["photon_in_arm1"].branches)[1.0]
+    arm2 = dict(obs["photon_in_arm2"].branches)[1.0]
     recombined = apply(arm1, pre).amps + apply(arm2, pre).amps
     assert np.array_equal(recombined, pre.amps)
 
@@ -132,14 +134,14 @@ def test_canonical_observables_are_valid(observables):
 def test_arm2_angular_momentum_branches(observables):
     obs = observables["angular_momentum_arm2"]
     assert tuple(value for value, _ in obs.branches) == (1.0, -1.0, 0.0)
-    np.testing.assert_array_equal(obs.projector(1.0), np.diag([0, 0, 1, 0]).astype(complex))
-    np.testing.assert_array_equal(obs.projector(-1.0), np.diag([0, 0, 0, 1]).astype(complex))
-    np.testing.assert_array_equal(obs.projector(0.0), np.diag([1, 1, 0, 0]).astype(complex))
+    np.testing.assert_array_equal(dict(obs.branches)[1.0], np.diag([0, 0, 1, 0]).astype(complex))
+    np.testing.assert_array_equal(dict(obs.branches)[-1.0], np.diag([0, 0, 0, 1]).astype(complex))
+    np.testing.assert_array_equal(dict(obs.branches)[0.0], np.diag([1, 1, 0, 0]).astype(complex))
 
 
 def test_completeness_and_arm_decomposition(observables):
-    arm1 = observables["photon_in_arm1"].projector(1.0)
-    arm2 = observables["photon_in_arm2"].projector(1.0)
+    arm1 = dict(observables["photon_in_arm1"].branches)[1.0]
+    arm2 = dict(observables["photon_in_arm2"].branches)[1.0]
     np.testing.assert_allclose(arm1 + arm2, identity(), atol=ATOL)
     total = observable_operator(observables["angular_momentum_arm1"]) + observable_operator(
         observables["angular_momentum_arm2"]
@@ -155,10 +157,14 @@ def test_all_canonical_observables_commute(observables):
 
 
 def test_invalid_spectral_observables_raise_when_built(observables):
-    arm1 = observables["photon_in_arm1"].projector(1.0)
-    arm2 = observables["photon_in_arm2"].projector(1.0)
+    arm1 = dict(observables["photon_in_arm1"].branches)[1.0]
+    arm2 = dict(observables["photon_in_arm2"].branches)[1.0]
+    oblique = np.zeros((4, 4))
+    oblique[0, 0] = oblique[0, 1] = 1.0
     cases = [
         (((1.0, arm1), (0.0, arm1)), "orthogonal", 1.0),  # residual |P_1 P_1| = 1
+        # Oblique: idempotent, orthogonal to I - P and summing with it to I, only not hermitian.
+        (((1.0, oblique), (0.0, identity() - oblique)), "eigenvalue 1.0 is not hermitian", 1.0),
         (((1.0, arm1), (1.0, arm2)), "duplicate eigenvalue 1.0", 0.0),
         (((1.0, 0.5 * arm1), (0.0, arm2)), "idempotent", 0.25),
         (((1.0, arm1),), "do not sum to the identity", 1.0),
@@ -200,5 +206,5 @@ def test_canonical_constants_are_shared_read_only_and_freshly_contained():
     again_pre, again_post = canonical_states()
     assert again_pre is pre and again_post is post
     assert not pre.amps.flags.writeable and not post.amps.flags.writeable
-    np.testing.assert_array_equal(fresh["photon_in_arm1"].projector(1.0), np.diag([1, 1, 0, 0]))
+    np.testing.assert_array_equal(dict(fresh["photon_in_arm1"].branches)[1.0], np.diag([1, 1, 0, 0]))
 
