@@ -55,10 +55,9 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import dataclass, fields, replace
 from functools import cache
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -98,8 +97,7 @@ class UsageError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class _Preset:
+class _Preset(NamedTuple):
     couplings: tuple[tuple[str, Axis], ...]  # (canonical observable name, axis)
     default_ratio: float  # coupling/width when no explicit coupling is given
 
@@ -124,8 +122,7 @@ _REPORTED_WEAK_VALUES = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     preset: str
     g_vertical: float
     g_horizontal: float
@@ -135,13 +132,13 @@ class ExperimentConfig:
     out_dir: Path
 
     def as_dict(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values = self._asdict()
         values["out_dir"] = str(self.out_dir)
         return values
 
 
 #: Config-file keys and flag destinations, in ``summary.json`` order.
-_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_CONFIG_KEYS = ExperimentConfig._fields
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -513,8 +510,7 @@ def _run_sweep(config: ExperimentConfig) -> dict:
     observables = [name for name, _ in PRESETS["weak-cheshire"].couplings]
     points = []
     for ratio in SWEEP_RATIOS:
-        point_config = replace(
-            config,
+        point_config = config._replace(
             preset="weak-cheshire",
             g_vertical=ratio * config.s,
             g_horizontal=ratio * config.s,

@@ -97,7 +97,6 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -118,7 +117,7 @@ from .pointer import (
     couple,
     mixture_density,
 )
-from .qstate import Ket, SpectralObservable
+from .qstate import ATOL, Ket, SpectralObservable, _Frozen
 
 #: Version of the shot-stream layout described in the module docstring.
 STREAM_VERSION = 4
@@ -165,12 +164,17 @@ class LowAcceptance(ValueError):
     """The readout sampler's expected acceptance is below MIN_ACCEPTANCE."""
 
 
-@dataclass(frozen=True, eq=False)
-class Experiment:
-    """Pre-state and pointer couplings (applied in order) ahead of the fixed detection chain."""
+class Experiment(_Frozen):
+    """Pre-state and pointer couplings (applied in order) ahead of the fixed detection chain.
 
-    pre: Ket
-    couplings: tuple[tuple[SpectralObservable, GaussianPointer], ...]
+    Raises ValueError unless the pre-state's squared norm lies within ``ATOL`` of 1.
+    """
+
+    def __init__(self, pre: Ket, couplings: tuple[tuple[SpectralObservable, GaussianPointer], ...]) -> None:
+        total = float(np.vdot(pre.amps, pre.amps).real)
+        if not abs(total - 1.0) <= ATOL:
+            raise ValueError(f"pre-state squared amplitudes must sum to 1, got {total!r}")
+        vars(self).update(pre=pre, couplings=couplings)
 
     def pointers(self) -> tuple[GaussianPointer, ...]:
         return tuple(pointer for _, pointer in self.couplings)
@@ -183,8 +187,7 @@ class Experiment:
         return _analyze(self)
 
 
-@dataclass(frozen=True, eq=False)
-class ShotBatch:
+class ShotBatch(_Frozen):
     """Shot records as arrays, one row per shot.
 
     ``shot_id`` is int64; ``detector`` is uint8 with 1, 2, 3 for D1, D2, D3;
@@ -193,35 +196,30 @@ class ShotBatch:
     ``attempts`` counts the readout proposals drawn for the batch.
     """
 
-    shot_id: np.ndarray
-    detector: np.ndarray
-    readout: np.ndarray
-    attempts: int = 0
-
-    def __post_init__(self) -> None:
-        n = self.shot_id.shape[0]
-        if self.shot_id.dtype != np.int64 or self.detector.dtype != np.uint8:
+    def __init__(self, shot_id: np.ndarray, detector: np.ndarray, readout: np.ndarray, attempts: int = 0) -> None:
+        vars(self).update(shot_id=shot_id, detector=detector, readout=readout, attempts=attempts)
+        n = shot_id.shape[0]
+        if shot_id.dtype != np.int64 or detector.dtype != np.uint8:
             raise ValueError("shot_id must be int64 and detector uint8")
-        if self.detector.shape != (n,) or self.readout.ndim != 2 or self.readout.shape[0] != n:
+        if detector.shape != (n,) or readout.ndim != 2 or readout.shape[0] != n:
             raise ValueError("shot_id, detector and readout rows must agree")
-        if n and not (self.detector.min() >= 1 and self.detector.max() <= 3):
+        if n and not (detector.min() >= 1 and detector.max() <= 3):
             raise ValueError("detector codes must be 1, 2 or 3")
-        if not (np.isnan(self.readout) == (self.detector != _D1)[:, None]).all():
+        if not (np.isnan(readout) == (detector != _D1)[:, None]).all():
             raise ValueError("readout must be present exactly for D1 shots")
 
     def __len__(self) -> int:
         return self.shot_id.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentAnalysis:
+class ExperimentAnalysis(_Frozen):
     """Analytic quantities a run is sampled from (and later checked against).
 
-    It holds a mapping, so it compares and hashes by identity, as ``Experiment`` does.
+    ``detector_probabilities`` is a read-only mapping.
     """
 
-    detector_probabilities: Mapping[Detector, float]  # read-only
-    mixture: PointerMixture | None
+    def __init__(self, detector_probabilities: Mapping[Detector, float], mixture: PointerMixture | None) -> None:
+        vars(self).update(detector_probabilities=detector_probabilities, mixture=mixture)
 
     @cached_property
     def envelope(self) -> _Envelope | None:
@@ -349,7 +347,6 @@ def _normals(words: np.ndarray, axes: int) -> np.ndarray:
     return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)[:, :axes]
 
 
-@dataclass(eq=False)
 class _Envelope:
     """The readout rejection sampler E(x) = sum_k a_k N(x; mu_k, (sigma s)^2) >= f(x).
 
@@ -357,15 +354,11 @@ class _Envelope:
     also give its expected ``acceptance``, the share of accepted proposals.
     """
 
-    name: str
-    mixture: PointerMixture
-    weights: np.ndarray  # a_k
-    means: np.ndarray  # mu_k, shape (components, axes)
-    sigma: float
-    acceptance: float
-
-    def __post_init__(self) -> None:
-        self.widths = self.mixture.widths
+    def __init__(self, name: str, mixture: PointerMixture, weights, means, sigma: float, acceptance: float) -> None:
+        self.name, self.mixture, self.sigma, self.acceptance = name, mixture, sigma, acceptance
+        self.weights = weights  # a_k
+        self.means = means  # mu_k, shape (components, axes)
+        self.widths = mixture.widths
         # Inverse-CDF breakpoints between components, none for a single one,
         # so an infinite a_0 (acceptance 0) needs no division of inf by inf.
         self._cdf = np.cumsum(self.weights[:-1]) / self.weights.sum()

@@ -31,14 +31,13 @@ value, at the price of needing many repetitions.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ATOL, DIM, Ket, SpectralObservable
+from .qstate import ATOL, DIM, Ket, SpectralObservable, _Frozen
 
 #: Post-selection success probabilities below this are treated as impossible.
 NULL_TOLERANCE = 1e-15
@@ -60,33 +59,35 @@ class NullPostSelection(ValueError):
     """The post-selection can never succeed for this coupled state."""
 
 
-@dataclass(frozen=True)
-class GaussianPointer:
-    """Gaussian beam pointer: ``width`` is the position-density standard
-    deviation and ``coupling`` the displacement per unit eigenvalue, both in
-    the same length units."""
-
+class _PointerFields(NamedTuple):
     width: float
     coupling: float
     axis: Axis
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and self.width > 0):
+
+class GaussianPointer(_PointerFields):
+    """Gaussian beam pointer: ``width`` is the position-density standard
+    deviation and ``coupling`` the displacement per unit eigenvalue, both in
+    the same length units.  Pointers compare and hash by value."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: float, coupling: float, axis: Axis) -> GaussianPointer:
+        if not (math.isfinite(width) and width > 0):
             raise ValueError("pointer width must be positive and finite")
-        if not (math.isfinite(self.coupling) and self.coupling >= 0):
+        if not (math.isfinite(coupling) and coupling >= 0):
             raise ValueError("pointer coupling must be nonnegative and finite")
+        return super().__new__(cls, width, coupling, axis)
 
 
-def _freeze(obj, name: str, dtype) -> np.ndarray:
-    """Set field ``name`` of frozen ``obj`` to a read-only copy, which the caller cannot edit."""
-    array = np.array(getattr(obj, name), dtype=dtype)
+def _freeze(values, dtype) -> np.ndarray:
+    """A read-only array copy of ``values``, which the caller cannot edit."""
+    array = np.array(values, dtype=dtype)
     array.setflags(write=False)
-    object.__setattr__(obj, name, array)
     return array
 
 
-@dataclass(frozen=True, eq=False)
-class CoupledState:
+class CoupledState(_Frozen):
     """Photon entangled with one or more pointers.
 
     Row i of ``systems`` (complex, branches x 4) is branch i's unnormalized
@@ -95,16 +96,14 @@ class CoupledState:
     Branch squared norms sum to 1: the coupling is unitary.
     """
 
-    systems: np.ndarray
-    displacements: np.ndarray
-    pointers: tuple[GaussianPointer, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, systems, displacements, pointers: tuple[GaussianPointer, ...]) -> None:
+        vars(self)["pointers"] = pointers
         axes = self.axes()
         if len(set(axes)) != len(axes):
             raise DuplicateAxis("each pointer axis may be used at most once")
-        systems = _freeze(self, "systems", np.complex128)
-        displacements = _freeze(self, "displacements", float)
+        systems = _freeze(systems, np.complex128)
+        displacements = _freeze(displacements, float)
+        vars(self).update(systems=systems, displacements=displacements)
         if systems.ndim != 2 or systems.shape[1] != DIM:
             raise ValueError(f"systems must have shape (branches, {DIM}), got {systems.shape}")
         if displacements.shape != (systems.shape[0], len(axes)):
@@ -145,8 +144,7 @@ def couple(
     return CoupledState(systems[keep], displacements[keep], coupled.pointers + (pointer,))
 
 
-@dataclass(frozen=True, eq=False)
-class PointerMixture:
+class PointerMixture(_Frozen):
     """Post-selected pointer state: complex weights on displaced Gaussians.
 
     ``weights`` (complex, branches), ``displacements`` (branches x axes) and
@@ -165,28 +163,20 @@ class PointerMixture:
     has shape (pairs, axes), pairs in row-major branch order.  Sums run in
     a fixed order: sampled readouts depend on these bits.  Both arrays are
     read-only.  A caller that has the Gram matrix of these branches passes
-    it as ``_gram``; it is not kept, so a ``dataclasses.replace`` copy
-    evaluates its own.  Raises NullPostSelection when Z < NULL_TOLERANCE.
+    it as ``_gram``; it is not kept.  Raises NullPostSelection when Z <
+    NULL_TOLERANCE.
     """
 
-    weights: np.ndarray
-    displacements: np.ndarray
-    widths: np.ndarray
-    axes: tuple[Axis, ...]
-    _gram: InitVar[np.ndarray | None] = None
-    total: float = field(init=False)
-    coefficients: np.ndarray = field(init=False, repr=False)
-    midpoints: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, _gram: np.ndarray | None) -> None:
-        weights = _freeze(self, "weights", np.complex128)
-        displacements = _freeze(self, "displacements", float)
-        widths = _freeze(self, "widths", float)
+    def __init__(self, weights, displacements, widths, axes: tuple[Axis, ...], _gram: np.ndarray | None = None) -> None:
+        weights = _freeze(weights, np.complex128)
+        displacements = _freeze(displacements, float)
+        widths = _freeze(widths, float)
+        vars(self).update(weights=weights, displacements=displacements, widths=widths, axes=axes)
         if weights.ndim != 1 or not weights.size:
             raise ValueError("mixture needs a 1-d array of at least one weight")
-        if displacements.shape != (weights.size, len(self.axes)):
+        if displacements.shape != (weights.size, len(axes)):
             raise ValueError("one displacement vector per weight, one entry per axis, required")
-        if widths.shape != (len(self.axes),):
+        if widths.shape != (len(axes),):
             raise ValueError("one width per axis required")
         gram = _overlap_matrix(displacements, widths) if _gram is None else _gram
         products = (weights.conj()[:, None] * weights * gram).real
@@ -198,9 +188,7 @@ class PointerMixture:
         midpoints = 0.5 * (displacements.take(i, axis=0) + displacements.take(j, axis=0))
         for array in (coefficients, midpoints):
             array.setflags(write=False)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "midpoints", midpoints)
+        vars(self).update(total=total, coefficients=coefficients, midpoints=midpoints)
 
 
 class Moments(NamedTuple):

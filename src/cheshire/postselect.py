@@ -14,12 +14,11 @@ value <phi|A|psi> / <phi|psi>, which needs no collapse at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .qstate import ATOL, Ket, SpectralObservable, apply, inner
+from .qstate import ATOL, Ket, SpectralObservable, _Frozen, apply, inner
 
 
 class OrthogonalSelection(ValueError):
@@ -30,16 +29,15 @@ class NoValidHistory(ValueError):
     """Every measurement history is incompatible with the post-selection."""
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalDistribution:
+class ConditionalDistribution(_Frozen):
     """Outcome probabilities conditioned on successful post-selection.
 
     ``success_probability`` is the unconditioned probability that the
     post-selection succeeds after the measurement(s) were performed.
     """
 
-    outcomes: dict[Hashable, float]
-    success_probability: float
+    def __init__(self, outcomes: dict[Hashable, float], success_probability: float) -> None:
+        vars(self).update(outcomes=outcomes, success_probability=success_probability)
 
 
 def weak_value(op: np.ndarray, pre: Ket, post: Ket) -> complex:

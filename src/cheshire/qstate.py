@@ -24,7 +24,6 @@ later caller checks it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -36,23 +35,34 @@ DIM = 4
 ATOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Ket:
+class _Frozen:
+    """Base of the package's immutable classes, which compare and hash by identity.
+
+    ``__init__`` sets the fields through ``vars(self)``, as ``cached_property``
+    does; assigning or deleting an attribute raises AttributeError.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ket(_Frozen):
     """State vector over the canonical basis.
 
     ``amps`` is a read-only complex copy of the 4 amplitudes given.
     """
 
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=np.complex128)
+    def __init__(self, amps) -> None:
+        amps = np.array(amps, dtype=np.complex128)
         if amps.shape != (DIM,):
             raise ValueError(f"ket must have {DIM} amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("ket amplitudes must be finite")
         amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        vars(self)["amps"] = amps
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -83,8 +93,7 @@ def identity() -> np.ndarray:
     return np.eye(DIM, dtype=np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralObservable:
+class SpectralObservable(_Frozen):
     """Observable given by its spectral data: (eigenvalue, eigenspace projector) pairs.
 
     Degenerate eigenspaces are kept as single higher-rank projectors; the
@@ -98,11 +107,9 @@ class SpectralObservable:
     exists is valid.
     """
 
-    branches: tuple[tuple[float, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, branches) -> None:
         frozen = []
-        for value, proj in self.branches:
+        for value, proj in branches:
             proj = np.asarray(proj, dtype=np.complex128).copy()
             proj.setflags(write=False)
             frozen.append((float(value), proj))
@@ -110,7 +117,7 @@ class SpectralObservable:
         reason, residual = _spectral_violation(branches)
         if reason is not None:
             raise ValueError(f"invalid spectral observable: {reason} (max entrywise residual {residual:.3e})")
-        object.__setattr__(self, "branches", branches)
+        vars(self)["branches"] = branches
 
 
 def observable_operator(obs: SpectralObservable) -> np.ndarray:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -365,6 +363,30 @@ def test_result_objects_hash_by_identity():
     assert len(set(results)) == 2
 
 
+def test_records_refuse_attribute_assignment():
+    experiment = cheshire_experiment()
+    analysis = analyze(experiment)
+    config = cli.parse_config([])
+    records = {
+        PRE: "amps",
+        experiment: "pre",
+        analysis: "mixture",
+        analysis.mixture: "total",
+        experiment.pointers()[0]: "width",
+        config: "seed",
+    }
+    for record, field in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            setattr(record, "extra", None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    # Value records compare and hash by value.
+    assert config == cli.parse_config([]) and hash(config) == hash(cli.parse_config([]))
+    assert experiment.pointers() == cheshire_experiment().pointers()
+
+
 def test_zero_coupling_reproduces_bare_optics():
     experiment = cheshire_experiment(g=0.0, h=0.0)
     analysis = analyze(experiment)
@@ -455,11 +477,17 @@ def test_analysis_matches_the_public_chain(preset):
 
 
 def test_a_copy_of_an_analysed_mixture_evaluates_its_own_gram():
+    # The analysis passes its Gram block as ``_gram`` and the mixture keeps
+    # none of it: a copy built from the fields evaluates its own Gram matrix,
+    # with the same bits, and a moved copy gets the total of its own branches.
     mixture = analyze(cheshire_experiment(g=0.5, h=0.5)).mixture
-    moved = dataclasses.replace(mixture, displacements=3.0 * mixture.displacements)
-    fresh = PointerMixture(moved.weights, moved.displacements, moved.widths, moved.axes)
+    assert set(vars(mixture)) == {"weights", "displacements", "widths", "axes", "total", "coefficients", "midpoints"}
+    copy = PointerMixture(mixture.weights, mixture.displacements, mixture.widths, mixture.axes)
     for name in ("total", "coefficients", "midpoints"):
-        assert np.array_equal(getattr(moved, name), getattr(fresh, name))
+        assert np.array_equal(getattr(copy, name), getattr(mixture, name))
+    moved = PointerMixture(mixture.weights, 3.0 * mixture.displacements, mixture.widths, mixture.axes)
+    gram = _overlap_matrix(moved.displacements, moved.widths)
+    assert moved.total == float((moved.weights.conj()[:, None] * moved.weights * gram).real.sum()) != mixture.total
 
 
 def test_experiments_with_equal_inputs_share_one_structure():

@@ -75,12 +75,13 @@ def test_detection_probabilities_by_hand(amps):
 
 
 def test_rejects_unnormalized_input():
-    with pytest.raises(ValueError):
-        bare_probabilities(Ket([1, 1, 0, 0]))
+    # An experiment checks its pre-state when it is built, before any analysis.
+    with pytest.raises(ValueError, match="pre-state"):
+        Experiment(pre=Ket([1, 1, 0, 0]), couplings=())
     # The bound: squared norm within ATOL of 1.
     bare_probabilities(Ket([np.sqrt(1 + 0.5 * ATOL), 0, 0, 0]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        bare_probabilities(Ket([np.sqrt(1 + 1.5 * ATOL), 0, 0, 0]))
+    with pytest.raises(ValueError, match="pre-state .*sum to 1"):
+        Experiment(pre=Ket([np.sqrt(1 + 1.5 * ATOL), 0, 0, 0]), couplings=())
 
 
 def test_postselection_equivalence_random_states(pre_post, random_state):

@@ -1,11 +1,13 @@
-"""Every module-level name in the package is used by the package or exported.
+"""Every module-level name and class member in the package is used by the package or exported.
 
-A function, class or assigned name that only tests call belongs in the
-tests, not in ``src/``.  The check parses the package sources with ``ast``:
-a name counts as used when code elsewhere in the package refers to it by a
-``Name``, an ``Attribute`` or an import alias.  Docstrings and comments do
-not count, and neither does a reference from inside the name's own
-definition.
+A function, class, method or assigned name that only tests call belongs in
+the tests, not in ``src/``.  The check parses the package sources with
+``ast``: a module-level name counts as used when code elsewhere in the
+package refers to it by a ``Name``, an ``Attribute`` or an import alias,
+and a member of a module-level class (a method, property or class
+attribute, dunders aside) when code elsewhere refers to it by an
+``Attribute``.  Docstrings and comments do not count, and neither does a
+reference from inside the name's own definition.
 """
 
 import ast
@@ -31,21 +33,28 @@ def _defined_names(statement: ast.stmt) -> list[str]:
     return []
 
 
-def _references(tree: ast.AST) -> Counter:
+def _references(tree: ast.AST, attributes_only: bool = False) -> Counter:
     found: Counter = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             found[node.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found[node.id] += 1
         elif isinstance(node, ast.alias):
             found[node.name] += 1
     return found
 
 
-def test_every_module_level_name_is_used_or_exported():
+def _trees() -> dict[str, ast.Module]:
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     assert len(trees) > 1
+    return trees
+
+
+def test_every_module_level_name_is_used_or_exported():
+    trees = _trees()
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     exported = set(cheshire.__all__)
     unused = []
@@ -57,4 +66,20 @@ def test_every_module_level_name_is_used_or_exported():
             for name in _defined_names(statement):
                 if name not in exported and everywhere[name] - own[name] <= 0:
                     unused.append(f"{module}: {name}")
+    assert unused == []
+
+
+def test_every_class_member_is_used():
+    trees = _trees()
+    everywhere = sum((_references(tree, attributes_only=True) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for statement in cls.body:
+                own = _references(statement, attributes_only=True)
+                for name in _defined_names(statement):
+                    if not name.startswith("__") and everywhere[name] - own[name] <= 0:
+                        unused.append(f"{module}: {cls.name}.{name}")
     assert unused == []
