@@ -1,6 +1,6 @@
-"""Median import time of ``cheshire.cli`` per module, from fresh interpreters.
+"""Median import time of ``cheshire.cli`` per module, from fresh interpreters, in one tree or two.
 
-Usage: ``python3 scripts/import_cost.py TREE [--runs 5]``
+Usage: ``python3 scripts/import_cost.py TREE [OTHER_TREE] [--runs 5]``
 
 Runs ``python -X importtime -c "import cheshire.cli"`` ``--runs`` times in
 ``TREE``, with ``TREE/src`` first on PYTHONPATH and the rest of the caller's
@@ -9,7 +9,10 @@ compiles the sources afresh, and without it only the first run of a changed
 tree does.  Prints the median self and cumulative import time in µs of every
 ``cheshire`` module, then of ``dataclasses``, ``argparse``, ``json`` and
 ``numpy`` ("not loaded" where no run imported it), and of the total, the sum
-of every module's self time.  This is the per-layer view of perfbench's
+of every module's self time.  With ``OTHER_TREE`` the two trees alternate
+run by run, ``TREE`` first, so drift in the host's speed falls on both
+alike, and each module's row holds both trees' medians and the second's
+minus the first's.  This is the per-layer view of perfbench's
 ``setup_s``: perfbench's tracer sees only the work phase.  Exits 1 when an
 import fails and 2 on wrong arguments.
 """
@@ -46,29 +49,51 @@ def import_times(tree: Path) -> dict[str, tuple[int, int]]:
     return times
 
 
+def _medians(runs: list[dict[str, tuple[int, int]]], name: str) -> tuple[float, float] | None:
+    """Median self and cumulative µs of module ``name`` over the runs that loaded it, or None."""
+    loaded = [run[name] for run in runs if name in run]
+    if not loaded:
+        return None
+    return statistics.median(self for self, _ in loaded), statistics.median(cumulative for _, cumulative in loaded)
+
+
+def _with_delta(values: list[float]) -> list[float]:
+    """One value per tree, followed for two trees by the second minus the first."""
+    return values if len(values) == 1 else [*values, values[1] - values[0]]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("tree", type=Path, help="source tree with the package under src/")
+    parser.add_argument("trees", type=Path, nargs="+", metavar="TREE", help="source tree with the package under src/")
     parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
-    tree = args.tree.resolve()
-    if args.runs < 1 or not (tree / "src" / "cheshire").is_dir():
-        parser.error("--runs must be at least 1, and the tree must hold src/cheshire")
-    runs = [import_times(tree) for _ in range(args.runs)]
-    package = sorted({name for run in runs for name in run if name.split(".")[0] == "cheshire"})
+    trees = [tree.resolve() for tree in args.trees]
+    if len(trees) > 2 or args.runs < 1 or not all((tree / "src" / "cheshire").is_dir() for tree in trees):
+        parser.error("give one or two trees, each holding src/cheshire, and --runs of at least 1")
+    runs: list[list[dict[str, tuple[int, int]]]] = [[] for _ in trees]
+    for _ in range(args.runs):
+        for tree, tree_runs in zip(trees, runs):
+            tree_runs.append(import_times(tree))
+    every_run = [run for tree_runs in runs for run in tree_runs]
+    package = sorted({name for run in every_run for name in run if name.split(".")[0] == "cheshire"})
     bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE", "")
-    print(f"median of {args.runs} fresh interpreters, PYTHONDONTWRITEBYTECODE={bytecode!r}")
-    print(f"{'module':<24}{'self µs':>10}{'cumulative µs':>15}")
+    print(f"median of {args.runs} fresh interpreters per tree, PYTHONDONTWRITEBYTECODE={bytecode!r}")
+    for k, tree in enumerate(trees):
+        print(f"tree {k + 1}: {tree}")
+    columns = ["self µs", "cumulative µs"]
+    if len(trees) == 2:
+        columns = [f"{column} {side}" for column in ("self µs", "cumul. µs") for side in ("1", "2", "Δ")]
+    print(f"{'module':<24}" + "".join(f"{column:>15}" for column in columns))
     for name in [*package, *OTHERS]:
-        loaded = [run[name] for run in runs if name in run]
-        if not loaded:
-            print(f"{name:<24}{'not loaded':>10}")
+        medians = [_medians(tree_runs, name) for tree_runs in runs]
+        if None in medians:
+            loaded = ", ".join(f"tree {k + 1}" for k, median in enumerate(medians) if median is not None)
+            print(f"{name:<24}{'not loaded':>15}" + (f" (loaded in {loaded})" if loaded else ""))
             continue
-        self_us = statistics.median(self for self, _ in loaded)
-        cumulative_us = statistics.median(cumulative for _, cumulative in loaded)
-        print(f"{name:<24}{self_us:>10.0f}{cumulative_us:>15.0f}")
-    total = statistics.median(sum(self for self, _ in run.values()) for run in runs)
-    print(f"{'total':<24}{total:>10.0f}")
+        cells = [cell for i in range(2) for cell in _with_delta([median[i] for median in medians])]
+        print(f"{name:<24}" + "".join(f"{cell:>15.0f}" for cell in cells))
+    totals = [statistics.median(sum(self for self, _ in run.values()) for run in tree_runs) for tree_runs in runs]
+    print(f"{'total':<24}" + "".join(f"{total:>15.0f}" for total in _with_delta(totals)))
     return 0
 
 

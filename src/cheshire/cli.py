@@ -482,7 +482,8 @@ def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
     partial = config.out_dir / "shots.csv.partial"
     tally = Tally(len(experiment.couplings))
     try:
-        with open(partial, "w", newline="", encoding="ascii") as fh:
+        # The rows are ASCII, so utf-8 writes the same bytes without importing a codec module as "ascii" does.
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
             fh.write(_CSV_HEADER)
             for start in range(0, config.shots, _CHUNK_SHOTS):
                 n = min(_CHUNK_SHOTS, config.shots - start)

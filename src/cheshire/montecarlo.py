@@ -147,12 +147,23 @@ _CENTRE_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 256)])
 #: relative tail exp(-k R^2) is below e^-9 (see ``_centre_log_bounds``).
 _CENTRE_TAIL = 3.0
 
-_U32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_S11 = np.uint64(11)
-_S12 = np.uint64(12)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+
+def _word(value: int) -> np.ndarray:
+    """``value`` as a 0-d uint64 array: numpy applies it to an array faster than a ``np.uint64`` scalar."""
+    return np.array(value, dtype=np.uint64)
+
+
+_U32 = _word(0xFFFFFFFF)
+_S32 = _word(32)
+_S11 = _word(11)
+_S12 = _word(12)
+#: The two Philox multipliers, each as (low 32 bits, high 32 bits, whole).
+_PHILOX_M = tuple(
+    (_word(m & 0xFFFFFFFF), _word(m >> 32), _word(m)) for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+#: Per-round bump of the second key word.
+_PHILOX_BUMP = _word(_PHILOX_W[1])
 _PHILOX_ROUNDS = 10
 
 
@@ -283,13 +294,14 @@ def _analyze(experiment: Experiment) -> ExperimentAnalysis:
     return ExperimentAnalysis(detector_probabilities=MappingProxyType(probabilities), mixture=mixture)
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(a: np.ndarray, multiplier: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Low and high 64-bit halves of ``a * m``, the high half from 32-bit limbs.
 
-    With a = a_hi 2^32 + a_lo and m likewise, no partial sum below exceeds
-    2^64 - 1.  Updates are in place to spare allocations.
+    ``multiplier`` is ``m``'s entry of ``_PHILOX_M``.  With a = a_hi 2^32 +
+    a_lo and m likewise, no partial sum below exceeds 2^64 - 1.  Updates are
+    in place to spare allocations.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    m_lo, m_hi, m = multiplier
     a_lo, a_hi = a & _U32, a >> _S32
     carry = a_lo * m_lo
     carry >>= _S32
@@ -301,7 +313,7 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     a_hi *= m_hi
     a_hi += carry
     a_hi += middle
-    return a * np.uint64(m), a_hi
+    return a * m, a_hi
 
 
 def _philox(seed: int, keys: np.ndarray, block) -> np.ndarray:
@@ -315,9 +327,9 @@ def _philox(seed: int, keys: np.ndarray, block) -> np.ndarray:
     c0[:] = block
     c1, c2, c3 = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
     for round_ in range(_PHILOX_ROUNDS):
-        seed_key = np.uint64((seed + round_ * _PHILOX_W[0]) & _MASK64)
+        seed_key = _word((seed + round_ * _PHILOX_W[0]) & _MASK64)
         if round_:
-            key += np.uint64(_PHILOX_W[1])
+            key += _PHILOX_BUMP
         lo0, hi0 = _mulhilo(c0, _PHILOX_M[0])
         lo1, hi1 = _mulhilo(c2, _PHILOX_M[1])
         hi1 ^= c1
@@ -341,10 +353,16 @@ def _detector_uniforms(seed: int, first_shot: int, n: int) -> np.ndarray:
 
 
 def _normals(words: np.ndarray, axes: int) -> np.ndarray:
-    """Box-Muller standard normals from words 1 and 2, shape (rows, axes) for 0-2 axes."""
+    """Box-Muller standard normals from words 1 and 2, shape (rows, axes) for 0-2 axes.
+
+    Only the returned columns are computed: the cosine one, then the sine one.
+    """
     radius = np.sqrt(-2.0 * np.log(((words[:, 1] >> _S12) + 0.5) * 2.0**-52))
     theta = (2.0 * np.pi) * _uniform(words[:, 2])
-    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)[:, :axes]
+    normals = np.empty((words.shape[0], axes))
+    for k, trig in enumerate((np.cos, np.sin)[:axes]):
+        np.multiply(radius, trig(theta), out=normals[:, k])
+    return normals
 
 
 class _Envelope:

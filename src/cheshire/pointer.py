@@ -79,6 +79,11 @@ class GaussianPointer(_PointerFields):
             raise ValueError("pointer coupling must be nonnegative and finite")
         return super().__new__(cls, width, coupling, axis)
 
+    @classmethod
+    def _make(cls, iterable) -> GaussianPointer:
+        """Build through ``__new__``'s checks; ``_replace`` calls this, and NamedTuple's own ``_make`` skips them."""
+        return cls(*iterable)
+
 
 def _freeze(values, dtype) -> np.ndarray:
     """A read-only array copy of ``values``, which the caller cannot edit."""

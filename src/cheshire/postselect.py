@@ -56,14 +56,17 @@ def _histories(obs_list: Sequence[SpectralObservable], pre: Ket, post: Ket) -> t
     """Map each outcome tuple (a_1, ..., a_k) to |<post| P_{a_k} ... P_{a_1} |pre>|^2, and their sum.
 
     Tuples come in branch order, the last observable's branch varying
-    fastest.  Raises NoValidHistory when the sum is below ``ATOL**2``: the
-    post-selection can then never succeed.
+    fastest, and the sum adds them left to right in that order.  Raises
+    NoValidHistory when the sum is below ``ATOL**2``: the post-selection
+    can then never succeed.
     """
     vectors = {(): pre.amps}
     for obs in obs_list:
         vectors = {prefix + (value,): proj @ vec for prefix, vec in vectors.items() for value, proj in obs.branches}
     numerators = {history: abs(complex(np.vdot(post.amps, vec))) ** 2 for history, vec in vectors.items()}
-    total = sum(numerators.values())
+    total = 0.0
+    for numerator in numerators.values():  # not sum(): Python 3.12 made it compensated, which moves the bits
+        total += numerator
     if total < ATOL**2:
         raise NoValidHistory("post-selection cannot succeed through any measurement history")
     return numerators, total

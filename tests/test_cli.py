@@ -774,9 +774,17 @@ def test_main_happy_path(tmp_path):
     assert "photon_in_arm1" not in summary["expected"]["abl"]
 
 
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter that imports this package, and assert it exits 0."""
+    path = [str(Path(cheshire.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 def assert_fresh_run_leaves_unloaded(prefix: str, out_dir: Path) -> None:
     """Import the package and CLI in a fresh interpreter, run 500 shots, and assert no module named ``prefix``* loaded."""
-    script = (
+    run_fresh(
         "import sys\n"
         "import cheshire, cheshire.cli\n"
         f"code = cheshire.cli.main(['--shots', '500', '--seed', '3', '--out-dir', {str(out_dir)!r}])\n"
@@ -784,10 +792,6 @@ def assert_fresh_run_leaves_unloaded(prefix: str, out_dir: Path) -> None:
         f"loaded = sorted(name for name in sys.modules if name.startswith({prefix!r}))\n"
         "assert not loaded, loaded\n"
     )
-    path = [str(Path(cheshire.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
     assert (out_dir / "shots.csv").exists()
 
 
@@ -803,6 +807,27 @@ def test_runs_do_not_load_dataclasses(tmp_path):
     # the methods of the package's twelve record classes cost 8-13 ms of
     # set-up (measured), so the package defines its records without it.
     assert_fresh_run_leaves_unloaded("dataclasses", tmp_path / "run")
+
+
+@pytest.mark.parametrize("preset", ["weak-cheshire", "which-path"])
+def test_runs_load_no_module_after_set_up(preset, tmp_path):
+    # Set-up is importing the CLI and parsing a config; a run after it
+    # imports nothing.  A module first imported by the run is a fixed cost
+    # of every run: opening shots.csv with encoding="ascii" imported
+    # encodings.ascii, 0.51-0.67 ms of a 3-4 ms 64-shot run (measured).
+    out_dir = tmp_path / "run"
+    run_fresh(
+        "import sys\n"
+        "import cheshire.cli\n"
+        f"argv = ['--preset', {preset!r}, '--shots', '64', '--seed', '3', '--out-dir', {str(out_dir)!r}]\n"
+        "cheshire.cli.parse_config(argv)\n"
+        "before = set(sys.modules)\n"
+        "code = cheshire.cli.main(argv)\n"
+        "assert code == 0, code\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "assert not added, added\n"
+    )
+    assert (out_dir / "shots.csv").exists()
 
 
 @pytest.mark.slow

@@ -98,6 +98,18 @@ def test_pointer_rejects_non_finite_widths_and_couplings(value):
         GaussianPointer(width=1.0, coupling=value, axis=Axis.VERTICAL)
 
 
+def test_pointer_replace_and_make_check_their_fields():
+    pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        pointer._replace(width=-1.0)
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        GaussianPointer._make([float("nan"), 0.1, Axis.VERTICAL])
+    with pytest.raises(ValueError, match="coupling must be nonnegative and finite"):
+        pointer._replace(coupling=float("inf"))
+    assert pointer._replace(coupling=0.5) == GaussianPointer(width=1.0, coupling=0.5, axis=Axis.VERTICAL)
+    assert type(GaussianPointer._make(pointer)) is GaussianPointer
+
+
 def test_pointer_accepts_numpy_floats(pre_post, observables):
     pointer = GaussianPointer(width=np.float64(0.5), coupling=np.float64(0.25), axis=Axis.VERTICAL)
     coupled = couple(pre_post[0], observables["photon_in_arm1"], pointer)

@@ -1,4 +1,7 @@
+import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -12,6 +15,7 @@ from cheshire import (
     sequential_distribution,
     weak_value,
 )
+from cheshire.postselect import _histories
 from cheshire.qstate import ATOL, Ket, apply, inner, normalize
 from oracles import collapse_chain_distribution
 
@@ -119,6 +123,23 @@ def test_abl_matches_collapse_oracle_on_random_pairs(observables, random_state):
             assert dist.success_probability == pytest.approx(oracle_success, abs=ATOL)
             for value, prob in dist.outcomes.items():
                 assert prob == pytest.approx(oracle.get((value,), 0.0), abs=ATOL)
+
+
+def test_success_probability_adds_left_to_right(observables, random_state):
+    # Python 3.12 made sum() of floats compensated, so a total from sum()
+    # would carry different last bits on 3.11 and on 3.12+.  On some of
+    # these pairs (4 of the 40, measured) the left-to-right total differs
+    # from the exact math.fsum, which a compensated sum gives.
+    obs = observables["angular_momentum_arm2"]
+    rng = np.random.default_rng(11)
+    differs_from_fsum = 0
+    for _ in range(40):
+        pre, post = random_state(rng), random_state(rng)
+        numerators = _histories((obs,), pre, post)[0].values()
+        left_to_right = reduce(operator.add, numerators, 0.0)
+        assert abl_distribution(obs, pre, post).success_probability == left_to_right
+        differs_from_fsum += left_to_right != math.fsum(numerators)
+    assert differs_from_fsum
 
 
 def test_abl_completeness(pre_post, observables):
