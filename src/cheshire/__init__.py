@@ -22,15 +22,12 @@ from .montecarlo import (
 from .optics import Detector
 from .pointer import (
     Axis,
-    CoupledState,
     DuplicateAxis,
     GaussianPointer,
     NullPostSelection,
     PointerMixture,
-    couple,
     mixture_density,
     mixture_moments,
-    postselect_pointer,
 )
 from .postselect import (
     NoValidHistory,
@@ -49,7 +46,6 @@ from .qstate import (
 
 __all__ = [
     "Axis",
-    "CoupledState",
     "Detector",
     "DuplicateAxis",
     "Experiment",
@@ -68,11 +64,9 @@ __all__ = [
     "analyze",
     "canonical_observables",
     "canonical_states",
-    "couple",
     "mixture_density",
     "mixture_moments",
     "observable_operator",
-    "postselect_pointer",
     "sample_shots",
     "sequential_distribution",
     "weak_value",

@@ -73,7 +73,7 @@ from .montecarlo import (
     sample_shots,
 )
 from .optics import Detector
-from .pointer import Axis, GaussianPointer, NullPostSelection, mixture_moments, weak_limit_error
+from .pointer import Axis, GaussianPointer, mixture_moments, weak_limit_error
 from .postselect import abl_distribution, weak_value
 from .qstate import canonical_observables, canonical_states, observable_operator
 
@@ -561,7 +561,7 @@ def run_preset(config: ExperimentConfig) -> int:
             _run_sweep(config)
         else:
             _run_single(config, build_experiment(config))
-    except (NullPostSelection, InsufficientData, LowAcceptance) as exc:
+    except (InsufficientData, LowAcceptance) as exc:
         print(f"cheshire: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -18,11 +18,13 @@ on every later call; the analysis is frozen too.
 
 Analyses split in two.  What no coupling g or width s changes is built
 once per (pre-state, couplings) and kept in a 32-entry least-recently-used
-cache: the branch systems of ``couple`` and their pruning, the eigenvalue
-pattern v (branch i moves by g_k v_ik on axis k), the post-selected weights
-and the D2/D3 cross matrices systems^dag M systems.  The cache is safe: its
-keys are the frozen kets and observables themselves, which compare by
-identity; its arrays are read-only; a build that raises is not cached.
+cache (``_structure``): the branch systems, the pre-state projected through
+each observable's eigenprojectors in turn with near-zero branches pruned,
+the eigenvalue pattern v (branch i moves by g_k v_ik on axis k), the
+post-selected weights and the D2/D3 cross matrices systems^dag M systems.
+The cache is safe: its keys are the frozen kets and observables
+themselves, which compare by identity; its arrays are read-only; a build
+that raises is not cached.
 Each analysis then evaluates one Gram matrix: the D2/D3 probabilities sum
 cross * Gram, and the mixture is built from the kept branches' block of
 it, which is elementwise and so bit-identical to a new evaluation.
@@ -106,24 +108,25 @@ import numpy as np
 from .optics import Detector, detector_projectors, postselected_state
 from .pointer import (
     Axis,
-    CoupledState,
+    DuplicateAxis,
     GaussianPointer,
     NullPostSelection,
     PointerMixture,
     _gaussian_exponent,
     _gaussian_norm,
     _overlap_matrix,
-    _postselected_weights,
-    couple,
     mixture_density,
 )
-from .qstate import ATOL, Ket, SpectralObservable, _Frozen
+from .qstate import ATOL, DIM, Ket, SpectralObservable, _Frozen
 
 #: Version of the shot-stream layout described in the module docstring.
 STREAM_VERSION = 4
 
 #: Runs whose expected readout acceptance is below this raise LowAcceptance.
 MIN_ACCEPTANCE = 1e-3
+
+#: Branches with system norm or post-selected weight below this are dropped.
+_PRUNE = 1e-14
 
 _MASK64 = (1 << 64) - 1
 #: Second key word of the detector stream; shot ids are below 2**63.
@@ -263,18 +266,34 @@ class _Structure(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _structure(pre: Ket, couplings: tuple[tuple[SpectralObservable, Axis], ...]) -> _Structure:
-    """The structure of ``pre`` coupled to ``(observable, axis)`` pairs in order: ``couple`` at g = s = 1."""
-    coupled = CoupledState(pre.amps[None, :], np.zeros((1, 0)), ())
-    for obs, axis in couplings:
-        coupled = couple(coupled, obs, GaussianPointer(width=1.0, coupling=1.0, axis=axis))
-    systems = coupled.systems
+    """The structure of ``pre`` coupled to ``(observable, axis)`` pairs in order.
+
+    Each coupling splits every branch per eigenspace: the projected system
+    gains the eigenvalue as its pattern entry on the new axis, and branches
+    projected to (near) zero are dropped.  Raises DuplicateAxis if an axis
+    repeats.
+    """
+    axes = [axis for _, axis in couplings]
+    if len(set(axes)) != len(axes):
+        raise DuplicateAxis("each pointer axis may be used at most once")
+    systems, pattern = pre.amps[None, :], np.zeros((1, 0))
+    for obs, _ in couplings:
+        values = np.array([value for value, _ in obs.branches])
+        projectors = np.stack([proj for _, proj in obs.branches])
+        # Row (b, e) in row-major order is branch b projected on eigenspace e.
+        systems = np.einsum("eij,bj->bei", projectors, systems).reshape(-1, DIM)
+        pattern = np.column_stack([np.repeat(pattern, len(values), axis=0), np.tile(values, len(pattern))])
+        keep = np.sum(systems.real**2 + systems.imag**2, axis=1) >= _PRUNE**2
+        systems, pattern = systems[keep], pattern[keep]
     projectors = detector_projectors()
     cross = tuple(systems.conj() @ projectors[detector] @ systems.T for detector in (Detector.D2, Detector.D3))
-    weights, keep = _postselected_weights(systems, postselected_state())
-    kept, weights = np.flatnonzero(keep), weights[keep]
-    for array in (*cross, kept, weights):
+    weights = systems @ postselected_state().amps.conj()
+    magnitudes = np.abs(weights)
+    kept = np.flatnonzero(magnitudes > _PRUNE * max(1.0, float(magnitudes.max())))
+    weights = weights[kept]
+    for array in (pattern, *cross, kept, weights):
         array.setflags(write=False)
-    return _Structure(coupled.displacements, cross, kept, weights)
+    return _Structure(pattern, cross, kept, weights)
 
 
 def _analyze(experiment: Experiment) -> ExperimentAnalysis:

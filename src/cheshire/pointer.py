@@ -8,11 +8,12 @@ terms and the post-selected pointer state is an exact complex-weighted
 mixture of displaced Gaussians.  All readout statistics then reduce to
 Gaussian overlap (Gram) sums in closed form; no wavepacket grid is evolved.
 
-Branches are array rows from :func:`couple` to the sampler.  A mixture
-forms its pair expansion from the Gram sums once, when it is built
-(:class:`PointerMixture`), and a mixture whose post-selection cannot succeed
-is never built; the success probability, the moments, the density and the
-readout sampler in ``cheshire.montecarlo`` all read that expansion.
+Branches are array rows, from the branch structure ``cheshire.montecarlo``
+builds once per pre-state and set of coupled observables to the sampler.
+A mixture forms its pair expansion from the Gram sums once, when it is
+built (:class:`PointerMixture`), and a mixture whose post-selection cannot
+succeed is never built; the success probability, the moments, the density
+and the readout sampler in ``cheshire.montecarlo`` all read that expansion.
 Every Gaussian in the package, whether Gram overlap, branch amplitude or
 envelope term, is exp of the one exponent ``_gaussian_exponent``, which
 returns -sum_ax ((x - c) / s)^2 / scale with the sign already folded in.
@@ -37,13 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ATOL, DIM, Ket, SpectralObservable, _Frozen
+from .qstate import _Frozen
 
 #: Post-selection success probabilities below this are treated as impossible.
 NULL_TOLERANCE = 1e-15
-
-#: Branches with system norm or post-selected weight below this are dropped.
-_PRUNE = 1e-14
 
 
 class Axis(Enum):
@@ -92,72 +90,17 @@ def _freeze(values, dtype) -> np.ndarray:
     return array
 
 
-class CoupledState(_Frozen):
-    """Photon entangled with one or more pointers.
-
-    Row i of ``systems`` (complex, branches x 4) is branch i's unnormalized
-    system ket, and row i of ``displacements`` (branches x pointers) its
-    pointer displacements in ``pointers`` order; both are read-only copies.
-    Branch squared norms sum to 1: the coupling is unitary.
-    """
-
-    def __init__(self, systems, displacements, pointers: tuple[GaussianPointer, ...]) -> None:
-        vars(self)["pointers"] = pointers
-        axes = self.axes()
-        if len(set(axes)) != len(axes):
-            raise DuplicateAxis("each pointer axis may be used at most once")
-        systems = _freeze(systems, np.complex128)
-        displacements = _freeze(displacements, float)
-        vars(self).update(systems=systems, displacements=displacements)
-        if systems.ndim != 2 or systems.shape[1] != DIM:
-            raise ValueError(f"systems must have shape (branches, {DIM}), got {systems.shape}")
-        if displacements.shape != (systems.shape[0], len(axes)):
-            raise ValueError("each branch needs one displacement per pointer")
-        total = float(np.vdot(systems, systems).real)
-        if not abs(total - 1.0) <= ATOL:
-            raise ValueError(f"branch squared norms must sum to 1, got {total!r}")
-
-    def axes(self) -> tuple[Axis, ...]:
-        return tuple(p.axis for p in self.pointers)
-
-    def widths(self) -> np.ndarray:
-        return np.array([p.width for p in self.pointers], dtype=float)
-
-
-def couple(
-    state_or_coupled: Ket | CoupledState,
-    obs: SpectralObservable,
-    pointer: GaussianPointer,
-) -> CoupledState:
-    """Attach a pointer measuring ``obs`` to a normalized state or an existing coupling.
-
-    Every existing branch splits per eigenspace: the projected system picks
-    up an extra displacement ``coupling * eigenvalue`` on the new axis.
-    Branches projected to (near) zero are dropped.  Raises DuplicateAxis if
-    the axis is already in use.
-    """
-    coupled = state_or_coupled
-    if isinstance(coupled, Ket):
-        coupled = CoupledState(coupled.amps[None, :], np.zeros((1, 0)), ())
-    values = np.array([value for value, _ in obs.branches])
-    projectors = np.stack([proj for _, proj in obs.branches])
-    # Row (b, e) in row-major order is branch b projected on eigenspace e.
-    systems = np.einsum("eij,bj->bei", projectors, coupled.systems).reshape(-1, DIM)
-    repeated = np.repeat(coupled.displacements, len(values), axis=0)
-    displacements = np.column_stack([repeated, np.tile(pointer.coupling * values, len(coupled.systems))])
-    keep = np.sum(systems.real**2 + systems.imag**2, axis=1) >= _PRUNE**2
-    return CoupledState(systems[keep], displacements[keep], coupled.pointers + (pointer,))
-
-
 class PointerMixture(_Frozen):
     """Post-selected pointer state: complex weights on displaced Gaussians.
 
     ``weights`` (complex, branches), ``displacements`` (branches x axes) and
     ``widths`` (axes) may be any sequences; they are stored as read-only
     array copies.  The unnormalized density is |sum_i w_i prod_ax G(x_ax -
-    d_i_ax)|^2, whose norm is the success probability :func:`postselect_pointer`
-    returns.  When built, the mixture also sets its pair expansion, the
-    density as a signed sum of midpoint Gaussians (Gaussian product rule):
+    d_i_ax)|^2, whose norm is the post-selection's success probability.
+    Weights and displacements must be finite and widths positive and
+    finite, or ValueError is raised.  When built, the mixture also sets its
+    pair expansion, the density as a signed sum of midpoint Gaussians
+    (Gaussian product rule):
 
         f(x) = sum_{i<=j} Re(c_ij) N(x; m_ij, s^2),
         c_ij = conj(w_i) w_j O_ij / Z,   m_ij = (d_i + d_j) / 2,
@@ -183,6 +126,12 @@ class PointerMixture(_Frozen):
             raise ValueError("one displacement vector per weight, one entry per axis, required")
         if widths.shape != (len(axes),):
             raise ValueError("one width per axis required")
+        # Before the Gram step: a NaN would pass the Z check below, an infinity make the exponent warn.
+        # Python floats: for a few branches this is several times faster than np.isfinite.
+        if not all(map(math.isfinite, weights.view(float).tolist() + displacements.ravel().tolist())):
+            raise ValueError("mixture weights and displacements must be finite")
+        if not all(0.0 < width < math.inf for width in widths.tolist()):
+            raise ValueError("mixture widths must be positive and finite")
         gram = _overlap_matrix(displacements, widths) if _gram is None else _gram
         products = (weights.conj()[:, None] * weights * gram).real
         total = float(products.sum())
@@ -236,33 +185,11 @@ def _gaussian_norm(widths: np.ndarray) -> float:
     return math.prod(1.0 / math.sqrt(2.0 * math.pi * (width * width)) for width in widths.tolist())
 
 
-def postselect_pointer(coupled: CoupledState, post: Ket) -> tuple[PointerMixture, float]:
-    """Project the system on a post-state, leaving the pointers' mixed state.
-
-    Branch i keeps weight <post|branch_i>, and branches of negligible weight
-    are dropped.  The success probability is the mixture's Gram sum Z =
-    sum_ij conj(w_i) w_j O_ij, which is real and nonnegative.  Raises
-    NullPostSelection when it is below NULL_TOLERANCE.
-    """
-    weights, keep = _postselected_weights(coupled.systems, post)
-    if not keep.any():
-        raise NullPostSelection("post-state is orthogonal to every surviving branch")
-    mixture = PointerMixture(weights[keep], coupled.displacements[keep], coupled.widths(), coupled.axes())
-    return mixture, mixture.total
-
-
 @lru_cache(maxsize=16)
 def _pairs(branches: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row and column of each pair i <= j in row-major order, and its factor: 1 on the diagonal, else 2."""
     i, j = np.triu_indices(branches)
     return i, j, np.where(i == j, 1.0, 2.0)
-
-
-def _postselected_weights(systems: np.ndarray, post: Ket) -> tuple[np.ndarray, np.ndarray]:
-    """Weights <post|branch_i> of system rows, and the mask of those not negligible."""
-    weights = systems @ post.amps.conj()
-    magnitudes = np.abs(weights)
-    return weights, magnitudes > _PRUNE * max(1.0, float(magnitudes.max()))
 
 
 def mixture_moments(m: PointerMixture) -> dict[Axis, Moments]:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's conditional-probability and moment
 formulas: measurement sequences are simulated by explicit normalize-
-project-renormalize steps with Born factors, pointer moments come from
+project-renormalize steps with Born factors, the von Neumann branch
+structure by splitting one branch at a time, pointer moments come from
 trapezoid quadrature of the density on a fine grid, the weak-limit error
 from the plain Gram sums at 50 decimal digits, and detector uniforms from
 numpy's own Philox generator.  The plain Gaussian kernel below is the other
@@ -44,6 +45,36 @@ def collapse_chain_distribution(obs_list, pre, post):
     walk(0, (), pre.amps, 1.0)
     success = sum(chains.values())
     return {tup: p / success for tup, p in chains.items()}, success
+
+
+def loop_couple(branches, obs, coupling):
+    """Split each (system amplitudes, displacement tuple) branch per eigenspace of ``obs``.
+
+    The projected branch gains ``coupling * eigenvalue`` as its displacement
+    on the new axis; projections of norm below 1e-14 are dropped.
+    """
+    split = []
+    for amps, shifts in branches:
+        for value, proj in obs.branches:
+            projected = proj @ amps
+            if np.linalg.norm(projected) >= 1e-14:
+                split.append((projected, shifts + (coupling * value,)))
+    return split
+
+
+def loop_branches(pre, couplings):
+    """``loop_couple`` over (observable, coupling) pairs in order, from the one branch ``pre``."""
+    branches = [(pre.amps, ())]
+    for obs, coupling in couplings:
+        branches = loop_couple(branches, obs, coupling)
+    return branches
+
+
+def postselected_weights(branches, post):
+    """Weights <post|branch> of the branches, and which to keep: those above 1e-14 max(1, largest |weight|)."""
+    weights = [np.vdot(post.amps, amps) for amps, _ in branches]
+    bound = 1e-14 * max(1.0, max(map(abs, weights)))
+    return weights, [abs(w) > bound for w in weights]
 
 
 def quadrature_grid(mixture, points_per_width=50, padding=8.0):

@@ -17,11 +17,9 @@ from cheshire import (
     analyze,
     canonical_observables,
     canonical_states,
-    couple,
     mixture_density,
     mixture_moments,
     observable_operator,
-    postselect_pointer,
     sample_shots,
     sequential_distribution,
     weak_value,
@@ -32,6 +30,11 @@ from oracles import collapse_chain_distribution, lobe_masses, quadrature_moments
 
 PRE, POST = canonical_states()
 OBS = canonical_observables()
+
+
+def postselected_mixture(*couplings):
+    """The D1 pointer mixture of the canonical pre-state coupled to (observable, pointer) pairs in order."""
+    return analyze(Experiment(pre=PRE, couplings=couplings)).mixture
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -110,9 +113,8 @@ def test_criterion_6_weak_limit_convergence():
     errors = []
     quad_ok = True
     for g in (1e-1, 1e-2, 1e-3):
-        coupled = couple(PRE, OBS["angular_momentum_arm2"],
-                         GaussianPointer(width=1.0, coupling=g, axis=Axis.HORIZONTAL))
-        mixture, _ = postselect_pointer(coupled, POST)
+        probe = GaussianPointer(width=1.0, coupling=g, axis=Axis.HORIZONTAL)
+        mixture = postselected_mixture((OBS["angular_momentum_arm2"], probe))
         mean = mixture_moments(mixture)[Axis.HORIZONTAL].mean
         errors.append(abs(mean / g - 1.0))
         _, (quad_mean,), (quad_var,) = quadrature_moments(
@@ -128,9 +130,8 @@ def test_criterion_6_weak_limit_convergence():
 
 def test_criterion_7_strong_limit_matches_conditional_probabilities():
     g = 1e3
-    coupled = couple(PRE, OBS["angular_momentum_arm2"],
-                     GaussianPointer(width=1.0, coupling=g, axis=Axis.HORIZONTAL))
-    mixture, _ = postselect_pointer(coupled, POST)
+    probe = GaussianPointer(width=1.0, coupling=g, axis=Axis.HORIZONTAL)
+    mixture = postselected_mixture((OBS["angular_momentum_arm2"], probe))
     abl = abl_distribution(OBS["angular_momentum_arm2"], PRE, POST).outcomes
     masses = lobe_masses(
         mixture, lambda pts: mixture_density(mixture, pts), [g * v for v in abl]
@@ -142,11 +143,10 @@ def test_criterion_7_strong_limit_matches_conditional_probabilities():
 
 def test_criterion_8_simultaneous_cheshire_cat():
     g = h = 1e-2
-    coupled = couple(PRE, OBS["photon_in_arm1"],
-                     GaussianPointer(width=1.0, coupling=g, axis=Axis.VERTICAL))
-    coupled = couple(coupled, OBS["angular_momentum_arm2"],
-                     GaussianPointer(width=1.0, coupling=h, axis=Axis.HORIZONTAL))
-    mixture, _ = postselect_pointer(coupled, POST)
+    mixture = postselected_mixture(
+        (OBS["photon_in_arm1"], GaussianPointer(width=1.0, coupling=g, axis=Axis.VERTICAL)),
+        (OBS["angular_momentum_arm2"], GaussianPointer(width=1.0, coupling=h, axis=Axis.HORIZONTAL)),
+    )
     moments = mixture_moments(mixture)
     ratio_v = moments[Axis.VERTICAL].mean / g
     ratio_h = moments[Axis.HORIZONTAL].mean / h

@@ -18,10 +18,8 @@ from cheshire import (
     analyze,
     canonical_observables,
     canonical_states,
-    couple,
     mixture_density,
     mixture_moments,
-    postselect_pointer,
     sample_shots,
 )
 from cheshire import cli, montecarlo
@@ -29,7 +27,7 @@ from cheshire.optics import detector_projectors, postselected_state
 from cheshire.montecarlo import STREAM_VERSION, _detector_uniforms, _philox
 from cheshire.pointer import _overlap_matrix
 from cheshire.qstate import Ket, normalize
-from oracles import bin_masses, detector_uniforms
+from oracles import bin_masses, detector_uniforms, loop_branches, postselected_weights
 
 OBS = canonical_observables()
 PRE, POST = canonical_states()
@@ -434,18 +432,25 @@ RATIOS = np.logspace(-3.0, 2.0, 64)
 
 
 def oracle_analysis(pre, couplings):
-    """Detector probabilities and mixture from the public chain: couple, postselect_pointer and the Gram sums."""
-    coupled = pre
-    for obs, pointer in couplings:
-        coupled = couple(coupled, obs, pointer)
-    try:
-        mixture, success = postselect_pointer(coupled, postselected_state())
-    except NullPostSelection:
-        mixture, success = None, 0.0
-    gram = _overlap_matrix(coupled.displacements, coupled.widths())
+    """Detector probabilities and mixture from the per-branch oracle's systems, displacements and weights."""
+    branches = loop_branches(pre, [(obs, pointer.coupling) for obs, pointer in couplings])
+    systems = np.array([amps for amps, _ in branches])
+    displacements = np.array([shifts for _, shifts in branches], dtype=float).reshape(len(branches), len(couplings))
+    widths = np.array([pointer.width for _, pointer in couplings])
+    weights, keep = postselected_weights(branches, postselected_state())
+    keep = np.array(keep)
+    mixture, success = None, 0.0
+    if keep.any():
+        try:
+            axes = tuple(pointer.axis for _, pointer in couplings)
+            mixture = PointerMixture(np.array(weights)[keep], displacements[keep], widths, axes)
+            success = mixture.total
+        except NullPostSelection:
+            pass
+    gram = _overlap_matrix(displacements, widths)
     probabilities = {Detector.D1: success}
     for detector in (Detector.D2, Detector.D3):
-        cross = coupled.systems.conj() @ detector_projectors()[detector] @ coupled.systems.T
+        cross = systems.conj() @ detector_projectors()[detector] @ systems.T
         probabilities[detector] = min(1.0, max(0.0, float(np.sum(cross * gram).real)))
     return probabilities, mixture
 

@@ -3,31 +3,34 @@ import pytest
 
 from cheshire import (
     Axis,
-    CoupledState,
+    Detector,
     DuplicateAxis,
+    Experiment,
     GaussianPointer,
     NullPostSelection,
     PointerMixture,
     SpectralObservable,
     abl_distribution,
-    couple,
+    analyze,
     mixture_density,
     mixture_moments,
     observable_operator,
-    postselect_pointer,
     weak_value,
 )
-from cheshire import qstate
+from cheshire import montecarlo, qstate
 from cheshire.cli import PRESETS
-from cheshire.montecarlo import Experiment, _Envelope, analyze
+from cheshire.montecarlo import _Envelope
+from cheshire.optics import detector_projectors
 from cheshire.pointer import _overlap_matrix, weak_limit_error
-from cheshire.qstate import ATOL, Ket
+from cheshire.qstate import ATOL, Ket, normalize
 from oracles import (
     lobe_masses,
+    loop_branches,
     plain_envelope,
     plain_mixture_density,
     plain_overlap_matrix,
     plain_weak_limit_error,
+    postselected_weights,
     quadrature_moments,
 )
 from oracles import weak_limit_error as oracle_weak_limit_error
@@ -47,43 +50,57 @@ def gaussian_density(x, center, s):
     return np.exp(-((x - center) ** 2) / (2 * s**2)) / np.sqrt(2 * np.pi * s**2)
 
 
+def postselected(pre, *couplings):
+    """The D1 mixture and P(D1) of ``pre`` coupled to (observable, pointer) pairs in order."""
+    analysis = analyze(Experiment(pre=pre, couplings=couplings))
+    return analysis.mixture, analysis.detector_probabilities[Detector.D1]
+
+
+def total_probability(pre, *couplings):
+    return sum(analyze(Experiment(pre=pre, couplings=couplings)).detector_probabilities.values())
+
+
 # --- coupling ---------------------------------------------------------------
 
 
 def test_couple_path_probe_splits_in_two(pre_post, observables):
+    # Branch 0 ([1/2, 1/2, 0, 0], arm 1) moves by g; branch 1 (arm 2) has post-selected weight 0.
     pre, _ = pre_post
-    coupled = couple(pre, observables["photon_in_arm1"], vertical(0.3))
-    assert coupled.axes() == (Axis.VERTICAL,)
-    np.testing.assert_allclose(coupled.systems, [[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]], atol=ATOL)
-    assert coupled.displacements.tolist() == [[0.3], [0.0]]
-    total = float(np.sum(np.abs(coupled.systems) ** 2))
-    assert total == pytest.approx(1.0, abs=ATOL)
+    obs = observables["photon_in_arm1"]
+    structure = montecarlo._structure(pre, ((obs, Axis.VERTICAL),))
+    assert structure.pattern.tolist() == [[1.0], [0.0]]
+    assert structure.kept.tolist() == [0]
+    assert structure.weights.tolist() == [0.5]
+    assert total_probability(pre, (obs, vertical(0.3))) == pytest.approx(1.0, abs=ATOL)
+    mixture, _ = postselected(pre, (obs, vertical(0.3)))
+    assert mixture.displacements.tolist() == [[0.3]]
 
 
 def test_couple_twice_keeps_only_consistent_branches(pre_post, observables):
     # Commuting projectors annihilate the cross branches: 2 x 3 = 6 splits,
-    # but only 3 survive, with displacement pairs (g,0), (0,+h), (0,-h).
+    # but only 3 survive, with eigenvalue pairs (1,0), (0,+1), (0,-1).
     pre, _ = pre_post
-    coupled = couple(pre, observables["photon_in_arm1"], vertical(0.3))
-    coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(0.2))
-    assert coupled.axes() == (Axis.VERTICAL, Axis.HORIZONTAL)
-    displacements = sorted(map(tuple, coupled.displacements.tolist()))
-    assert displacements == [(0.0, -0.2), (0.0, 0.2), (0.3, 0.0)]
-    assert coupled.systems.shape == (3, 4)
-    total = float(np.sum(np.abs(coupled.systems) ** 2))
-    assert total == pytest.approx(1.0, abs=ATOL)
+    pair = ((observables["photon_in_arm1"], Axis.VERTICAL), (observables["angular_momentum_arm2"], Axis.HORIZONTAL))
+    structure = montecarlo._structure(pre, pair)
+    assert sorted(map(tuple, structure.pattern.tolist())) == [(0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+    assert structure.cross[0].shape == (3, 3)
+    couplings = ((pair[0][0], vertical(0.3)), (pair[1][0], horizontal(0.2)))
+    assert total_probability(pre, *couplings) == pytest.approx(1.0, abs=ATOL)
+    mixture, _ = postselected(pre, *couplings)
+    assert mixture.axes == (Axis.VERTICAL, Axis.HORIZONTAL)
+    assert sorted(map(tuple, mixture.displacements.tolist())) == [(0.0, -0.2), (0.0, 0.2), (0.3, 0.0)]
 
 
 def test_couple_rejects_duplicate_axis(pre_post, observables):
     pre, _ = pre_post
-    coupled = couple(pre, observables["photon_in_arm1"], vertical(0.1))
+    couplings = ((observables["photon_in_arm1"], vertical(0.1)), (observables["angular_momentum_arm2"], vertical(0.1)))
     with pytest.raises(DuplicateAxis):
-        couple(coupled, observables["angular_momentum_arm2"], vertical(0.1))
+        analyze(Experiment(pre=pre, couplings=couplings))
 
 
 def test_couple_rejects_bad_inputs(observables):
-    with pytest.raises(ValueError):
-        couple(Ket([1, 1, 0, 0]), observables["photon_in_arm1"], vertical(0.1))
+    with pytest.raises(ValueError, match="must sum to 1"):
+        Experiment(pre=Ket([1, 1, 0, 0]), couplings=((observables["photon_in_arm1"], vertical(0.1)),))
     with pytest.raises(ValueError):
         GaussianPointer(width=0.0, coupling=0.1, axis=Axis.VERTICAL)
     with pytest.raises(ValueError):
@@ -112,58 +129,39 @@ def test_pointer_replace_and_make_check_their_fields():
 
 def test_pointer_accepts_numpy_floats(pre_post, observables):
     pointer = GaussianPointer(width=np.float64(0.5), coupling=np.float64(0.25), axis=Axis.VERTICAL)
-    coupled = couple(pre_post[0], observables["photon_in_arm1"], pointer)
-    assert coupled.displacements.tolist() == [[0.25], [0.0]]
+    mixture, _ = postselected(pre_post[0], (observables["photon_in_arm1"], pointer))
+    assert mixture.displacements.tolist() == [[0.25]]
+    assert mixture.widths.tolist() == [0.5]
     assert GaussianPointer(width=np.float64(1.0), coupling=np.float64(0.0), axis=Axis.HORIZONTAL).coupling == 0.0
 
 
 # --- array boundary ---------------------------------------------------------
 
 
-def test_coupled_state_rejects_malformed_arrays():
-    half = np.full((2, 4), 0.5)
-    with pytest.raises(ValueError, match="systems must have shape"):
-        CoupledState(np.full((2, 3), 0.5), np.zeros((2, 0)), ())
-    with pytest.raises(ValueError, match="systems must have shape"):
-        CoupledState(np.full(4, 0.5), np.zeros((1, 0)), ())
-    with pytest.raises(ValueError, match="one displacement per pointer"):
-        CoupledState(half / SQ2, np.zeros((2, 1)), ())
-    with pytest.raises(ValueError, match="one displacement per pointer"):
-        CoupledState(half / SQ2, np.zeros((3, 1)), (vertical(0.1),))
-    with pytest.raises(ValueError, match="sum to 1"):
-        CoupledState(half, np.zeros((2, 0)), ())
-    with pytest.raises(ValueError, match="sum to 1"):
-        CoupledState(np.array([[np.nan, 0, 0, 0]]), np.zeros((1, 0)), ())
-    with pytest.raises(ValueError, match="sum to 1"):
-        couple(Ket([1, 1, 0, 0]), SpectralObservable(((1.0, np.eye(4)),)), vertical(0.1))
-    with pytest.raises(DuplicateAxis):
-        CoupledState(half / SQ2, np.zeros((2, 2)), (vertical(0.1), vertical(0.2)))
+MALFORMED_MIXTURES = [
+    ((), np.zeros((0, 1)), (1.0,), "at least one weight"),
+    ((1.0, 1.0), ((0.0,),), (1.0,), "one displacement vector per weight"),
+    ((1.0,), (0.0,), (1.0,), "one displacement vector per weight"),
+    ((1.0,), ((0.0,),), (1.0, 1.0), "one width per axis"),
+    ((float("nan"),), ((0.0,),), (1.0,), "must be finite"),
+    ((complex(1.0, float("inf")),), ((0.0,),), (1.0,), "must be finite"),
+    ((1.0, 0.5), ((0.0,), (float("inf"),)), (1.0,), "must be finite"),
+    ((1.0,), ((float("nan"),),), (1.0,), "must be finite"),
+    ((1.0,), ((0.0,),), (0.0,), "widths must be positive and finite"),
+    ((1.0,), ((0.0,),), (-1.0,), "widths must be positive and finite"),
+    ((1.0,), ((0.0,),), (float("nan"),), "widths must be positive and finite"),
+    ((1.0,), ((0.0,),), (float("inf"),), "widths must be positive and finite"),
+]
 
 
 def test_mixture_rejects_malformed_arrays():
-    axes = (Axis.HORIZONTAL,)
-    with pytest.raises(ValueError, match="at least one weight"):
-        PointerMixture(weights=(), displacements=np.zeros((0, 1)), widths=(1.0,), axes=axes)
-    with pytest.raises(ValueError, match="one displacement vector per weight"):
-        PointerMixture(weights=(1.0, 1.0), displacements=((0.0,),), widths=(1.0,), axes=axes)
-    with pytest.raises(ValueError, match="one displacement vector per weight"):
-        PointerMixture(weights=(1.0,), displacements=(0.0,), widths=(1.0,), axes=axes)
-    with pytest.raises(ValueError, match="one width per axis"):
-        PointerMixture(weights=(1.0,), displacements=((0.0,),), widths=(1.0, 1.0), axes=axes)
+    for weights, displacements, widths, message in MALFORMED_MIXTURES:
+        with pytest.raises(ValueError, match=message):
+            PointerMixture(weights=weights, displacements=displacements, widths=widths, axes=(Axis.HORIZONTAL,))
 
 
 def test_branch_arrays_are_read_only_copies(pre_post, observables):
-    pre, post = pre_post
-    systems = np.array([[0.5, 0.5, 0.5, 0.5]], dtype=complex)
-    displacements = np.zeros((1, 0))
-    coupled = CoupledState(systems, displacements, ())
-    systems[0, 0] = 7.0
-    assert coupled.systems[0, 0] == 0.5
-    coupled = couple(coupled, observables["photon_in_arm1"], vertical(0.1))
-    for array in (coupled.systems, coupled.displacements):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-
+    pre, _ = pre_post
     weights = np.array([0.5, -0.25])
     shifts = np.array([[0.0], [1.0]])
     widths = np.array([1.0])
@@ -174,21 +172,10 @@ def test_branch_arrays_are_read_only_copies(pre_post, observables):
     assert mixture.displacements.tolist() == [[0.0], [1.0]]
     assert mixture.widths.tolist() == [1.0]
     assert mixture_moments(mixture) == before
-    mixture, _ = postselect_pointer(coupled, post)
+    mixture, _ = postselected(pre, (observables["photon_in_arm1"], vertical(0.1)))
     for array in (mixture.weights, mixture.displacements, mixture.widths):
         with pytest.raises(ValueError):
             array[0] = 0.0
-
-
-def loop_couple(branches, obs, coupling):
-    """Per-branch reference for couple: (system amplitudes, displacement tuple) pairs."""
-    split = []
-    for amps, shifts in branches:
-        for value, proj in obs.branches:
-            projected = proj @ amps
-            if np.linalg.norm(projected) >= 1e-14:
-                split.append((projected, shifts + (coupling * value,)))
-    return split
 
 
 def random_observable(rng):
@@ -199,36 +186,41 @@ def random_observable(rng):
 
 
 def test_couple_and_postselect_match_a_per_branch_loop(pre_post, observables, random_state):
+    # The branch structure of an analysis against the per-branch oracle, at unit coupling.
     rng = np.random.default_rng(3)
     _, post = pre_post
+    projectors = detector_projectors()
     for trial in range(20):
         pre = random_state(rng)
         pair = (observables["photon_in_arm1"], observables["angular_momentum_arm2"])
         if trial % 2:
             pair = (random_observable(rng), random_observable(rng))
-        coupled, branches = pre, [(pre.amps, ())]
-        for obs, pointer in zip(pair, (vertical(0.3), horizontal(0.2))):
-            coupled = couple(coupled, obs, pointer)
-            branches = loop_couple(branches, obs, pointer.coupling)
-        assert coupled.displacements.tolist() == [list(shifts) for _, shifts in branches]
-        np.testing.assert_allclose(coupled.systems, [amps for amps, _ in branches], rtol=0, atol=1e-15)
-        mixture, _ = postselect_pointer(coupled, post)
-        weights = [np.vdot(post.amps, amps) for amps, _ in branches]
-        kept = [w for w in weights if abs(w) > 1e-14 * max(1.0, max(map(abs, weights)))]
-        np.testing.assert_allclose(mixture.weights, kept, rtol=0, atol=1e-15)
+        structure = montecarlo._structure(pre, tuple(zip(pair, (Axis.VERTICAL, Axis.HORIZONTAL))))
+        branches = loop_branches(pre, [(obs, 1.0) for obs in pair])
+        assert structure.pattern.tolist() == [list(shifts) for _, shifts in branches]
+        systems = np.array([amps for amps, _ in branches])
+        for detector, cross in zip((Detector.D2, Detector.D3), structure.cross):
+            want = systems.conj() @ projectors[detector] @ systems.T
+            np.testing.assert_allclose(cross, want, rtol=0, atol=1e-15)
+        weights, keep = postselected_weights(branches, post)
+        assert structure.kept.tolist() == np.flatnonzero(keep).tolist()
+        kept = [w for w, k in zip(weights, keep) if k]
+        np.testing.assert_allclose(structure.weights, kept, rtol=0, atol=1e-15)
         if not trial % 2:  # diagonal projectors: the arithmetic is exact either way
-            np.testing.assert_array_equal(coupled.systems, [amps for amps, _ in branches])
-            assert mixture.weights.tolist() == kept
+            assert structure.weights.tolist() == kept
 
 
 def test_couple_and_postselect_build_no_kets(pre_post, observables, monkeypatch):
-    pre, post = pre_post
+    pre, _ = pre_post
+    couplings = (observables["photon_in_arm1"], vertical(0.1)), (observables["angular_momentum_arm2"], horizontal(0.1))
+    postselected(pre, *couplings)  # the detection chain's constants are built by now
+    fresh = normalize(Ket([1.0, 2.0, 3.0, 4.0]))  # a new structure key: the analysis builds its structure
     built = []
     check = qstate.Ket.__init__
     monkeypatch.setattr(qstate.Ket, "__init__", lambda self, amps: built.append(self) or check(self, amps))
-    coupled = couple(pre, observables["photon_in_arm1"], vertical(0.1))
-    coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(0.1))
-    postselect_pointer(coupled, post)
+    misses = montecarlo._structure.cache_info().misses
+    postselected(fresh, *couplings)
+    assert montecarlo._structure.cache_info().misses == misses + 1
     assert built == []
 
 
@@ -238,10 +230,9 @@ def test_couple_and_postselect_build_no_kets(pre_post, observables, monkeypatch)
 def test_path_probe_gives_single_displaced_gaussian(pre_post, observables):
     # The zero-displacement branch has weight <post|arm2 part> = 0, so the
     # pointer is an exact Gaussian at the coupling displacement for every g.
-    pre, post = pre_post
+    pre, _ = pre_post
     for g in (0.01, 1.0, 25.0):
-        coupled = couple(pre, observables["photon_in_arm1"], vertical(g))
-        mixture, success = postselect_pointer(coupled, post)
+        mixture, success = postselected(pre, (observables["photon_in_arm1"], vertical(g)))
         assert success == pytest.approx(0.25, abs=ATOL)
         assert len(mixture.weights) == 1
         assert mixture.weights[0] == pytest.approx(0.5, abs=ATOL)
@@ -253,10 +244,9 @@ def test_path_probe_gives_single_displaced_gaussian(pre_post, observables):
 
 
 def test_arm2_momentum_probe_weights(pre_post, observables):
-    pre, post = pre_post
+    pre, _ = pre_post
     g = 0.4
-    coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(g))
-    mixture, _ = postselect_pointer(coupled, post)
+    mixture, _ = postselected(pre, (observables["angular_momentum_arm2"], horizontal(g)))
     assert mixture.displacements.shape == (3, 1)
     by_displacement = dict(zip(mixture.displacements[:, 0].tolist(), mixture.weights.tolist()))
     assert by_displacement[g] == pytest.approx(0.25, abs=ATOL)
@@ -265,19 +255,22 @@ def test_arm2_momentum_probe_weights(pre_post, observables):
 
 
 def test_orthogonal_postselection_raises(observables):
+    # Every branch of a pre-state in arm 1 with vertical polarisation is
+    # orthogonal to the post-state: no mixture, and every shot reaches D2 or D3.
     arm1_v = Ket([1 / SQ2, -1 / SQ2, 0, 0])
-    pre = Ket([0.5, 0.5, 0.5, 0.5])
-    coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(0.1))
+    coupling = (observables["angular_momentum_arm2"], horizontal(0.1))
+    mixture, success = postselected(arm1_v, coupling)
+    assert (mixture, success) == (None, 0.0)
+    assert total_probability(arm1_v, coupling) == pytest.approx(1.0, abs=ATOL)
     with pytest.raises(NullPostSelection):
-        postselect_pointer(coupled, arm1_v)
+        PointerMixture(weights=(1e-9,), displacements=((0.0,),), widths=(1.0,), axes=(Axis.HORIZONTAL,))
 
 
 def test_success_probability_approaches_undisturbed_overlap(pre_post, observables):
-    pre, post = pre_post
+    pre, _ = pre_post
     successes = []
     for g in (1.0, 1e-1, 1e-2, 1e-3):
-        coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(g))
-        _, success = postselect_pointer(coupled, post)
+        _, success = postselected(pre, (observables["angular_momentum_arm2"], horizontal(g)))
         successes.append(success)
     deviations = [abs(s - 0.25) for s in successes]
     assert deviations == sorted(deviations, reverse=True)
@@ -288,12 +281,14 @@ def test_success_probability_approaches_undisturbed_overlap(pre_post, observable
 def test_success_probability_is_scale_free_at_extreme_widths(pre_post, observables, width):
     # At equal g/s the Gram sum depends only on g/s.  Here s**2 is not a
     # normal float64, so the overlap exponent must not be formed from it.
-    pre, post = pre_post
+    pre, _ = pre_post
 
     def success(s):
-        coupled = couple(pre, observables["photon_in_arm1"], vertical(0.01 * s, s))
-        coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(0.01 * s, s))
-        return postselect_pointer(coupled, post)[1]
+        couplings = (
+            (observables["photon_in_arm1"], vertical(0.01 * s, s)),
+            (observables["angular_momentum_arm2"], horizontal(0.01 * s, s)),
+        )
+        return postselected(pre, *couplings)[1]
 
     assert success(width) == pytest.approx(success(1.0), rel=1e-12, abs=0)
 
@@ -304,10 +299,9 @@ def test_success_probability_is_scale_free_at_extreme_widths(pre_post, observabl
 def test_momentum_probe_mean_matches_closed_form(pre_post, observables):
     # Gram-sum mean for weights {1/4 @ +g, -1/4 @ -g, 1/2 @ 0} reduces to
     # 2 g O(g) / (3 - O(2g)) with O(d) = exp(-d^2 / (8 s^2)).
-    pre, post = pre_post
+    pre, _ = pre_post
     for g in (1e-3, 1e-2, 1e-1, 1.0, 3.0, 10.0):
-        coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(g))
-        mixture, _ = postselect_pointer(coupled, post)
+        mixture, _ = postselected(pre, (observables["angular_momentum_arm2"], horizontal(g)))
         overlap = lambda d: np.exp(-(d**2) / 8.0)
         expected = 2 * g * overlap(g) / (3 - overlap(2 * g))
         assert mixture_moments(mixture)[Axis.HORIZONTAL].mean == pytest.approx(
@@ -316,20 +310,17 @@ def test_momentum_probe_mean_matches_closed_form(pre_post, observables):
 
 
 def test_momentum_probe_weak_and_strong_means(pre_post, observables):
-    pre, post = pre_post
-    coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(1e-2))
-    mixture, _ = postselect_pointer(coupled, post)
+    pre, _ = pre_post
+    mixture, _ = postselected(pre, (observables["angular_momentum_arm2"], horizontal(1e-2)))
     assert mixture_moments(mixture)[Axis.HORIZONTAL].mean / 1e-2 == pytest.approx(1.0, abs=1e-4)
-    coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(40.0))
-    mixture, _ = postselect_pointer(coupled, post)
+    mixture, _ = postselected(pre, (observables["angular_momentum_arm2"], horizontal(40.0)))
     assert abs(mixture_moments(mixture)[Axis.HORIZONTAL].mean) < 1e-12
 
 
 def test_zero_coupling_gives_bare_pointer(pre_post, observables):
-    pre, post = pre_post
+    pre, _ = pre_post
     s = 1.7
-    coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(0.0, s=s))
-    mixture, success = postselect_pointer(coupled, post)
+    mixture, success = postselected(pre, (observables["angular_momentum_arm2"], horizontal(0.0, s=s)))
     assert success == pytest.approx(0.25, abs=ATOL)
     moments = mixture_moments(mixture)[Axis.HORIZONTAL]
     assert moments.mean == pytest.approx(0.0, abs=ATOL)
@@ -350,8 +341,7 @@ def test_weak_limit_convergence_all_canonical_observables(pre_post, observables)
         wv = weak_value(observable_operator(obs), pre, post).real
         errors = []
         for g in ratios:
-            coupled = couple(pre, obs, horizontal(g))
-            mixture, _ = postselect_pointer(coupled, post)
+            mixture, _ = postselected(pre, (obs, horizontal(g)))
             mean = mixture_moments(mixture)[Axis.HORIZONTAL].mean
             errors.append(abs(mean / g - wv))
         assert errors[-1] < 1e-6, name
@@ -374,10 +364,7 @@ def test_weak_limit_error_matches_mpmath_oracle(pre_post, observables, case, g):
     # |mean/g - Re A_w| is ~(g/s)^2: forming mean/g first loses up to 1e-9
     # of it at g/s = 1e-3, the expm1 sum keeps it to a few ulp.
     pre, post = pre_post
-    coupled = pre
-    for name, pointer in WEAK_LIMIT_CASES[case]:
-        coupled = couple(coupled, observables[name], pointer(g))
-    mixture, _ = postselect_pointer(coupled, post)
+    mixture, _ = postselected(pre, *((observables[name], pointer(g)) for name, pointer in WEAK_LIMIT_CASES[case]))
     weak_values = [weak_value(observable_operator(observables[name]), pre, post).real
                    for name, _ in WEAK_LIMIT_CASES[case]]
     couplings = [g] * len(weak_values)
@@ -389,7 +376,7 @@ def test_weak_limit_error_matches_mpmath_oracle(pre_post, observables, case, g):
 
 
 def test_moments_match_quadrature_oracle(pre_post, observables):
-    pre, post = pre_post
+    pre, _ = pre_post
     cases = [
         ("angular_momentum_arm2", 1e-2),
         ("angular_momentum_arm2", 1.0),
@@ -398,8 +385,7 @@ def test_moments_match_quadrature_oracle(pre_post, observables):
         ("photon_in_arm1", 5.0),
     ]
     for name, g in cases:
-        coupled = couple(pre, observables[name], horizontal(g))
-        mixture, _ = postselect_pointer(coupled, post)
+        mixture, _ = postselected(pre, (observables[name], horizontal(g)))
         moments = mixture_moments(mixture)[Axis.HORIZONTAL]
         mass, (mean,), (variance,) = quadrature_moments(
             mixture, lambda pts: mixture_density(mixture, pts)
@@ -410,11 +396,11 @@ def test_moments_match_quadrature_oracle(pre_post, observables):
 
 
 def test_two_axis_moments_match_quadrature_oracle(pre_post, observables):
-    pre, post = pre_post
+    pre, _ = pre_post
     for g in (0.05, 10.0):
-        coupled = couple(pre, observables["photon_in_arm1"], vertical(g))
-        coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(g))
-        mixture, _ = postselect_pointer(coupled, post)
+        mixture, _ = postselected(
+            pre, (observables["photon_in_arm1"], vertical(g)), (observables["angular_momentum_arm2"], horizontal(g))
+        )
         moments = mixture_moments(mixture)
         mass, means, variances = quadrature_moments(
             mixture, lambda pts: mixture_density(mixture, pts)
@@ -436,8 +422,7 @@ def test_strong_limit_lobes_match_abl(pre_post, observables):
     for name in ("angular_momentum_arm2", "angular_momentum_arm1", "photon_in_arm1"):
         obs = observables[name]
         g = 1e3
-        coupled = couple(pre, obs, horizontal(g))
-        mixture, _ = postselect_pointer(coupled, post)
+        mixture, _ = postselected(pre, (obs, horizontal(g)))
         abl = abl_distribution(obs, pre, post).outcomes
         centers = [g * value for value in abl]
         masses = lobe_masses(mixture, lambda pts: mixture_density(mixture, pts), centers)
@@ -448,11 +433,11 @@ def test_strong_limit_lobes_match_abl(pre_post, observables):
 def test_cheshire_cat_separation_is_simultaneous(pre_post, observables):
     # One experiment, both probes weak: the mean displacement says the
     # photon is in arm 1 *and* the angular momentum is in arm 2.
-    pre, post = pre_post
+    pre, _ = pre_post
     g = h = 1e-2
-    coupled = couple(pre, observables["photon_in_arm1"], vertical(g))
-    coupled = couple(coupled, observables["angular_momentum_arm2"], horizontal(h))
-    mixture, success = postselect_pointer(coupled, post)
+    mixture, success = postselected(
+        pre, (observables["photon_in_arm1"], vertical(g)), (observables["angular_momentum_arm2"], horizontal(h))
+    )
     moments = mixture_moments(mixture)
     assert moments[Axis.VERTICAL].mean / g == pytest.approx(1.0, abs=1e-3)
     assert moments[Axis.HORIZONTAL].mean / h == pytest.approx(1.0, abs=1e-3)
@@ -463,9 +448,8 @@ def test_cheshire_cat_separation_is_simultaneous(pre_post, observables):
 
 
 def test_density_is_nonnegative_with_interfering_weights(pre_post, observables):
-    pre, post = pre_post
-    coupled = couple(pre, observables["angular_momentum_arm2"], horizontal(1.5))
-    mixture, _ = postselect_pointer(coupled, post)
+    pre, _ = pre_post
+    mixture, _ = postselected(pre, (observables["angular_momentum_arm2"], horizontal(1.5)))
     xs = np.linspace(-14, 14, 2001)
     dens = mixture_density(mixture, xs[:, None])
     assert np.all(dens >= 0)
@@ -476,9 +460,8 @@ def test_density_is_nonnegative_with_interfering_weights(pre_post, observables):
 
 
 def test_density_point_validation(pre_post, observables):
-    pre, post = pre_post
-    coupled = couple(pre, observables["photon_in_arm1"], vertical(0.1))
-    mixture, _ = postselect_pointer(coupled, post)
+    pre, _ = pre_post
+    mixture, _ = postselected(pre, (observables["photon_in_arm1"], vertical(0.1)))
     with pytest.raises(ValueError):
         mixture_density(mixture, [0.0, 0.0])
 
