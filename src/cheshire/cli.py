@@ -5,18 +5,20 @@ experiment and writes two files into the output directory.  The run is one
 loop over chunks of ``_CHUNK_SHOTS`` shots: each chunk is sampled, appended
 to ``shots.csv`` and folded into a running :class:`~cheshire.montecarlo.Tally`,
 so a run holds one chunk in memory whatever its shot count.  Each chunk's
-rows are formatted and written in blocks of 4096, so the CSV text held at
+rows are formatted and written in blocks of 2048, so the CSV text held at
 once is bounded as well as the shots.
 
 - ``shots.csv`` with header ``shot_id,detector,x,y``; ``x`` is the
   horizontal readout, ``y`` the vertical one, both empty for shots that did
-  not reach D1 (and for axes the preset does not couple).  Floats use
-  ``repr`` (shortest round-trip form), so identical configs give
-  byte-identical files.  Rows go to ``shots.csv.partial``, renamed to
-  ``shots.csv`` once the run's estimates exist, so a failed or interrupted
-  run leaves no ``shots.csv``.  A run whose file could not fit in the free
-  space at ``7`` bytes a row (``0,D2,,`` and a newline) is refused before
-  anything is created.
+  not reach D1 (and for axes the preset does not couple).  Floats are
+  written as ``repr`` writes them (shortest round-trip form), so identical
+  configs give byte-identical files; the digits come from integer
+  arithmetic in numpy for |x| in [1e-4, 2**52) and from ``repr`` itself
+  outside it.  Rows go to ``shots.csv.partial`` and the summary to
+  ``summary.json.partial``; both are renamed once the summary is written,
+  so a failed or interrupted run leaves neither file.  A run whose file
+  could not fit in the free space at ``7`` bytes a row (``0,D2,,`` and a
+  newline) is refused before anything is created.
 - ``summary.json`` with keys ``config`` (the fully resolved configuration),
   ``expected`` (analytic weak values as {re, im} pairs, conditional outcome
   tables, pointer moments -- never derived from the samples), ``estimated``
@@ -69,6 +71,8 @@ from .montecarlo import (
     LowAcceptance,
     ShotBatch,
     Tally,
+    _mulhilo,
+    _U32,
     analyze,
     sample_shots,
 )
@@ -403,55 +407,189 @@ def _diagnostics(experiment: Experiment, tally: Tally, checks: dict) -> dict:
 #: Shots sampled and tallied together: a run holds one chunk at a time.
 _CHUNK_SHOTS = 1 << 16
 #: Rows formatted and written together, so the CSV text held at once is
-#: bounded too (about 0.5 MB); blocks of 2048 to 8192 rows format at about
-#: the same speed, faster than a whole chunk at once.
-_WRITE_ROWS = 1 << 12
+#: bounded too.  Blocks of 4096 rows gave which-path runs about 8% more
+#: throughput, but raised a 20k-shot weak-cheshire run's peak RSS by about
+#: 0.4 MB.
+_WRITE_ROWS = 1 << 11
 _CSV_HEADER = "shot_id,detector,x,y\n"
 #: Bytes of the shortest ``shots.csv`` row, ``0,D2,,`` and its newline.
 _MIN_ROW_BYTES = 7
-#: Row tail after the shot id, per ``ShotBatch.detector`` code; D1 rows of
-#: an experiment with pointers get their own tail from ``_d1_tails``.
-_ROW_TAILS = np.array([None, ",D1,,\n", ",D2,,\n", ",D3,,\n"], dtype=object)
+#: 5**k as uint64 and 10**k as int64, the scales of the readout digits.
+_POW5 = 5 ** np.arange(23, dtype=np.uint64)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+#: ASCII of 0 .. 9999 zero-padded to four digits, one uint32 a number whose
+#: bytes, stored little-endian, read the digits in order (40 KB, built in
+#: about 30 us).
+_DIGITS4 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_DIGITS4 = _DIGITS4[:, None, None, None] | _DIGITS4[:, None, None] << 8 | _DIGITS4[:, None] << 16 | _DIGITS4 << 24
+_DIGITS4 = _DIGITS4.ravel()
+#: Row d keeps the last d of 20 columns: 1 there, 0 (NUL) before them.
+_KEEP = (np.arange(21)[:, None] > np.arange(19, -1, -1)).view(np.uint8)
+#: Readouts with |x| in [low, high) get their digits from ``_positional``;
+#: the rest (zero, subnormals, and those that ``repr`` writes with an
+#: exponent or with 16 integer digits) from ``repr`` itself.
+_EXACT_WINDOW = (1e-4, 2.0**52)
 
 
-def _d1_tails(readout: np.ndarray, axes: tuple[Axis, ...]) -> list[str]:
-    """Newline-terminated ``,D1,x,y`` row tails of D1 readouts, columns in ``axes`` order.
+def _digit_count(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of each non-negative int64 value (1 for 0)."""
+    return _POW10[1:].searchsorted(values, side="right") + 1
 
-    ``axes`` holds one or both of the two axes.
+
+def _ascii(values: np.ndarray, digits: np.ndarray, width: int) -> np.ndarray:
+    """The last ``digits`` decimal digits of each int64 value below 10**width, as ASCII.
+
+    They are right-aligned in ``width`` columns, after NULs.
     """
-    columns = dict(zip(axes, readout.T.tolist()))
-    xs, ys = columns.get(Axis.HORIZONTAL), columns.get(Axis.VERTICAL)
-    if xs is None:
-        return [f",D1,,{y!r}\n" for y in ys]
-    if ys is None:
-        return [f",D1,{x!r},\n" for x in xs]
-    return [f",D1,{x!r},{y!r}\n" for x, y in zip(xs, ys)]
+    groups = -(-width // 4)
+    words = np.empty((values.shape[0], groups), dtype="<u4")
+    for g in range(groups - 1, 0, -1):
+        quotient = values // 10000
+        words[:, g] = _DIGITS4.take(values - quotient * 10000)
+        values = quotient
+    words[:, 0] = _DIGITS4.take(values)
+    chars = words.view(np.uint8)
+    chars *= _KEEP[:, 20 - 4 * groups :].take(digits, axis=0)
+    return chars[:, 4 * groups - width :]
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest digits d and exponent q that read back as each float64 |x| = d 10**-q in ``_EXACT_WINDOW``.
+
+    The digits come from 64-bit integers (Steele and White, PLDI 1990;
+    Adams, "Ryu", PLDI 2018).  With x = m 2**e and k = 17 - floor(log10
+    2**(e + 52)), 10**k |x| lies in [1e17, 2e18).  The 128-bit product
+    4m 5**k, shifted right by j >= 1, gives the floors of 10**k |x| and of
+    its rounding bounds, half an ulp above and half an ulp below (a quarter
+    at a power of two).  The digits are the shortest prefix between the
+    bounds, rounded to nearest with ties to even, as ``repr`` picks them.
+    """
+    bits = x.view(np.uint64)
+    m = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    e = (bits >> 52 & 0x7FF).astype(np.int64) - 1075
+    k = 17 - ((e + 52) * 78913 >> 18)  # 78913 / 2**18 rounds log10(2) down, exactly for these exponents
+    j = (2 - e - k).astype(np.uint64)
+    up = 64 - j
+    five = _POW5[k]
+    lo, hi = _mulhilo(m << 2, (five & _U32, five >> 32, five))
+    high_lo, low_lo = lo + (five << 1), lo - (five << (m != 2**52).astype(np.uint64))
+    # The floors are below 2e18, so int64 holds them.  The bounds are
+    # (4m + 2) 5**k / 2**j and (4m - 2 or 4m - 1) 5**k / 2**j, with at most
+    # one factor 2 above the line: integers only at j = 1 (|x| >= 2**51,
+    # k = 2), and then odd multiples of 25.  So no bound is ever the
+    # shortest output, and whether it belongs to the interval never matters.
+    value = ((hi << up) | (lo >> j)).view(np.int64)
+    high = (((hi + (high_lo < lo)) << up) | (high_lo >> j)).view(np.int64)
+    low = (((hi - (low_lo > lo)) << up) | (low_lo >> j)).view(np.int64)
+    inexact = (lo << up) != 0
+    # Drop the most digits r that leave a multiple of 10**r in (low, high].
+    # That interval is at least 11 wide, so r >= 1.
+    r = np.ones(x.shape[0], dtype=np.int64)
+    rows, highs, lows = np.arange(x.shape[0]), high, low
+    for t in range(2, 19):
+        more = highs // _POW10[t] > lows // _POW10[t]
+        rows, highs, lows = rows[more], highs[more], lows[more]
+        if not rows.size:
+            break
+        r[rows] = t
+    # Round the kept digits to nearest, ties (dropped digits exactly half,
+    # 10**k |x| an integer) to even, and up when truncation fell to low.
+    scale = _POW10[r]
+    digits = value // scale
+    dropped = 2 * (value - digits * scale)
+    tie_up = inexact | (digits & 1).astype(bool)
+    digits += (dropped > scale) | ((dropped == scale) & tie_up) | (digits == low // scale)
+    return digits, k - r
+
+
+def _positional(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 with |x| in ``_EXACT_WINDOW``, as ASCII rows with NULs between the parts.
+
+    The rows read ``[-]int.frac``, the positional form that ``repr`` writes
+    for decimal exponents in (-4, 16].
+    """
+    digits, fraction = _shortest(x)
+    int_width = np.maximum(_digit_count(digits) - fraction, 1)
+    digits *= _POW10[np.maximum(-fraction, 0)]
+    fraction = np.maximum(fraction, 0)
+    scale = _POW10[np.minimum(fraction, 18)]
+    whole = digits // scale
+    fraction_width = np.maximum(fraction, 1)
+    parts = (
+        (np.signbit(x).view(np.uint8) * ord("-"))[:, None],
+        _ascii(whole, int_width, int(int_width.max())),
+        np.full((x.shape[0], 1), ord("."), dtype=np.uint8),
+        _ascii(digits - whole * scale, fraction_width, int(fraction_width.max())),
+    )
+    return np.concatenate(parts, axis=1)
+
+
+def _readout_text(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 in ``x``, as NUL-padded ASCII rows.
+
+    The rows come from ``_positional`` inside ``_EXACT_WINDOW`` and from
+    ``repr`` itself outside it.
+    """
+    size = np.abs(x)
+    exact = (size >= _EXACT_WINDOW[0]) & (size < _EXACT_WINDOW[1])
+    if exact.all():
+        return _positional(x)
+    outside = np.flatnonzero(~exact)
+    # One format call pads every repr (at most 24 characters, none of them a
+    # space) to 24 with spaces, which become NULs.
+    reprs = ("%-24r" * outside.size % tuple(x[outside].tolist())).encode()
+    reprs = np.frombuffer(reprs, dtype=np.uint8).reshape(outside.size, 24)
+    reprs = np.where(reprs == ord(" "), np.uint8(0), reprs)
+    if outside.size == x.shape[0]:
+        return reprs
+    inside = np.flatnonzero(exact)
+    positional = _positional(x[inside])
+    text = np.zeros((x.shape[0], max(reprs.shape[1], positional.shape[1])), dtype=np.uint8)
+    text[inside, : positional.shape[1]] = positional
+    text[outside, : reprs.shape[1]] = reprs
+    return text
 
 
 def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> None:
     """Append one CSV row per shot of ``batch`` to the open file ``fh``; x = horizontal readout, y = vertical.
 
-    Each row is the shot id in decimal followed by a tail: the constant
-    ``,D2,,`` or ``,D3,,`` off D1, and one f-string of the readouts'
-    ``repr`` (shortest round-trip form) on D1, so identical batches give
-    byte-identical rows.  Float ``repr`` is most of the cost.  Rows are
-    formatted and written in blocks of ``_WRITE_ROWS``, so the text held at
-    once does not grow with the batch.
+    A row is ``shot_id,Dk,x,y``: the shot id in decimal, the detector, and
+    on D1 each readout's ``repr`` (shortest round-trip form), so identical
+    batches give byte-identical rows.  Rows are built in blocks of
+    ``_WRITE_ROWS`` as one NUL-padded uint8 matrix, whose NULs are dropped
+    before one write, so the text held at once does not grow with the
+    batch.  The readout digits come from ``_positional`` for |x| in
+    ``_EXACT_WINDOW`` and from ``repr`` itself for the rest.  Shot ids must
+    be non-negative, as ``sample_shots`` makes them.
     """
     axes = experiment.axes()
+    columns = [axes.index(axis) if axis in axes else None for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
+    if len(batch) and batch.shot_id.min() < 0:
+        raise ValueError("shot ids must be non-negative")
     for start in range(0, len(batch), _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
+        shot_id = batch.shot_id[rows]
         detector = batch.detector[rows]
-        tails = _ROW_TAILS[detector]
-        if axes:
-            d1 = np.flatnonzero(detector == 1)
-            tails[d1] = _d1_tails(batch.readout[rows][d1], axes)
-        # One "%d%s" per row, formatted at once: faster than str() on each
-        # id followed by a join.
-        fields = [None] * (2 * len(detector))
-        fields[0::2] = batch.shot_id[rows].tolist()
-        fields[1::2] = tails.tolist()
-        fh.write(("%d%s" * len(detector)) % tuple(fields))
+        d1 = np.flatnonzero(detector == 1)
+        readouts = np.empty((d1.size, len(axes), 0), dtype=np.uint8)
+        if d1.size and axes:
+            readouts = _readout_text(batch.readout[rows][d1].ravel()).reshape(d1.size, len(axes), -1)
+        id_digits = _digit_count(shot_id)
+        id_width, readout_width = int(id_digits.max()), readouts.shape[2]
+        text = np.zeros((len(detector), id_width + 6 + len(axes) * readout_width), dtype=np.uint8)
+        text[:, :id_width] = _ascii(shot_id, id_digits, id_width)
+        text[:, id_width] = ord(",")
+        text[:, id_width + 1] = ord("D")
+        text[:, id_width + 2] = detector + ord("0")
+        at = id_width + 3
+        for column in columns:
+            text[:, at] = ord(",")
+            at += 1
+            if column is not None:
+                text[d1, at : at + readout_width] = readouts[:, column]
+                at += readout_width
+        text[:, at] = ord("\n")
+        fh.write(text[text != 0].tobytes().decode())
 
 
 def _check_free_space(out_dir: Path, shots: int) -> None:
@@ -469,10 +607,27 @@ def _check_free_space(out_dir: Path, shots: int) -> None:
         raise OSError(f"{shots} shots need at least {need} bytes of shots.csv, but {existing} has {free} free")
 
 
-def _write_summary(out_dir: Path, summary: dict) -> None:
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+def _publish(out_dir: Path, summary: dict, *partials: Path) -> None:
+    """Write ``summary.json`` into ``out_dir`` and rename each ``<name>.partial`` of ``partials`` to ``<name>``.
+
+    The summary goes to ``summary.json.partial`` first and is renamed last.
+    On any exception, the partial files and every file already renamed are
+    removed, so a failed or interrupted run leaves neither output.
+    """
+    pending = (*partials, out_dir / "summary.json.partial")
+    published = []
+    try:
+        with open(pending[-1], "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+        for partial in pending:
+            final = partial.with_suffix("")
+            partial.replace(final)
+            published.append(final)
+    except BaseException:
+        for path in (*pending, *published):
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
@@ -491,18 +646,17 @@ def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
                 tally.add(batch)
                 write_shots_csv(fh, batch, experiment)
         estimated = estimated_summary(tally, experiment)
-        partial.replace(config.out_dir / "shots.csv")
+        expected = expected_summary(config, experiment)
+        summary = {
+            "config": config.as_dict(),
+            "expected": expected,
+            "estimated": estimated,
+            "diagnostics": _diagnostics(experiment, tally, _checks(expected, estimated, tally.n_shots)),
+        }
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    expected = expected_summary(config, experiment)
-    summary = {
-        "config": config.as_dict(),
-        "expected": expected,
-        "estimated": estimated,
-        "diagnostics": _diagnostics(experiment, tally, _checks(expected, estimated, tally.n_shots)),
-    }
-    _write_summary(config.out_dir, summary)
+    _publish(config.out_dir, summary, partial)
     return summary
 
 
@@ -546,7 +700,7 @@ def _run_sweep(config: ExperimentConfig) -> dict:
         "estimated": {"points": points},
         "diagnostics": {"sweep_ratios": list(SWEEP_RATIOS)},
     }
-    _write_summary(config.out_dir, summary)
+    _publish(config.out_dir, summary)
     return summary
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cheshire
-from cheshire import Axis, analyze, sample_shots, sequential_distribution
+from cheshire import Axis, ShotBatch, analyze, sample_shots, sequential_distribution
 from cheshire import cli, montecarlo, pointer
 from cheshire.cli import (
     PRESETS,
@@ -500,12 +501,46 @@ def test_csv_round_trips_the_records(tmp_path):
             assert row[2] == "" and row[3] == ""
 
 
+def csv_reference(batch, experiment) -> bytes:
+    """``shots.csv`` of ``batch`` as ``csv.writer`` writes it: str(shot_id), the detector and repr of each readout."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["shot_id", "detector", "x", "y"])
+    for shot_id, code, readout in zip(batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()):
+        by_axis = dict(zip(experiment.axes(), readout)) if code == 1 else {}
+        fields = [repr(by_axis[axis]) if axis in by_axis else "" for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
+        writer.writerow([shot_id, f"D{code}", *fields])
+    return fh.getvalue().encode("ascii")
+
+
+#: D1 readouts on both sides of the exact window of ``cli._readout_text`` and
+#: at its edges: zeros, subnormals, exponent forms, 16-digit integer parts.
+EDGE_READOUTS = (
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-05, -9.999999999999999e-05, 1e-4, 0.000123, -0.001,
+    0.5, 2.5, -1.0, 100.0, 1234567890123.5, 1e15, -1234567890123456.0, 4503599627370495.5,
+    4503599627370496.0, -9007199254740992.0, 9999999999999998.0, 1e16, -1.7976931348623157e308, 1e-300,
+)
+
+
+def edge_batch(experiment) -> ShotBatch:
+    """Half D1 rows, whose readouts on each axis run through ``EDGE_READOUTS``; shot ids of 1 to 19 digits."""
+    readings = np.array(EDGE_READOUTS)
+    n = 2 * readings.size
+    detector = np.resize(np.array([1, 2, 1, 3], dtype=np.uint8), n)
+    readout = np.full((n, len(experiment.couplings)), np.nan)
+    for axis in range(readout.shape[1]):
+        readout[detector == 1, axis] = np.roll(readings, 5 * axis)
+    shot_id = np.concatenate([[0, 9, 10, 9999, 10_000, 123_456_789], 2**63 - 1 - np.arange(n - 6)]).astype(np.int64)
+    return ShotBatch(shot_id=shot_id, detector=detector, readout=readout)
+
+
 def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
     # The byte format of shots.csv: csv.writer rows of str(shot_id), the
     # detector name and repr of each Python float readout, x horizontal and
     # y vertical, for every column layout, across chunk boundaries and
     # across write blocks inside a chunk: batches one row short of, equal
     # to and one row over a block, and a 600-row batch of 120 blocks.
+    default_rows = cli._WRITE_ROWS
     monkeypatch.setattr(cli, "_WRITE_ROWS", 5)
     chunks = (cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1, 7, cli._CHUNK_SHOTS)
     for preset in ("weak-cheshire", "which-path", "smile-only", "joint-strong"):
@@ -513,19 +548,7 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
         experiment = build_experiment(config)
         batch = sample_shots(experiment, config.shots, config.seed, first_shot=2**40 - 300)
         assert (batch.detector == 1).any()
-        with open(tmp_path / "reference.csv", "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["shot_id", "detector", "x", "y"])
-            for shot_id, code, readout in zip(
-                batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()
-            ):
-                by_axis = dict(zip(experiment.axes(), readout)) if code == 1 else {}
-                fields = [
-                    repr(by_axis[axis]) if axis in by_axis else ""
-                    for axis in (Axis.HORIZONTAL, Axis.VERTICAL)
-                ]
-                writer.writerow([shot_id, f"D{code}", *fields])
-        reference = (tmp_path / "reference.csv").read_bytes()
+        reference = csv_reference(batch, experiment)
         for chunk in chunks:
             with open(tmp_path / "shots.csv", "w", newline="", encoding="ascii") as fh:
                 fh.write(cli._CSV_HEADER)
@@ -535,6 +558,31 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
                     )
                     cli.write_shots_csv(fh, shard, experiment)
             assert (tmp_path / "shots.csv").read_bytes() == reference, (preset, chunk)
+    # Hand-built batches of edge readouts, which take the repr path and both
+    # ends of the exact window, and a pointer-free experiment, whose D1 rows
+    # are ",D1,,", in blocks of 5 rows and of the default size.
+    pre, _ = cheshire.canonical_states()
+    experiments = [build_experiment(run_config(tmp_path, preset=preset)) for preset in PRESETS]
+    experiments.append(cheshire.Experiment(pre=pre, couplings=()))
+    for rows in (5, default_rows):
+        monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
+        for experiment in experiments:
+            batch = edge_batch(experiment)
+            fh = io.StringIO()
+            fh.write(cli._CSV_HEADER)
+            cli.write_shots_csv(fh, batch, experiment)
+            assert fh.getvalue().encode("ascii") == csv_reference(batch, experiment), (rows, experiment.axes())
+    assert b"\n0,D1,,\n" in csv_reference(batch, experiment)  # the pointer-free rows
+
+
+def test_csv_writer_rejects_negative_shot_ids():
+    # The writer formats ids as unsigned digits; sample_shots never makes a
+    # negative one, and a hand-built batch with one is refused.
+    experiment = build_experiment(parse_config(["--preset", "which-path"]))
+    shot_id, detector = np.array([0, -1], dtype=np.int64), np.array([2, 3], dtype=np.uint8)
+    batch = ShotBatch(shot_id=shot_id, detector=detector, readout=np.full((2, 1), np.nan))
+    with pytest.raises(ValueError, match="non-negative"):
+        cli.write_shots_csv(io.StringIO(), batch, experiment)
 
 
 def test_csv_writer_holds_one_block_of_text():
@@ -753,6 +801,51 @@ def test_interrupted_run_leaves_no_shots_csv(tmp_path, monkeypatch):
     assert chunks == [50, 50]
     assert_no_shots_csv(tmp_path / "run")
     assert not (tmp_path / "run" / "summary.json").exists()
+
+
+def assert_no_outputs(out_dir: Path) -> None:
+    assert_no_shots_csv(out_dir)
+    assert not (out_dir / "summary.json").is_file()
+    assert not (out_dir / "summary.json.partial").exists()
+
+
+def test_interrupted_summary_write_leaves_no_outputs(tmp_path, monkeypatch):
+    # Ctrl-C while summary.json is written removes shots.csv and the
+    # truncated summary, in a single run and in the sweep's aggregate.
+    dumps = []
+
+    def interrupt_after_key(obj, fh, **kwargs):
+        dumps.append(fh.name)
+        if len(dumps) == interrupted_dump:
+            fh.write('{"config": ')
+            raise KeyboardInterrupt
+        json_dump(obj, fh, **kwargs)
+
+    json_dump = json.dump
+    monkeypatch.setattr(json, "dump", interrupt_after_key)
+    interrupted_dump = 1
+    with pytest.raises(KeyboardInterrupt):
+        main(["--shots", "200", "--out-dir", str(tmp_path / "run")])
+    assert_no_outputs(tmp_path / "run")
+    dumps.clear()
+    interrupted_dump = 4  # the aggregate, after the three points
+    with pytest.raises(KeyboardInterrupt):
+        main(["--preset", "sweep", "--shots", "200", "--out-dir", str(tmp_path / "sweep")])
+    assert dumps[-1] == str(tmp_path / "sweep" / "summary.json.partial")
+    assert not (tmp_path / "sweep" / "summary.json").exists()
+    assert not (tmp_path / "sweep" / "summary.json.partial").exists()
+    assert (tmp_path / "sweep" / "g_over_s_0.1" / "shots.csv").exists()
+
+
+def test_unwritable_summary_leaves_no_shots_csv(tmp_path, capsys):
+    # A summary.json that is a directory cannot be replaced: the run exits 1
+    # and removes the shots.csv it had already renamed.
+    out_dir = tmp_path / "run"
+    (out_dir / "summary.json").mkdir(parents=True)
+    assert main(["--shots", "200", "--out-dir", str(out_dir)]) == 1
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert_no_outputs(out_dir)
+    assert (out_dir / "summary.json").is_dir()
 
 
 def test_low_acceptance_exits_1(tmp_path, monkeypatch, capsys):
