@@ -573,6 +573,15 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
             cli.write_shots_csv(fh, batch, experiment)
             assert fh.getvalue().encode("ascii") == csv_reference(batch, experiment), (rows, experiment.axes())
     assert b"\n0,D1,,\n" in csv_reference(batch, experiment)  # the pointer-free rows
+    # Readouts in another byte order or precision are written as their
+    # Python floats are.
+    experiment = experiments[0]
+    for source, dtype in ((edge_batch(experiment), ">f8"), (sample_shots(experiment, 600, seed=1), np.float32)):
+        batch = ShotBatch(shot_id=source.shot_id, detector=source.detector, readout=source.readout.astype(dtype))
+        fh = io.StringIO()
+        fh.write(cli._CSV_HEADER)
+        cli.write_shots_csv(fh, batch, experiment)
+        assert fh.getvalue().encode("ascii") == csv_reference(batch, experiment), dtype
 
 
 def test_csv_writer_rejects_negative_shot_ids():
