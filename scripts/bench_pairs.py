@@ -2,24 +2,31 @@
 
 Usage: ``python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W [--pairs 10] [--seconds 40]``
 
-Each tree is a checkout with ``perfbench/`` and the package under ``src/``.
-Pair ``k`` (from 1) runs ``python3 perfbench/run.py --workload W --seed k
---seconds S --trace 0`` in each tree, the parent first on odd pairs and the
-change first on even ones, so drift in the host's speed falls on both sides
-alike.  The script prints each pair's end-to-end metrics, then per metric
-each side's median and quartiles, the number of pairs the change won (had
-a strictly better value, in the direction ``BENCHMARK.json`` gives for the
-metric), and the change's median relative to the parent's, signed so that
-positive is better, with whether it is within the metric's ``bound``: worse
-than the parent's median by no more than that fraction of it.  Exits 0
-when every run was correct, 1 as soon as a run fails or reports a failed
-process, and 2 on wrong arguments.
+Each tree is a checkout with ``perfbench/`` and the package under
+``src/``.  Pair ``k`` (from 1) runs ``python3 perfbench/run.py --workload
+W --seed k --seconds S --trace 0`` in each tree, the parent first on odd
+pairs and the change first on even ones, so drift in the host's speed
+falls on both sides alike.  Before the first pair the script deletes the
+``__pycache__`` directories under each tree's ``src/`` and ``perfbench/``,
+and every run gets ``PYTHONDONTWRITEBYTECODE=1``, so none is written
+again: both trees compile their own sources in every process, as on a host
+that writes no bytecode, while the standard library and numpy load from
+their installed caches.  The script prints each pair's end-to-end metrics,
+then per metric each side's median and quartiles, the number of pairs the
+change won (had a strictly better value, in the direction
+``BENCHMARK.json`` gives for the metric), and the change's median relative
+to the parent's, signed so that positive is better, with whether it is
+within the metric's ``bound``: worse than the parent's median by no more
+than that fraction of it.  Exits 0 when every run was correct, 1 as soon
+as a run fails or reports a failed process, and 2 on wrong arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,7 +40,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
     """One benchmark run in ``tree``; returns its end-to-end metric values, or exits 1 if it failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    result = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = result.stdout.strip().splitlines()
     try:
         report = json.loads(lines[-1])
@@ -43,6 +51,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
         sys.stderr.write(result.stdout + result.stderr)
         sys.exit(f"{tree}: {workload} at seed {seed} failed (exit {result.returncode})")
     return {name: row["value"] for name, row in report["metrics"].items()}
+
+
+def drop_bytecode_caches(tree: Path) -> None:
+    """Delete the ``__pycache__`` directories that ``tree``'s runs would import from."""
+    for cache in [*(tree / "src").rglob("__pycache__"), *(tree / "perfbench").rglob("__pycache__")]:
+        shutil.rmtree(cache)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -67,6 +81,8 @@ def main(argv: list[str]) -> int:
     better = {metric["name"]: metric["better"] for metric in metrics}
     bound = {metric["name"]: metric["bound"] for metric in metrics}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        drop_bytecode_caches(tree)
     samples: dict[str, list[dict[str, float]]] = {side: [] for side in SIDES}
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]

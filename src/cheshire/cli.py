@@ -174,7 +174,7 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8, or an integer past the digit limit
             raise UsageError(f"config: cannot read {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config: file must contain a JSON object")
@@ -240,6 +240,8 @@ def _number(key: str, value) -> float:
         number = float(value)
     except TypeError:
         raise UsageError(f"{key}: must be a number, got {value!r}") from None
+    except OverflowError:  # an integer too large for a float, as JSON may hold
+        raise UsageError(f"{key}: must be finite, got an integer beyond the float range") from None
     if not math.isfinite(number):
         raise UsageError(f"{key}: must be finite, got {number}")
     return number
@@ -561,13 +563,11 @@ def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> Non
     ``_WRITE_ROWS`` as one NUL-padded uint8 matrix, whose NULs are dropped
     before one write, so the text held at once does not grow with the
     batch.  The readout digits come from ``_positional`` for |x| in
-    ``_EXACT_WINDOW`` and from ``repr`` itself for the rest.  Shot ids must
-    be non-negative, as ``sample_shots`` makes them.
+    ``_EXACT_WINDOW`` and from ``repr`` itself for the rest.  Shot ids are
+    non-negative, as ``ShotBatch`` requires.
     """
     axes = experiment.axes()
     columns = [axes.index(axis) if axis in axes else None for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
-    if len(batch) and batch.shot_id.min() < 0:
-        raise ValueError("shot ids must be non-negative")
     for start in range(0, len(batch), _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
         shot_id = batch.shot_id[rows]

@@ -17,14 +17,17 @@ computes its analysis once and returns the same :class:`ExperimentAnalysis`
 on every later call; the analysis is frozen too.
 
 Analyses split in two.  What no coupling g or width s changes is built
-once per (pre-state, couplings) and kept in a 32-entry least-recently-used
-cache (``_structure``): the branch systems, the pre-state projected through
-each observable's eigenprojectors in turn with near-zero branches pruned,
-the eigenvalue pattern v (branch i moves by g_k v_ik on axis k), the
+once per (pre-state, observables) and kept in a 32-entry
+least-recently-used cache (``_structure``): the branch systems, the
+eigenvalue pattern v (branch i moves by g_k v_ik on axis k), the
 post-selected weights and the D2/D3 cross matrices systems^dag M systems.
-The cache is safe: its keys are the frozen kets and observables
-themselves, which compare by identity; its arrays are read-only; a build
-that raises is not cached.
+The systems are the pre-state projected through each observable's
+eigenprojectors in turn by ``postselect._walk``, the walk every ABL table
+reads, with near-zero branches then dropped.  The cache is safe: its keys
+are the frozen kets and observables themselves, which compare by
+identity, and its arrays are read-only.  A build cannot raise, since
+:class:`Experiment` refuses a repeated axis (DuplicateAxis) when it is
+built.
 Each analysis then evaluates one Gram matrix: the D2/D3 probabilities sum
 cross * Gram, and the mixture is built from the kept branches' block of
 it, which is elementwise and so bit-identical to a new evaluation.
@@ -117,7 +120,8 @@ from .pointer import (
     _overlap_matrix,
     mixture_density,
 )
-from .qstate import ATOL, DIM, Ket, SpectralObservable, _Frozen
+from .postselect import _walk
+from .qstate import ATOL, Ket, SpectralObservable, _Frozen
 
 #: Version of the shot-stream layout described in the module docstring.
 STREAM_VERSION = 4
@@ -181,7 +185,8 @@ class LowAcceptance(ValueError):
 class Experiment(_Frozen):
     """Pre-state and pointer couplings (applied in order) ahead of the fixed detection chain.
 
-    Raises ValueError unless the pre-state's squared norm lies within ``ATOL`` of 1.
+    Raises ValueError unless the pre-state's squared norm lies within ``ATOL``
+    of 1, and DuplicateAxis if two pointers share an axis.
     """
 
     def __init__(self, pre: Ket, couplings: tuple[tuple[SpectralObservable, GaussianPointer], ...]) -> None:
@@ -189,6 +194,8 @@ class Experiment(_Frozen):
         if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"pre-state squared amplitudes must sum to 1, got {total!r}")
         vars(self).update(pre=pre, couplings=couplings)
+        if len(set(self.axes())) != len(couplings):
+            raise DuplicateAxis("each pointer axis may be used at most once")
 
     def pointers(self) -> tuple[GaussianPointer, ...]:
         return tuple(pointer for _, pointer in self.couplings)
@@ -204,10 +211,11 @@ class Experiment(_Frozen):
 class ShotBatch(_Frozen):
     """Shot records as arrays, one row per shot.
 
-    ``shot_id`` is int64; ``detector`` is uint8 with 1, 2, 3 for D1, D2, D3;
-    ``readout`` is float64 of shape (shots, axes), one column per pointer
-    axis in experiment order, NaN exactly on the rows that are not D1.
-    ``attempts`` counts the readout proposals drawn for the batch.
+    ``shot_id`` is non-negative int64; ``detector`` is uint8 with 1, 2, 3
+    for D1, D2, D3; ``readout`` is float64 of shape (shots, axes), one
+    column per pointer axis in experiment order, NaN exactly on the rows
+    that are not D1.  ``attempts`` counts the readout proposals drawn for
+    the batch.
     """
 
     def __init__(self, shot_id: np.ndarray, detector: np.ndarray, readout: np.ndarray, attempts: int = 0) -> None:
@@ -217,8 +225,8 @@ class ShotBatch(_Frozen):
             raise ValueError("shot_id must be int64 and detector uint8")
         if detector.shape != (n,) or readout.ndim != 2 or readout.shape[0] != n:
             raise ValueError("shot_id, detector and readout rows must agree")
-        if n and not (detector.min() >= 1 and detector.max() <= 3):
-            raise ValueError("detector codes must be 1, 2 or 3")
+        if n and not (shot_id.min() >= 0 and detector.min() >= 1 and detector.max() <= 3):
+            raise ValueError("shot ids must be non-negative and detector codes 1, 2 or 3")
         if not (np.isnan(readout) == (detector != _D1)[:, None]).all():
             raise ValueError("readout must be present exactly for D1 shots")
 
@@ -265,29 +273,20 @@ class _Structure(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _structure(pre: Ket, couplings: tuple[tuple[SpectralObservable, Axis], ...]) -> _Structure:
-    """The structure of ``pre`` coupled to ``(observable, axis)`` pairs in order.
+def _structure(pre: Ket, observables: tuple[SpectralObservable, ...]) -> _Structure:
+    """The structure of ``pre`` coupled to ``observables`` in order, pattern column k for coupling k.
 
-    Each coupling splits every branch per eigenspace: the projected system
-    gains the eigenvalue as its pattern entry on the new axis, and branches
-    projected to (near) zero are dropped.  Raises DuplicateAxis if an axis
-    repeats.
+    Each coupling splits every branch per eigenspace (``postselect._walk``):
+    the projected system gains the eigenvalue as its pattern entry on the
+    new axis.  Branches projected to (near) zero are dropped once, after the
+    walk; a projection never increases a norm, so that keeps the branches
+    that dropping them after every coupling would.
     """
-    axes = [axis for _, axis in couplings]
-    if len(set(axes)) != len(axes):
-        raise DuplicateAxis("each pointer axis may be used at most once")
-    systems, pattern = pre.amps[None, :], np.zeros((1, 0))
-    for obs, _ in couplings:
-        values = np.array([value for value, _ in obs.branches])
-        projectors = np.stack([proj for _, proj in obs.branches])
-        # Row (b, e) in row-major order is branch b projected on eigenspace e.
-        systems = np.einsum("eij,bj->bei", projectors, systems).reshape(-1, DIM)
-        pattern = np.column_stack([np.repeat(pattern, len(values), axis=0), np.tile(values, len(pattern))])
-        keep = np.sum(systems.real**2 + systems.imag**2, axis=1) >= _PRUNE**2
-        systems, pattern = systems[keep], pattern[keep]
+    systems, pattern, weights = _walk(pre, observables, postselected_state())
+    keep = np.sum(systems.real**2 + systems.imag**2, axis=1) >= _PRUNE**2
+    systems, pattern, weights = systems[keep], pattern[keep], weights[keep]
     projectors = detector_projectors()
     cross = tuple(systems.conj() @ projectors[detector] @ systems.T for detector in (Detector.D2, Detector.D3))
-    weights = systems @ postselected_state().amps.conj()
     magnitudes = np.abs(weights)
     kept = np.flatnonzero(magnitudes > _PRUNE * max(1.0, float(magnitudes.max())))
     weights = weights[kept]
@@ -298,7 +297,7 @@ def _structure(pre: Ket, couplings: tuple[tuple[SpectralObservable, Axis], ...])
 
 def _analyze(experiment: Experiment) -> ExperimentAnalysis:
     pointers = experiment.pointers()
-    structure = _structure(experiment.pre, tuple((obs, pointer.axis) for obs, pointer in experiment.couplings))
+    structure = _structure(experiment.pre, tuple(obs for obs, _ in experiment.couplings))
     widths = np.array([pointer.width for pointer in pointers], dtype=float)
     displacements = structure.pattern * np.array([pointer.coupling for pointer in pointers], dtype=float)
     gram = _overlap_matrix(displacements, widths)

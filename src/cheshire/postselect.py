@@ -10,15 +10,20 @@ P_a, between pre-state psi and post-state phi, has conditional probability
 normalized over outcomes (the ABL rule); sequences of measurements chain the
 projectors in time order.  Weakly coupled pointers instead read out the weak
 value <phi|A|psi> / <phi|psi>, which needs no collapse at all.
+
+Both the ABL tables here and the branch structure the Monte Carlo sampler
+draws from (``montecarlo._structure``) read one projection of the pre-state
+through the observables' eigenprojectors, :func:`_walk`.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .qstate import ATOL, Ket, SpectralObservable, _Frozen, apply, inner
+from .qstate import ATOL, DIM, Ket, SpectralObservable, _Frozen, apply, inner
 
 
 class OrthogonalSelection(ValueError):
@@ -52,18 +57,33 @@ def weak_value(op: np.ndarray, pre: Ket, post: Ket) -> complex:
     return inner(post, apply(op, pre)) / overlap
 
 
+def _walk(pre: Ket, obs_list: Sequence[SpectralObservable], post: Ket) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project ``pre`` through each observable's eigenprojectors in turn.
+
+    Returns the projected systems P_{a_k} ... P_{a_1}|pre>, shape (rows,
+    DIM); the eigenvalue pattern, row i holding its outcome tuple (a_1, ...,
+    a_k); and each row's amplitude <post|system>.  Rows are in row-major
+    order, the last observable's branch varying fastest, and none is
+    dropped, not even a zero one.
+    """
+    systems = pre.amps[None, :]
+    for obs in obs_list:
+        # Row (b, e) in row-major order is branch b projected on eigenspace e.
+        systems = np.einsum("eij,bj->bei", np.stack([proj for _, proj in obs.branches]), systems).reshape(-1, DIM)
+    # product's order is that row order; with no observable it gives one empty row.
+    pattern = np.array(list(product(*([value for value, _ in obs.branches] for obs in obs_list))))
+    return systems, pattern, systems @ post.amps.conj()
+
+
 def _histories(obs_list: Sequence[SpectralObservable], pre: Ket, post: Ket) -> tuple[dict[tuple, float], float]:
     """Map each outcome tuple (a_1, ..., a_k) to |<post| P_{a_k} ... P_{a_1} |pre>|^2, and their sum.
 
-    Tuples come in branch order, the last observable's branch varying
-    fastest, and the sum adds them left to right in that order.  Raises
-    NoValidHistory when the sum is below ``ATOL**2``: the post-selection
-    can then never succeed.
+    Tuples come in :func:`_walk`'s row order, and the sum adds them left to
+    right in that order.  Raises NoValidHistory when the sum is below
+    ``ATOL**2``: the post-selection can then never succeed.
     """
-    vectors = {(): pre.amps}
-    for obs in obs_list:
-        vectors = {prefix + (value,): proj @ vec for prefix, vec in vectors.items() for value, proj in obs.branches}
-    numerators = {history: abs(complex(np.vdot(post.amps, vec))) ** 2 for history, vec in vectors.items()}
+    _, pattern, amplitudes = _walk(pre, obs_list, post)
+    numerators = {tuple(row): abs(amplitude) ** 2 for row, amplitude in zip(pattern.tolist(), amplitudes.tolist())}
     total = 0.0
     for numerator in numerators.values():  # not sum(): Python 3.12 made it compensated, which moves the bits
         total += numerator

@@ -92,10 +92,13 @@ def test_unreadable_config_files_exit_2(tmp_path, capsys):
     invalid.write_text("{not json")
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"out_dir": "\xff"}')
     for path, message in (
         (missing, f"config: cannot read {missing}: "),
         (invalid, f"config: cannot read {invalid}: "),
         (array, "config: file must contain a JSON object"),
+        (latin1, f"config: cannot read {latin1}: "),
     ):
         assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -201,6 +204,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"cheshire: {key}:")
+
+
+@pytest.mark.parametrize("key", ["s", "g_vertical", "g_horizontal"])
+def test_oversized_config_numbers_exit_2(tmp_path, capsys, key):
+    # A JSON integer beyond the float range is a usage error, not an OverflowError.
+    out_dir = tmp_path / "out"
+    assert main([*config_argv(tmp_path / "big.json", {key: 10**400}), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"cheshire: {key}:")
+    # Past Python's 4300-digit limit json.load itself refuses the integer
+    # (Pythons without the limit parse it, and it overflows as above).
+    huge = tmp_path / "huge.json"
+    huge.write_text(f'{{"{key}": {"1" * 5000}}}')
+    assert main(["--config", str(huge), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith((f"cheshire: config: cannot read {huge}: ", f"cheshire: {key}:"))
+    assert not out_dir.exists()
 
 
 def test_default_coupling_error_names_the_preset_default(capsys):
@@ -582,16 +602,6 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
         fh.write(cli._CSV_HEADER)
         cli.write_shots_csv(fh, batch, experiment)
         assert fh.getvalue().encode("ascii") == csv_reference(batch, experiment), dtype
-
-
-def test_csv_writer_rejects_negative_shot_ids():
-    # The writer formats ids as unsigned digits; sample_shots never makes a
-    # negative one, and a hand-built batch with one is refused.
-    experiment = build_experiment(parse_config(["--preset", "which-path"]))
-    shot_id, detector = np.array([0, -1], dtype=np.int64), np.array([2, 3], dtype=np.uint8)
-    batch = ShotBatch(shot_id=shot_id, detector=detector, readout=np.full((2, 1), np.nan))
-    with pytest.raises(ValueError, match="non-negative"):
-        cli.write_shots_csv(io.StringIO(), batch, experiment)
 
 
 def test_csv_writer_holds_one_block_of_text():

@@ -21,6 +21,7 @@ from cheshire import (
     mixture_density,
     mixture_moments,
     sample_shots,
+    sequential_distribution,
 )
 from cheshire import cli, montecarlo
 from cheshire.optics import detector_projectors, postselected_state
@@ -517,25 +518,37 @@ def test_a_new_observable_with_equal_projectors_gives_equal_results():
         assert np.array_equal(getattr(other.mixture, name), getattr(analysis.mixture, name))
 
 
-def test_invalid_observables_raise_on_every_analysis():
+def test_invalid_inputs_never_reach_an_analysis():
     # An invalid observable cannot be built, so it never reaches an analysis.
     with pytest.raises(ValueError, match="invalid spectral observable"):
         SpectralObservable(((1.0, 2.0 * np.eye(4)),))
-    # A structure whose build fails is not cached: each analysis raises afresh.
+    # Nor can an experiment with a repeated axis, so no structure is built for it.
     pointer = GaussianPointer(width=1.0, coupling=0.1, axis=Axis.VERTICAL)
-    experiment = Experiment(
-        pre=PRE, couplings=((OBS["photon_in_arm1"], pointer), (OBS["angular_momentum_arm2"], pointer))
-    )
     before = montecarlo._structure.cache_info()
-    for _ in range(2):
-        with pytest.raises(DuplicateAxis):
-            analyze(experiment)
+    with pytest.raises(DuplicateAxis):
+        Experiment(pre=PRE, couplings=((OBS["photon_in_arm1"], pointer), (OBS["angular_momentum_arm2"], pointer)))
     after = montecarlo._structure.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_joint_strong_structure_rows_are_the_sequential_table():
+    # The sampler's kept branches and the joint ABL table come from one walk:
+    # the same outcome rows, in the same order, with the same bits.
+    observables = tuple(obs for obs, _ in PRESET_COUPLINGS["joint-strong"])
+    structure = montecarlo._structure(PRE, observables)
+    numerators = [abs(weight) ** 2 for weight in structure.weights.tolist()]
+    total = 0.0
+    for numerator in numerators:
+        total += numerator
+    table = sequential_distribution(list(observables), PRE, POST)
+    assert table.outcomes == {(1.0, 0.0): 2 / 3, (0.0, 1.0): 1 / 6, (0.0, -1.0): 1 / 6}
+    assert [tuple(row) for row in structure.pattern[structure.kept].tolist()] == list(table.outcomes)
+    assert [numerator / total for numerator in numerators] == list(table.outcomes.values())
+    assert total == table.success_probability == 0.375
 
 
 def test_structure_arrays_are_read_only():
-    structure = montecarlo._structure(PRE, PRESET_COUPLINGS["weak-cheshire"])
+    structure = montecarlo._structure(PRE, tuple(obs for obs, _ in PRESET_COUPLINGS["weak-cheshire"]))
     for array in (structure.pattern, *structure.cross, structure.kept, structure.weights):
         assert not array.flags.writeable
 
@@ -574,6 +587,16 @@ def test_readout_present_exactly_for_d1():
     for detector, readout in ((np.repeat(d2, 2), off_d1), (d2, off_d1[0]), (d2, np.repeat(off_d1, 2, axis=0))):
         with pytest.raises(ValueError, match="rows must agree"):
             ShotBatch(ids, detector, readout)
+
+
+def test_shot_batch_rejects_negative_shot_ids():
+    # The CSV writer formats ids as unsigned digits; sample_shots never makes a
+    # negative one, and a hand-built batch with one cannot be built.
+    shot_id, detector = np.array([0, -1], dtype=np.int64), np.array([2, 3], dtype=np.uint8)
+    with pytest.raises(ValueError, match="non-negative"):
+        ShotBatch(shot_id=shot_id, detector=detector, readout=np.full((2, 1), np.nan))
+    empty = ShotBatch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), np.zeros((0, 1)))
+    assert len(empty) == 0
 
 
 def test_sample_shots_rejects_empty_run():

@@ -67,7 +67,7 @@ def test_couple_path_probe_splits_in_two(pre_post, observables):
     # Branch 0 ([1/2, 1/2, 0, 0], arm 1) moves by g; branch 1 (arm 2) has post-selected weight 0.
     pre, _ = pre_post
     obs = observables["photon_in_arm1"]
-    structure = montecarlo._structure(pre, ((obs, Axis.VERTICAL),))
+    structure = montecarlo._structure(pre, (obs,))
     assert structure.pattern.tolist() == [[1.0], [0.0]]
     assert structure.kept.tolist() == [0]
     assert structure.weights.tolist() == [0.5]
@@ -80,11 +80,11 @@ def test_couple_twice_keeps_only_consistent_branches(pre_post, observables):
     # Commuting projectors annihilate the cross branches: 2 x 3 = 6 splits,
     # but only 3 survive, with eigenvalue pairs (1,0), (0,+1), (0,-1).
     pre, _ = pre_post
-    pair = ((observables["photon_in_arm1"], Axis.VERTICAL), (observables["angular_momentum_arm2"], Axis.HORIZONTAL))
+    pair = (observables["photon_in_arm1"], observables["angular_momentum_arm2"])
     structure = montecarlo._structure(pre, pair)
     assert sorted(map(tuple, structure.pattern.tolist())) == [(0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
     assert structure.cross[0].shape == (3, 3)
-    couplings = ((pair[0][0], vertical(0.3)), (pair[1][0], horizontal(0.2)))
+    couplings = ((pair[0], vertical(0.3)), (pair[1], horizontal(0.2)))
     assert total_probability(pre, *couplings) == pytest.approx(1.0, abs=ATOL)
     mixture, _ = postselected(pre, *couplings)
     assert mixture.axes == (Axis.VERTICAL, Axis.HORIZONTAL)
@@ -92,10 +92,11 @@ def test_couple_twice_keeps_only_consistent_branches(pre_post, observables):
 
 
 def test_couple_rejects_duplicate_axis(pre_post, observables):
+    # Refused when the experiment is built, before any analysis.
     pre, _ = pre_post
     couplings = ((observables["photon_in_arm1"], vertical(0.1)), (observables["angular_momentum_arm2"], vertical(0.1)))
     with pytest.raises(DuplicateAxis):
-        analyze(Experiment(pre=pre, couplings=couplings))
+        Experiment(pre=pre, couplings=couplings)
 
 
 def test_couple_rejects_bad_inputs(observables):
@@ -195,7 +196,7 @@ def test_couple_and_postselect_match_a_per_branch_loop(pre_post, observables, ra
         pair = (observables["photon_in_arm1"], observables["angular_momentum_arm2"])
         if trial % 2:
             pair = (random_observable(rng), random_observable(rng))
-        structure = montecarlo._structure(pre, tuple(zip(pair, (Axis.VERTICAL, Axis.HORIZONTAL))))
+        structure = montecarlo._structure(pre, pair)
         branches = loop_branches(pre, [(obs, 1.0) for obs in pair])
         assert structure.pattern.tolist() == [list(shifts) for _, shifts in branches]
         systems = np.array([amps for amps, _ in branches])

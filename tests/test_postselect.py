@@ -178,6 +178,15 @@ def test_abl_with_post_equal_pre(pre_post, observables):
                 assert dist.outcomes[value] == pytest.approx(num / total, abs=1e-10)
 
 
+def test_abl_keeps_the_key_of_a_zero_norm_branch(pre_post, observables):
+    # From |arm 1, +>, the -1 eigenspace of angular_momentum projects to the
+    # zero vector; its eigenvalue is still a key, with probability 0.
+    _, post = pre_post
+    dist = abl_distribution(observables["angular_momentum"], Ket([1, 0, 0, 0]), post)
+    assert list(dist.outcomes.items()) == [(1.0, 1.0), (-1.0, 0.0)]
+    assert dist.success_probability == 0.25
+
+
 def test_abl_no_valid_history(observables):
     pre = Ket([1, 0, 0, 0])
     post = Ket([0, 0, 1, 0])
