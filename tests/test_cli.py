@@ -554,13 +554,25 @@ def edge_batch(experiment) -> ShotBatch:
     return ShotBatch(shot_id=shot_id, detector=detector, readout=readout)
 
 
+def write_csv(batches, experiment) -> bytes:
+    """``shots.csv`` as ``cli.write_shots_csv`` writes ``batches``, one call each, after the header."""
+    fh = io.StringIO()
+    fh.write(cli._CSV_HEADER)
+    for batch in batches:
+        cli.write_shots_csv(fh, batch, experiment)
+    return fh.getvalue().encode("ascii")
+
+
 def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
     # The byte format of shots.csv: csv.writer rows of str(shot_id), the
     # detector name and repr of each Python float readout, x horizontal and
     # y vertical, for every column layout, across chunk boundaries and
     # across write blocks inside a chunk: batches one row short of, equal
     # to and one row over a block, and a 600-row batch of 120 blocks.
-    default_rows = cli._WRITE_ROWS
+    # Digit passes of 1 and 3 values and of one D1 row (the axis count) end
+    # inside a block, on its edge and on a chunk's edge; the default pass
+    # holds a whole batch.
+    default_rows, default_values = cli._WRITE_ROWS, cli._PASS_VALUES
     monkeypatch.setattr(cli, "_WRITE_ROWS", 5)
     chunks = (cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1, 7, cli._CHUNK_SHOTS)
     for preset in ("weak-cheshire", "which-path", "smile-only", "joint-strong"):
@@ -570,14 +582,13 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
         assert (batch.detector == 1).any()
         reference = csv_reference(batch, experiment)
         for chunk in chunks:
-            with open(tmp_path / "shots.csv", "w", newline="", encoding="ascii") as fh:
-                fh.write(cli._CSV_HEADER)
-                for start in range(0, config.shots, chunk):
-                    shard = sample_shots(
-                        experiment, min(chunk, config.shots - start), config.seed, first_shot=2**40 - 300 + start
-                    )
-                    cli.write_shots_csv(fh, shard, experiment)
-            assert (tmp_path / "shots.csv").read_bytes() == reference, (preset, chunk)
+            shards = [
+                sample_shots(experiment, min(chunk, config.shots - start), config.seed, first_shot=2**40 - 300 + start)
+                for start in range(0, config.shots, chunk)
+            ]
+            for values in (1, 3, len(experiment.axes()), default_values):
+                monkeypatch.setattr(cli, "_PASS_VALUES", values)
+                assert write_csv(shards, experiment) == reference, (preset, chunk, values)
     # Hand-built batches of edge readouts, which take the repr path and both
     # ends of the exact window, and a pointer-free experiment, whose D1 rows
     # are ",D1,,", in blocks of 5 rows and of the default size.
@@ -588,26 +599,42 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
         for experiment in experiments:
             batch = edge_batch(experiment)
-            fh = io.StringIO()
-            fh.write(cli._CSV_HEADER)
-            cli.write_shots_csv(fh, batch, experiment)
-            assert fh.getvalue().encode("ascii") == csv_reference(batch, experiment), (rows, experiment.axes())
+            for values in (1, 3, len(experiment.axes()), default_values):
+                monkeypatch.setattr(cli, "_PASS_VALUES", values)
+                assert write_csv([batch], experiment) == csv_reference(batch, experiment), (
+                    rows, values, experiment.axes()
+                )
     assert b"\n0,D1,,\n" in csv_reference(batch, experiment)  # the pointer-free rows
     # Readouts in another byte order or precision are written as their
     # Python floats are.
     experiment = experiments[0]
     for source, dtype in ((edge_batch(experiment), ">f8"), (sample_shots(experiment, 600, seed=1), np.float32)):
         batch = ShotBatch(shot_id=source.shot_id, detector=source.detector, readout=source.readout.astype(dtype))
-        fh = io.StringIO()
-        fh.write(cli._CSV_HEADER)
-        cli.write_shots_csv(fh, batch, experiment)
-        assert fh.getvalue().encode("ascii") == csv_reference(batch, experiment), dtype
+        assert write_csv([batch], experiment) == csv_reference(batch, experiment), dtype
+
+
+@pytest.mark.parametrize("preset", ["weak-cheshire", "which-path"])
+def test_a_20k_shot_run_formats_its_readouts_in_at_most_two_passes(tmp_path, monkeypatch, preset):
+    # Each digit pass costs a fixed ~0.1 ms of numpy calls, so a pass covers
+    # many write blocks: a 20k-shot run has 10 blocks but 5k (which-path)
+    # or 10k (weak-cheshire) readout values.
+    calls, readout_text = [], cli._readout_text
+
+    def counted(x):
+        calls.append(x.size)
+        return readout_text(x)
+
+    monkeypatch.setattr(cli, "_readout_text", counted)
+    assert main(["--preset", preset, "--shots", "20000", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+    assert 1 <= len(calls) <= 2, calls
+    assert max(calls) <= cli._PASS_VALUES
 
 
 def test_csv_writer_holds_one_block_of_text():
-    # Writing a whole chunk holds one block of rows at a time, not the
-    # chunk's text (a chunk formatted at once peaks near 8 MB).
-    for preset in ("weak-cheshire", "joint-strong"):
+    # Writing a whole chunk holds one pass of digits and one block of rows
+    # at a time, not the chunk's text (a chunk formatted at once peaks near
+    # 8 MB).
+    for preset in ("weak-cheshire", "which-path", "smile-only", "joint-strong"):
         experiment = build_experiment(parse_config(["--preset", preset]))
         batch = sample_shots(experiment, cli._CHUNK_SHOTS, seed=0)
         with open(os.devnull, "w", encoding="ascii") as fh:

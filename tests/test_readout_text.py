@@ -1,4 +1,4 @@
-"""``cli._readout_text``, the ``shots.csv`` float formatter, against Python's ``repr``.
+"""``_csvtext._readout_text``, the ``shots.csv`` float formatter, against Python's ``repr``.
 
 Inside its exact window, [1e-4, 2**52) in magnitude, the digits come from
 integer arithmetic; outside it from ``repr`` itself.  Every case compares
@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cheshire import cli  # noqa: E402
+from cheshire import _csvtext  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -22,7 +22,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 def readout_strings(values) -> list[str]:
     """The formatter's text of each value, NULs dropped."""
-    text = cli._readout_text(np.asarray(values, dtype=float))
+    text = _csvtext._readout_text(np.asarray(values, dtype=float))
     lines = np.concatenate([text, np.full((text.shape[0], 1), ord("\n"), dtype=np.uint8)], axis=1)
     return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
 
