@@ -435,13 +435,14 @@ def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> Non
 
     A row is ``shot_id,Dk,x,y``: the shot id in decimal, the detector, and
     on D1 each readout's ``repr`` (shortest round-trip form), so identical
-    batches give byte-identical rows.  The D1 readouts are formatted in
-    passes of at most ``_PASS_VALUES`` values (one D1 row at least), and a
-    pass's rows run to the next pass's first D1 row.  A pass's rows are
-    built in blocks of at most ``_WRITE_ROWS``, each as one NUL-padded
-    uint8 matrix whose NULs are dropped before one write, so neither the
-    digits nor the text held at once grows with the batch.  Shot ids are
-    non-negative, as ``ShotBatch`` requires.
+    batches give byte-identical rows.  The D1 readouts (``batch.readout``,
+    one row per D1 shot) are formatted in passes of at most ``_PASS_VALUES``
+    values (one D1 row at least), and a pass's rows run to the next pass's
+    first D1 row.  A pass's rows are built in blocks of at most
+    ``_WRITE_ROWS``, each as one NUL-padded uint8 matrix whose NULs are
+    dropped before one write, so neither the digits nor the text held at
+    once grows with the batch.  Shot ids are non-negative, as ``ShotBatch``
+    requires.
     """
     axes = experiment.axes()
     columns = [axes.index(axis) if axis in axes else None for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
@@ -449,10 +450,11 @@ def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> Non
     pass_rows = max(_PASS_VALUES // max(len(axes), 1), 1)
     start = 0
     for p, end in enumerate([*d1[pass_rows::pass_rows].tolist(), len(batch)]):
-        pass_d1 = d1[p * pass_rows : (p + 1) * pass_rows]
+        in_pass = slice(p * pass_rows, (p + 1) * pass_rows)  # the pass's entries of d1 and of the readout rows
+        pass_d1 = d1[in_pass]
         readouts = np.empty((pass_d1.size, len(axes), 0), dtype=np.uint8)
         if pass_d1.size and axes:
-            readouts = _readout_text(batch.readout[pass_d1].ravel()).reshape(pass_d1.size, len(axes), -1)
+            readouts = _readout_text(batch.readout[in_pass].ravel()).reshape(pass_d1.size, len(axes), -1)
         readout_width, done = readouts.shape[2], 0
         for block in range(start, end, _WRITE_ROWS):
             stop = min(block + _WRITE_ROWS, end)

@@ -5,11 +5,13 @@ coupled to the configured pointers, through the detection chain.  The
 detector click is drawn from the exact entangled-state probabilities; shots
 that reach D1 (the post-selecting detector) additionally record the pointer
 readout, drawn from the post-selected mixture density by rejection sampling.
-All shots of one :func:`sample_shots` call are evaluated together as
-numpy arrays, so its memory grows with its shot range; a caller that wants
-bounded memory shards the range with ``first_shot`` and folds each shard
-into a :class:`Tally` (shot and D1 counts, attempts, and each axis's D1
-readout mean and M2), as the CLI does.
+A :class:`ShotBatch` keeps one readout row per D1 shot, in shot order, so
+its detector column alone says which shots have one.  All shots of one
+:func:`sample_shots` call are evaluated together as numpy arrays, so its
+memory grows with its shot range; a caller that wants bounded memory
+shards the range with ``first_shot`` and folds each shard into a
+:class:`Tally` (shot and D1 counts, attempts, and each axis's D1 readout
+mean and M2), as the CLI does.
 
 An :class:`Experiment` is immutable (its kets and observables are frozen,
 and every experiment uses the fixed detection chain), so :func:`analyze`
@@ -209,13 +211,14 @@ class Experiment(_Frozen):
 
 
 class ShotBatch(_Frozen):
-    """Shot records as arrays, one row per shot.
+    """Shot records as arrays: ``shot_id`` and ``detector`` one row per shot, ``readout`` one row per D1 shot.
 
     ``shot_id`` is non-negative int64; ``detector`` is uint8 with 1, 2, 3
-    for D1, D2, D3; ``readout`` is float64 of shape (shots, axes), one
-    column per pointer axis in experiment order, NaN exactly on the rows
-    that are not D1.  ``attempts`` counts the readout proposals drawn for
-    the batch.
+    for D1, D2, D3, and is the only record of which shots reached D1;
+    ``readout`` is float64 of shape (D1 shots, axes), the readouts of the
+    D1 shots in shot order, one column per pointer axis in experiment
+    order, none of them NaN.  ``attempts`` counts the readout proposals
+    drawn for the batch.
     """
 
     def __init__(self, shot_id: np.ndarray, detector: np.ndarray, readout: np.ndarray, attempts: int = 0) -> None:
@@ -223,12 +226,12 @@ class ShotBatch(_Frozen):
         n = shot_id.shape[0]
         if shot_id.dtype != np.int64 or detector.dtype != np.uint8:
             raise ValueError("shot_id must be int64 and detector uint8")
-        if detector.shape != (n,) or readout.ndim != 2 or readout.shape[0] != n:
-            raise ValueError("shot_id, detector and readout rows must agree")
+        if detector.shape != (n,):
+            raise ValueError("shot_id and detector rows must agree")
         if n and not (shot_id.min() >= 0 and detector.min() >= 1 and detector.max() <= 3):
             raise ValueError("shot ids must be non-negative and detector codes 1, 2 or 3")
-        if not (np.isnan(readout) == (detector != _D1)[:, None]).all():
-            raise ValueError("readout must be present exactly for D1 shots")
+        if readout.ndim != 2 or readout.shape[0] != np.count_nonzero(detector == _D1) or np.isnan(readout).any():
+            raise ValueError("readout must hold one row per D1 shot and no NaN")
 
     def __len__(self) -> int:
         return self.shot_id.shape[0]
@@ -542,9 +545,11 @@ def sample_shots(
     post-selection that can never succeed is not an error here: every shot
     is simply rejected to D2/D3.  A near-null one, whose expected readout
     acceptance is below MIN_ACCEPTANCE, raises LowAcceptance before any
-    shot is drawn.  The whole range is held at once; the readout sampler
-    sets the peak, 61 (which-path) to 108 (joint-strong) traced bytes a shot
-    at 65,536 shots.  Shard a large range to bound memory.
+    shot is drawn.  The batch's readout holds the D1 shots' rows only, in
+    shot order (``ShotBatch``).  The whole range is held at once; the
+    readout sampler sets the peak, 53 (which-path) to 92 (joint-strong)
+    traced bytes a shot at 65,536 shots.  Shard a large range to bound
+    memory.
     """
     if n < 1:
         raise ValueError("need at least one shot")
@@ -569,11 +574,10 @@ def sample_shots(
     detector = (u < p_d1).view(np.uint8)
     detector += (u < p_d12).view(np.uint8)
     np.subtract(3, detector, out=detector)
-    readout = np.full((n, len(experiment.couplings)), np.nan)
-    attempts = 0
+    readout, attempts = np.empty((0, len(experiment.couplings))), 0
     d1 = np.flatnonzero(detector == _D1)
     if sampler is not None and d1.size:
-        readout[d1], attempts = sampler.sample(seed, shot_id[d1].astype(np.uint64))
+        readout, attempts = sampler.sample(seed, shot_id[d1].astype(np.uint64))
     return ShotBatch(shot_id=shot_id, detector=detector, readout=readout, attempts=attempts)
 
 
@@ -601,8 +605,7 @@ class Tally:
     def add(self, batch: ShotBatch) -> None:
         if batch.readout.shape[1] != len(self.means):
             raise ValueError(f"batch has {batch.readout.shape[1]} readout axes, the tally {len(self.means)}")
-        readouts = batch.readout[batch.detector == _D1]
-        count = readouts.shape[0]
+        count = batch.readout.shape[0]
         self.n_shots += len(batch)
         self.attempts += batch.attempts
         if not count:
@@ -610,7 +613,7 @@ class Tally:
         total = self.d1_count + count
         share = count / total  # exactly 1 for the first readouts, so they are kept as they are
         for k in range(len(self.means)):
-            values = readouts[:, k]
+            values = batch.readout[:, k]
             mean = float(values.mean())
             deviations = values - mean
             delta = mean - self.means[k]

@@ -191,9 +191,7 @@ def test_criterion_9_monte_carlo_statistical_tier(tmp_path):
         shard_ok &= (
             np.array_equal(np.concatenate([s.shot_id for s in shards_run]), batch.shot_id)
             and np.array_equal(np.concatenate([s.detector for s in shards_run]), batch.detector)
-            and np.array_equal(
-                np.concatenate([s.readout for s in shards_run]), batch.readout, equal_nan=True
-            )
+            and np.array_equal(np.concatenate([s.readout for s in shards_run]), batch.readout)
             and sum(s.attempts for s in shards_run) == batch.attempts
         )
 

@@ -508,28 +508,36 @@ def test_csv_round_trips_the_records(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["shot_id", "detector", "x", "y"]
     assert len(rows) == config.shots + 1
-    for row, shot_id, code, readout in zip(
-        rows[1:], batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()
-    ):
+    # One readout row per D1 shot, in shot order.
+    assert batch.readout.shape == (np.count_nonzero(batch.detector == 1), 2)
+    readouts = iter(batch.readout.tolist())
+    for row, shot_id, code in zip(rows[1:], batch.shot_id.tolist(), batch.detector.tolist()):
         assert int(row[0]) == shot_id
         assert row[1] == f"D{code}"
         if code == 1:
             # vertical pointer first in the preset, horizontal second
+            readout = next(readouts)
             assert row[3] == repr(readout[0])
             assert row[2] == repr(readout[1])
         else:
             assert row[2] == "" and row[3] == ""
+    assert next(readouts, None) is None
 
 
 def csv_reference(batch, experiment) -> bytes:
-    """``shots.csv`` of ``batch`` as ``csv.writer`` writes it: str(shot_id), the detector and repr of each readout."""
+    """``shots.csv`` of ``batch`` as ``csv.writer`` writes it: str(shot_id), the detector and repr of each readout.
+
+    The D1 shots take the readout rows in order, and every row is used.
+    """
     fh = io.StringIO()
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["shot_id", "detector", "x", "y"])
-    for shot_id, code, readout in zip(batch.shot_id.tolist(), batch.detector.tolist(), batch.readout.tolist()):
-        by_axis = dict(zip(experiment.axes(), readout)) if code == 1 else {}
+    readouts = iter(batch.readout.tolist())
+    for shot_id, code in zip(batch.shot_id.tolist(), batch.detector.tolist()):
+        by_axis = dict(zip(experiment.axes(), next(readouts))) if code == 1 else {}
         fields = [repr(by_axis[axis]) if axis in by_axis else "" for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
         writer.writerow([shot_id, f"D{code}", *fields])
+    assert next(readouts, None) is None
     return fh.getvalue().encode("ascii")
 
 
@@ -547,9 +555,9 @@ def edge_batch(experiment) -> ShotBatch:
     readings = np.array(EDGE_READOUTS)
     n = 2 * readings.size
     detector = np.resize(np.array([1, 2, 1, 3], dtype=np.uint8), n)
-    readout = np.full((n, len(experiment.couplings)), np.nan)
+    readout = np.empty((readings.size, len(experiment.couplings)))
     for axis in range(readout.shape[1]):
-        readout[detector == 1, axis] = np.roll(readings, 5 * axis)
+        readout[:, axis] = np.roll(readings, 5 * axis)
     shot_id = np.concatenate([[0, 9, 10, 9999, 10_000, 123_456_789], 2**63 - 1 - np.arange(n - 6)]).astype(np.int64)
     return ShotBatch(shot_id=shot_id, detector=detector, readout=readout)
 

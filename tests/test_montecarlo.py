@@ -73,7 +73,7 @@ def sharded(experiment, n: int, seed: int, size: int, first_shot: int = 0) -> Sh
 def assert_batches_equal(first: ShotBatch, second: ShotBatch) -> None:
     assert np.array_equal(first.shot_id, second.shot_id)
     assert np.array_equal(first.detector, second.detector)
-    assert np.array_equal(first.readout, second.readout, equal_nan=True)
+    assert np.array_equal(first.readout, second.readout)
     assert first.attempts == second.attempts
 
 
@@ -85,7 +85,7 @@ def test_same_seed_is_bit_identical():
 def test_different_seeds_differ():
     experiment = cheshire_experiment()
     first, second = sample_shots(experiment, 500, seed=0), sample_shots(experiment, 500, seed=1)
-    assert not np.array_equal(first.readout, second.readout, equal_nan=True)
+    assert not np.array_equal(first.readout, second.readout)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +232,8 @@ def test_stream_v4_golden_vector():
         d1 = np.flatnonzero(batch.detector == 1)
         assert d1.tolist() == sorted(readouts)
         expected = np.array([readouts[k] for k in d1.tolist()])
-        np.testing.assert_allclose(batch.readout[d1], expected, rtol=1e-12, atol=0)
+        assert batch.readout.shape == expected.shape
+        np.testing.assert_allclose(batch.readout, expected, rtol=1e-12, atol=0)
 
 
 def test_shot_ids_are_contiguous_from_first_shot():
@@ -398,7 +399,8 @@ def test_zero_coupling_reproduces_bare_optics():
 
 def test_experiment_without_pointers_samples_detectors_only():
     batch = sample_shots(Experiment(pre=PRE, couplings=()), 400, seed=3)
-    assert batch.readout.shape == (400, 0)
+    # One readout row of no columns per D1 shot.
+    assert batch.readout.shape == (np.count_nonzero(batch.detector == 1), 0)
     # One branch: its single pair accepts every proposal.
     assert batch.attempts == np.count_nonzero(batch.detector == 1) > 0
 
@@ -415,7 +417,7 @@ def test_impossible_postselection_rejects_every_shot():
     assert analysis.detector_probabilities[Detector.D1] == 0.0
     batch = sample_shots(experiment, 400, seed=2)
     assert not (batch.detector == 1).any()
-    assert np.isnan(batch.readout).all()
+    assert batch.readout.shape == (0, 1)
     assert batch.attempts == 0
     tally = Tally(1)
     tally.add(batch)
@@ -565,28 +567,60 @@ def test_structure_cache_stays_bounded():
 
 
 def test_readout_present_exactly_for_d1():
+    # One finite readout row per D1 shot, in shot order: row j is the
+    # readout of the j-th D1 shot, as that shot draws it alone.
     experiment = cheshire_experiment()
     batch = sample_shots(experiment, 2000, seed=3)
-    assert batch.readout.shape == (2000, 2)
-    assert np.array_equal(np.isnan(batch.readout).any(axis=1), batch.detector != 1)
-    assert np.isfinite(batch.readout[batch.detector == 1]).all()
+    d1 = np.flatnonzero(batch.detector == 1)
+    assert batch.readout.shape == (d1.size, 2)
+    assert np.isfinite(batch.readout).all()
+    for row in (0, d1.size // 2, d1.size - 1):
+        alone = sample_shots(experiment, 1, seed=3, first_shot=int(d1[row]))
+        assert np.array_equal(alone.readout[0], batch.readout[row])
     ids = np.zeros(1, dtype=np.int64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one row per D1 shot"):
         ShotBatch(ids, np.array([2], dtype=np.uint8), np.array([[0.1, 0.2]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one row per D1 shot"):
         ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[np.nan, np.nan]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one row per D1 shot"):
         ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[0.1, np.nan]]))
     for code in (0, 4, 255):
         with pytest.raises(ValueError, match="detector codes"):
-            ShotBatch(ids, np.array([code], dtype=np.uint8), np.array([[np.nan, np.nan]]))
-    d2, off_d1 = np.array([2], dtype=np.uint8), np.array([[np.nan, np.nan]])
+            ShotBatch(ids, np.array([code], dtype=np.uint8), np.empty((0, 2)))
+    d2, off_d1 = np.array([2], dtype=np.uint8), np.empty((0, 2))
     for shot_id, detector in ((ids.astype(np.int32), d2), (ids, d2.astype(np.int64))):
         with pytest.raises(ValueError, match="int64 and detector uint8"):
             ShotBatch(shot_id, detector, off_d1)
-    for detector, readout in ((np.repeat(d2, 2), off_d1), (d2, off_d1[0]), (d2, np.repeat(off_d1, 2, axis=0))):
-        with pytest.raises(ValueError, match="rows must agree"):
-            ShotBatch(ids, detector, readout)
+    with pytest.raises(ValueError, match="shot_id and detector rows must agree"):
+        ShotBatch(ids, np.repeat(d2, 2), off_d1)
+
+
+#: Shots D1, D2, D1, which take exactly two readout rows.
+ONE_D2_BETWEEN_D1 = (np.arange(3, dtype=np.int64), np.array([1, 2, 1], dtype=np.uint8))
+
+
+def test_shot_batch_takes_one_readout_row_per_d1_shot():
+    readout = np.array([[0.1, 0.2], [0.3, 0.4]])
+    assert ShotBatch(*ONE_D2_BETWEEN_D1, readout).readout is readout
+    # A pointer-free experiment's readout has one row of no columns per D1 shot.
+    assert ShotBatch(*ONE_D2_BETWEEN_D1, np.empty((2, 0))).readout.shape == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "readout",
+    [
+        pytest.param(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), id="one-row-more"),
+        pytest.param(np.array([[0.1, 0.2]]), id="one-row-fewer"),
+        pytest.param(np.array([[0.1, 0.2], [np.nan, np.nan], [0.3, 0.4]]), id="nan-padded-row-per-shot"),
+        pytest.param(np.array([[0.1, 0.2], [0.3, np.nan]]), id="nan-in-one-column"),
+        pytest.param(np.array([0.1, 0.2]), id="1-d"),
+        pytest.param(np.empty((1, 0)), id="pointer-free-one-row-fewer"),
+        pytest.param(np.empty((3, 0)), id="pointer-free-one-row-more"),
+    ],
+)
+def test_shot_batch_rejects_a_readout_not_one_finite_row_per_d1_shot(readout):
+    with pytest.raises(ValueError, match="one row per D1 shot and no NaN"):
+        ShotBatch(*ONE_D2_BETWEEN_D1, readout)
 
 
 def test_shot_batch_rejects_negative_shot_ids():
@@ -594,7 +628,7 @@ def test_shot_batch_rejects_negative_shot_ids():
     # negative one, and a hand-built batch with one cannot be built.
     shot_id, detector = np.array([0, -1], dtype=np.int64), np.array([2, 3], dtype=np.uint8)
     with pytest.raises(ValueError, match="non-negative"):
-        ShotBatch(shot_id=shot_id, detector=detector, readout=np.full((2, 1), np.nan))
+        ShotBatch(shot_id=shot_id, detector=detector, readout=np.empty((0, 1)))
     empty = ShotBatch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), np.zeros((0, 1)))
     assert len(empty) == 0
 
@@ -659,7 +693,8 @@ def test_merged_tally_matches_numpy_over_the_whole_run(sizes):
     experiment = cheshire_experiment(0.5, 0.5)
     n = sum(sizes)
     batch = sample_shots(experiment, n, seed=4)
-    readouts = batch.readout[batch.detector == 1]
+    readouts = batch.readout
+    assert readouts.shape == (np.count_nonzero(batch.detector == 1), 2)
     tally = Tally(2)
     for start, size in zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes):
         tally.add(sample_shots(experiment, size, seed=4, first_shot=start))
@@ -679,10 +714,9 @@ def test_estimate_requires_two_d1_shots():
     experiment = cheshire_experiment()
     detector = np.full(51, 2, dtype=np.uint8)
     detector[50] = 1
-    readout = np.full((51, 2), np.nan)
-    readout[50] = 0.0
     tally = Tally(2)
-    tally.add(ShotBatch(np.arange(51, dtype=np.int64), detector, readout))
+    tally.add(ShotBatch(np.arange(51, dtype=np.int64), detector, np.zeros((1, 2))))
+    assert (tally.n_shots, tally.d1_count) == (51, 1)
     with pytest.raises(InsufficientData):
         cli.estimated_summary(tally, experiment)
 

@@ -4,7 +4,6 @@ import pytest
 from cheshire import (
     Axis,
     Detector,
-    DuplicateAxis,
     Experiment,
     GaussianPointer,
     NullPostSelection,
@@ -89,14 +88,6 @@ def test_couple_twice_keeps_only_consistent_branches(pre_post, observables):
     mixture, _ = postselected(pre, *couplings)
     assert mixture.axes == (Axis.VERTICAL, Axis.HORIZONTAL)
     assert sorted(map(tuple, mixture.displacements.tolist())) == [(0.0, -0.2), (0.0, 0.2), (0.3, 0.0)]
-
-
-def test_couple_rejects_duplicate_axis(pre_post, observables):
-    # Refused when the experiment is built, before any analysis.
-    pre, _ = pre_post
-    couplings = ((observables["photon_in_arm1"], vertical(0.1)), (observables["angular_momentum_arm2"], vertical(0.1)))
-    with pytest.raises(DuplicateAxis):
-        Experiment(pre=pre, couplings=couplings)
 
 
 def test_couple_rejects_bad_inputs(observables):
