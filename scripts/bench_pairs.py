@@ -14,11 +14,11 @@ that writes no bytecode, while the standard library and numpy load from
 their installed caches.  The script prints each pair's end-to-end metrics,
 then per metric each side's median and quartiles, the number of pairs the
 change won (had a strictly better value, in the direction
-``BENCHMARK.json`` gives for the metric), and the change's median relative
-to the parent's, signed so that positive is better, with whether it is
-within the metric's ``bound``: worse than the parent's median by no more
-than that fraction of it.  Exits 0 when every run was correct, 1 as soon
-as a run fails or reports a failed process, and 2 on wrong arguments.
+``BENCHMARK.json`` gives for the metric), the change's median relative to
+the parent's, signed so that positive is better, and the metric's verdict
+(``verdict``): a resolved gain, unresolved, within the metric's ``bound``
+or beyond it.  Exits 0 when every run was correct, 1 as soon as a run
+fails or reports a failed process, and 2 on wrong arguments.
 """
 
 from __future__ import annotations
@@ -34,6 +34,15 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
+#: Fewest pairs that can resolve a gain.
+MIN_PAIRS = 10
+#: What each ``verdict`` prints.
+VERDICTS = {
+    "gain": "gain resolved",
+    "unresolved": "unresolved (the parent's spread is wider than the bound)",
+    "within": "within the bound",
+    "BEYOND": "BEYOND the bound",
+}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -67,6 +76,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def change_wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change's value is strictly better, ``better`` being ``"higher"`` or ``"lower"``."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """How one metric's pairs read: ``"gain"``, ``"unresolved"``, ``"within"`` or ``"BEYOND"``.
+
+    ``parent[k]`` and ``change[k]`` are pair k's values, ``better`` is
+    ``"higher"`` or ``"lower"``, and ``bound`` is the fraction of the
+    parent's median by which the change's median may be worse.  The rules
+    are tried in this order:
+
+    - ``"gain"``: at least ``MIN_PAIRS`` pairs were run, the change won at
+      least 9 of every 10 (a tie is a win for neither side), and its median
+      is better than the parent's by more than the parent's interquartile
+      range.  Only this verdict supports a claimed gain.
+    - ``"unresolved"``: the parent's interquartile range is wider than
+      ``bound`` of its median, so the runs cannot tell whether the change
+      is within the bound; unless every change run is better than every
+      parent run.
+    - ``"within"``: the change's median is worse than the parent's by at
+      most ``bound`` of it; ``"BEYOND"``: by more.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    q1, parent_median, q3 = quartiles(parent)
+    gain = sign * (quartiles(change)[1] - parent_median)
+    if len(parent) >= MIN_PAIRS and 10 * change_wins(parent, change, better) >= 9 * len(parent) and gain > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(parent_median) and not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    return "within" if gain >= -bound * abs(parent_median) else "BEYOND"
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
@@ -95,17 +139,17 @@ def main(argv: list[str]) -> int:
     for name, direction in better.items():
         values = {side: [sample[name] for sample in samples[side]] for side in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        wins = change_wins(values["parent"], values["change"], direction)
         cells, medians = [], {}
         for side in SIDES:
             q1, medians[side], q3 = quartiles(values[side])
             cells.append(f"{side} {medians[side]:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
         summary = "  ".join(cells)
         gain = sign * (medians["change"] - medians["parent"]) / abs(medians["parent"])
-        verdict = "within" if gain >= -bound[name] else "BEYOND"
+        reading = verdict(values["parent"], values["change"], direction, bound[name])
         print(
             f"{args.workload} {name} ({direction} is better): {summary}  change won {wins} of {args.pairs}"
-            f"  median {gain:+.1%}, {verdict} the {bound[name]:.0%} bound"
+            f"  median {gain:+.1%}, bound {bound[name]:.0%}: {VERDICTS[reading]}"
         )
     return 0
 

@@ -138,10 +138,9 @@ def _readout_text(x: np.ndarray) -> np.ndarray:
     """``repr`` of each float64 in ``x``, as NUL-padded ASCII rows.
 
     The rows come from ``_positional`` inside ``_EXACT_WINDOW`` and from
-    ``repr`` itself outside it.  Other float dtypes and byte orders are
-    converted to native float64 first, as ``tolist`` would.
+    ``repr`` itself outside it.  ``x`` is native float64, as
+    ``ShotBatch`` requires of its readouts.
     """
-    x = x.astype(np.float64, copy=False)
     size = np.abs(x)
     exact = (size >= _EXACT_WINDOW[0]) & (size < _EXACT_WINDOW[1])
     if exact.all():

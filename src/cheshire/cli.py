@@ -73,6 +73,7 @@ from . import __version__
 from ._csvtext import _ascii, _digit_count, _readout_text
 from .montecarlo import (
     STREAM_VERSION,
+    _D1,
     Experiment,
     InsufficientData,
     LowAcceptance,
@@ -324,10 +325,13 @@ def expected_summary(config: ExperimentConfig, experiment: Experiment) -> dict:
 def estimated_summary(tally: Tally, experiment: Experiment) -> dict:
     """Post-selection rate, D1 count and per-axis means, standard errors and mean/coupling of the tallied shots.
 
-    A mean over a zero coupling is None.  Raises ValueError when no shots
-    were tallied, and InsufficientData when fewer than two D1 readouts
-    exist: a standard error needs at least two samples.
+    A mean over a zero coupling is None.  Raises ValueError when the tally
+    and the experiment have different axis counts or no shots were
+    tallied, and InsufficientData when fewer than two D1 readouts exist: a
+    standard error needs at least two samples.
     """
+    if len(tally.means) != len(experiment.couplings):
+        raise ValueError(f"tally has {len(tally.means)} readout axes, the experiment {len(experiment.couplings)}")
     if tally.n_shots == 0:
         raise ValueError("no shots tallied")
     d1_count = tally.d1_count
@@ -441,14 +445,18 @@ def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> Non
     first D1 row.  A pass's rows are built in blocks of at most
     ``_WRITE_ROWS``, each as one NUL-padded uint8 matrix whose NULs are
     dropped before one write, so neither the digits nor the text held at
-    once grows with the batch.  Shot ids are non-negative, as ``ShotBatch``
-    requires.
+    once grows with the batch.  The shot ids are the batch's range
+    ``first_shot ..``, below 2**63 as ``ShotBatch`` requires.  Raises
+    ValueError, before writing anything, unless the batch has one readout
+    column per experiment axis.
     """
     axes = experiment.axes()
+    if batch.readout.shape[1] != len(axes):
+        raise ValueError(f"batch has {batch.readout.shape[1]} readout axes, the experiment {len(axes)}")
     columns = [axes.index(axis) if axis in axes else None for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
-    d1 = np.flatnonzero(batch.detector == 1)
+    d1 = np.flatnonzero(batch.detector == _D1)
     pass_rows = max(_PASS_VALUES // max(len(axes), 1), 1)
-    start = 0
+    start, first = 0, batch.first_shot
     for p, end in enumerate([*d1[pass_rows::pass_rows].tolist(), len(batch)]):
         in_pass = slice(p * pass_rows, (p + 1) * pass_rows)  # the pass's entries of d1 and of the readout rows
         pass_d1 = d1[in_pass]
@@ -458,7 +466,8 @@ def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> Non
         readout_width, done = readouts.shape[2], 0
         for block in range(start, end, _WRITE_ROWS):
             stop = min(block + _WRITE_ROWS, end)
-            shot_id, detector = batch.shot_id[block:stop], batch.detector[block:stop]
+            # dtype: np.arange of Python ints near 2**63 would give float64.
+            shot_id, detector = np.arange(first + block, first + stop, dtype=np.int64), batch.detector[block:stop]
             edge = pass_d1.searchsorted(stop)
             rows, block_readouts, done = pass_d1[done:edge] - block, readouts[done:edge], edge
             id_digits = _digit_count(shot_id)
@@ -579,9 +588,7 @@ def _run_sweep(config: ExperimentConfig) -> dict:
     error_ratios = {}
     for axis in ("vertical", "horizontal"):
         errors = [point["weak_limit_error"][axis] for point in points]
-        error_ratios[axis] = [
-            errors[i] / errors[i + 1] if errors[i + 1] else None for i in range(len(errors) - 1)
-        ]
+        error_ratios[axis] = [error / finer if finer else None for error, finer in zip(errors, errors[1:])]
     summary = {
         "config": config.as_dict(),
         "expected": {"weak_limit_error_ratio_per_decade": error_ratios},

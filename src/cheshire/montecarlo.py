@@ -5,13 +5,14 @@ coupled to the configured pointers, through the detection chain.  The
 detector click is drawn from the exact entangled-state probabilities; shots
 that reach D1 (the post-selecting detector) additionally record the pointer
 readout, drawn from the post-selected mixture density by rejection sampling.
-A :class:`ShotBatch` keeps one readout row per D1 shot, in shot order, so
-its detector column alone says which shots have one.  All shots of one
-:func:`sample_shots` call are evaluated together as numpy arrays, so its
-memory grows with its shot range; a caller that wants bounded memory
-shards the range with ``first_shot`` and folds each shard into a
-:class:`Tally` (shot and D1 counts, attempts, and each axis's D1 readout
-mean and M2), as the CLI does.
+A :class:`ShotBatch` is the shot range it was drawn for: it stores the
+range's first shot id, a detector code per shot and one readout row per
+D1 shot, in shot order, so its detector column alone says which shots
+have one.  All shots of one :func:`sample_shots` call are evaluated
+together as numpy arrays, so its memory grows with its shot range; a
+caller that wants bounded memory shards the range with ``first_shot`` and
+folds each shard into a :class:`Tally` (shot and D1 counts, attempts, and
+each axis's D1 readout mean and M2), as the CLI does.
 
 An :class:`Experiment` is immutable (its kets and observables are frozen,
 and every experiment uses the fixed detection chain), so :func:`analyze`
@@ -103,6 +104,7 @@ drawing anything.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import suppress
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -211,30 +213,32 @@ class Experiment(_Frozen):
 
 
 class ShotBatch(_Frozen):
-    """Shot records as arrays: ``shot_id`` and ``detector`` one row per shot, ``readout`` one row per D1 shot.
+    """Shot records as arrays: ``detector`` one row per shot, ``readout`` one row per D1 shot.
 
-    ``shot_id`` is non-negative int64; ``detector`` is uint8 with 1, 2, 3
-    for D1, D2, D3, and is the only record of which shots reached D1;
-    ``readout`` is float64 of shape (D1 shots, axes), the readouts of the
-    D1 shots in shot order, one column per pointer axis in experiment
-    order, none of them NaN.  ``attempts`` counts the readout proposals
-    drawn for the batch.
+    A shot's id is its place in the run, so the batch stores only the
+    integer ``first_shot``: it holds the n shots from ``first_shot`` to
+    ``first_shot + n - 1``, ids below 2**63.  ``detector`` is uint8 with 1,
+    2, 3 for D1, D2, D3, and is the only record of which shots reached D1;
+    ``readout`` is native float64 of shape (D1 shots, axes), the readouts
+    of the D1 shots in shot order, one column per pointer axis in
+    experiment order, none of them NaN.  ``attempts`` counts the readout
+    proposals drawn for the batch.  A ``first_shot`` that is not an
+    integer raises TypeError.
     """
 
-    def __init__(self, shot_id: np.ndarray, detector: np.ndarray, readout: np.ndarray, attempts: int = 0) -> None:
-        vars(self).update(shot_id=shot_id, detector=detector, readout=readout, attempts=attempts)
-        n = shot_id.shape[0]
-        if shot_id.dtype != np.int64 or detector.dtype != np.uint8:
-            raise ValueError("shot_id must be int64 and detector uint8")
-        if detector.shape != (n,):
-            raise ValueError("shot_id and detector rows must agree")
-        if n and not (shot_id.min() >= 0 and detector.min() >= 1 and detector.max() <= 3):
-            raise ValueError("shot ids must be non-negative and detector codes 1, 2 or 3")
-        if readout.ndim != 2 or readout.shape[0] != np.count_nonzero(detector == _D1) or np.isnan(readout).any():
+    def __init__(self, first_shot: int, detector: np.ndarray, readout: np.ndarray, attempts: int = 0) -> None:
+        vars(self).update(first_shot=operator.index(first_shot), detector=detector, readout=readout, attempts=attempts)
+        if detector.dtype != np.uint8 or detector.ndim != 1 or readout.dtype != np.float64:
+            raise ValueError("detector must be a 1-d uint8 array and readout native float64")
+        if not 0 <= self.first_shot <= 2**63 - len(detector):
+            raise ValueError("shot ids first_shot .. first_shot + n - 1 must lie in [0, 2**63)")
+        if len(detector) and not (detector.min() >= 1 and detector.max() <= 3):
+            raise ValueError("detector codes must be 1, 2 or 3")
+        if readout.ndim != 2 or len(readout) != np.count_nonzero(detector == _D1) or np.isnan(readout).any():
             raise ValueError("readout must hold one row per D1 shot and no NaN")
 
     def __len__(self) -> int:
-        return self.shot_id.shape[0]
+        return self.detector.shape[0]
 
 
 class ExperimentAnalysis(_Frozen):
@@ -545,29 +549,28 @@ def sample_shots(
     post-selection that can never succeed is not an error here: every shot
     is simply rejected to D2/D3.  A near-null one, whose expected readout
     acceptance is below MIN_ACCEPTANCE, raises LowAcceptance before any
-    shot is drawn.  The batch's readout holds the D1 shots' rows only, in
-    shot order (``ShotBatch``).  The whole range is held at once; the
-    readout sampler sets the peak, 53 (which-path) to 92 (joint-strong)
-    traced bytes a shot at 65,536 shots.  Shard a large range to bound
-    memory.
+    shot is drawn.  The batch stores the range as its ``first_shot``, and
+    its readout holds the D1 shots' rows only, in shot order
+    (``ShotBatch``).  The whole range is held at once; the readout sampler
+    sets the peak, 45 (which-path) to 84 (joint-strong) traced bytes a shot
+    at 65,536 shots.  Shard a large range to bound memory.
     """
     if n < 1:
         raise ValueError("need at least one shot")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    first_shot = operator.index(first_shot)  # a numpy integer would wrap, or turn the keys into floats
     if first_shot < 0 or first_shot + n > 2**63:
         raise ValueError("shot ids must lie in [0, 2**63)")
     analysis = analyze(experiment)
     p_d1 = analysis.detector_probabilities[Detector.D1]
     p_d12 = p_d1 + analysis.detector_probabilities[Detector.D2]
     sampler = analysis.envelope
-    if sampler is not None:
-        if sampler.acceptance < MIN_ACCEPTANCE:
-            raise LowAcceptance(
-                f"expected readout acceptance {sampler.acceptance:.3g} is below "
-                f"{MIN_ACCEPTANCE:g} (near-null post-selection)"
-            )
-    shot_id = np.arange(first_shot, first_shot + n, dtype=np.int64)
+    if sampler is not None and sampler.acceptance < MIN_ACCEPTANCE:
+        raise LowAcceptance(
+            f"expected readout acceptance {sampler.acceptance:.3g} is below "
+            f"{MIN_ACCEPTANCE:g} (near-null post-selection)"
+        )
     u = _detector_uniforms(seed, first_shot, n)
     # Code 3 - [u < p_d1] - [u < p_d12]: 1 (D1), 2 (D2) or 3 (D3), since
     # p_d1 <= p_d12; summed in place as uint8 with no wider temporaries.
@@ -575,10 +578,9 @@ def sample_shots(
     detector += (u < p_d12).view(np.uint8)
     np.subtract(3, detector, out=detector)
     readout, attempts = np.empty((0, len(experiment.couplings))), 0
-    d1 = np.flatnonzero(detector == _D1)
-    if sampler is not None and d1.size:
-        readout, attempts = sampler.sample(seed, shot_id[d1].astype(np.uint64))
-    return ShotBatch(shot_id=shot_id, detector=detector, readout=readout, attempts=attempts)
+    if sampler is not None:
+        readout, attempts = sampler.sample(seed, np.flatnonzero(detector == _D1) + first_shot)
+    return ShotBatch(first_shot=first_shot, detector=detector, readout=readout, attempts=attempts)
 
 
 class Tally:

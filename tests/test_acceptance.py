@@ -189,7 +189,7 @@ def test_criterion_9_monte_carlo_statistical_tier(tmp_path):
             sample_shots(experiment, chunk, seed=0, first_shot=k * chunk) for k in range(shards)
         ]
         shard_ok &= (
-            np.array_equal(np.concatenate([s.shot_id for s in shards_run]), batch.shot_id)
+            [(s.first_shot, len(s)) for s in shards_run] == [(k * chunk, chunk) for k in range(shards)]
             and np.array_equal(np.concatenate([s.detector for s in shards_run]), batch.detector)
             and np.array_equal(np.concatenate([s.readout for s in shards_run]), batch.readout)
             and sum(s.attempts for s in shards_run) == batch.attempts

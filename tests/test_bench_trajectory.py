@@ -7,6 +7,7 @@ that ``BENCHMARK.json`` declares, with the unit it declares.
 """
 
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +34,13 @@ def test_trajectory_records_name_benchmark_workloads_and_metrics():
         assert record["metric"] in units, record
         assert record["unit"] == units[record["metric"]], record
         assert record["parent_median"] > 0 and record["change_median"] > 0, record
+
+
+def test_only_the_newest_change_lacks_a_commit():
+    # A change cannot name its own last commit, so its records carry null
+    # until the next change fills it in; every older record names one.
+    records = read_json("BENCH_trajectory.json")["records"]
+    newest = max(record["pr"] for record in records)
+    for record in records:
+        if record["pr"] != newest:
+            assert re.fullmatch(r"[0-9a-f]{7,40}", record["commit"] or ""), record

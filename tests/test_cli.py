@@ -511,7 +511,8 @@ def test_csv_round_trips_the_records(tmp_path):
     # One readout row per D1 shot, in shot order.
     assert batch.readout.shape == (np.count_nonzero(batch.detector == 1), 2)
     readouts = iter(batch.readout.tolist())
-    for row, shot_id, code in zip(rows[1:], batch.shot_id.tolist(), batch.detector.tolist()):
+    assert batch.first_shot == 0
+    for shot_id, (row, code) in enumerate(zip(rows[1:], batch.detector.tolist())):
         assert int(row[0]) == shot_id
         assert row[1] == f"D{code}"
         if code == 1:
@@ -533,7 +534,7 @@ def csv_reference(batch, experiment) -> bytes:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["shot_id", "detector", "x", "y"])
     readouts = iter(batch.readout.tolist())
-    for shot_id, code in zip(batch.shot_id.tolist(), batch.detector.tolist()):
+    for shot_id, code in enumerate(batch.detector.tolist(), start=batch.first_shot):
         by_axis = dict(zip(experiment.axes(), next(readouts))) if code == 1 else {}
         fields = [repr(by_axis[axis]) if axis in by_axis else "" for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
         writer.writerow([shot_id, f"D{code}", *fields])
@@ -550,16 +551,22 @@ EDGE_READOUTS = (
 )
 
 
-def edge_batch(experiment) -> ShotBatch:
-    """Half D1 rows, whose readouts on each axis run through ``EDGE_READOUTS``; shot ids of 1 to 19 digits."""
+#: Shots in an edge batch: every other one is D1 and takes one row of ``EDGE_READOUTS``.
+EDGE_SHOTS = 2 * len(EDGE_READOUTS)
+#: First shots of the edge batches: 0, two below each power of ten from 10
+#: to 10**18, so that each change of digit count falls inside a batch and
+#: inside a 5-row block, and the range that ends at the largest id, 2**63 - 1.
+EDGE_FIRST_SHOTS = (0, *(10**k - 2 for k in range(1, 19)), 2**63 - EDGE_SHOTS)
+
+
+def edge_batch(experiment, first_shot: int) -> ShotBatch:
+    """Shots ``first_shot ..``, half of them D1, whose readouts on each axis run through ``EDGE_READOUTS``."""
     readings = np.array(EDGE_READOUTS)
-    n = 2 * readings.size
-    detector = np.resize(np.array([1, 2, 1, 3], dtype=np.uint8), n)
+    detector = np.resize(np.array([1, 2, 1, 3], dtype=np.uint8), EDGE_SHOTS)
     readout = np.empty((readings.size, len(experiment.couplings)))
     for axis in range(readout.shape[1]):
         readout[:, axis] = np.roll(readings, 5 * axis)
-    shot_id = np.concatenate([[0, 9, 10, 9999, 10_000, 123_456_789], 2**63 - 1 - np.arange(n - 6)]).astype(np.int64)
-    return ShotBatch(shot_id=shot_id, detector=detector, readout=readout)
+    return ShotBatch(first_shot=first_shot, detector=detector, readout=readout)
 
 
 def write_csv(batches, experiment) -> bytes:
@@ -598,27 +605,48 @@ def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
                 monkeypatch.setattr(cli, "_PASS_VALUES", values)
                 assert write_csv(shards, experiment) == reference, (preset, chunk, values)
     # Hand-built batches of edge readouts, which take the repr path and both
-    # ends of the exact window, and a pointer-free experiment, whose D1 rows
-    # are ",D1,,", in blocks of 5 rows and of the default size.
+    # ends of the exact window, with shot ids of 1 to 19 digits, and a
+    # pointer-free experiment, whose D1 rows are ",D1,,", in blocks of 5
+    # rows and of the default size.
     pre, _ = cheshire.canonical_states()
     experiments = [build_experiment(run_config(tmp_path, preset=preset)) for preset in PRESETS]
     experiments.append(cheshire.Experiment(pre=pre, couplings=()))
-    for rows in (5, default_rows):
-        monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
-        for experiment in experiments:
-            batch = edge_batch(experiment)
-            for values in (1, 3, len(experiment.axes()), default_values):
-                monkeypatch.setattr(cli, "_PASS_VALUES", values)
-                assert write_csv([batch], experiment) == csv_reference(batch, experiment), (
-                    rows, values, experiment.axes()
-                )
-    assert b"\n0,D1,,\n" in csv_reference(batch, experiment)  # the pointer-free rows
-    # Readouts in another byte order or precision are written as their
-    # Python floats are.
-    experiment = experiments[0]
-    for source, dtype in ((edge_batch(experiment), ">f8"), (sample_shots(experiment, 600, seed=1), np.float32)):
-        batch = ShotBatch(shot_id=source.shot_id, detector=source.detector, readout=source.readout.astype(dtype))
-        assert write_csv([batch], experiment) == csv_reference(batch, experiment), dtype
+    for experiment in experiments:
+        for first_shot in EDGE_FIRST_SHOTS:
+            batch = edge_batch(experiment, first_shot)
+            reference = csv_reference(batch, experiment)
+            for rows in (5, default_rows):
+                monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
+                for values in (1, 3, len(experiment.axes()), default_values):
+                    monkeypatch.setattr(cli, "_PASS_VALUES", values)
+                    assert write_csv([batch], experiment) == reference, (rows, values, experiment.axes(), first_shot)
+    assert b"\n0,D1,,\n" in csv_reference(edge_batch(experiment, 0), experiment)  # the pointer-free rows
+    assert reference.endswith(b"\n9223372036854775807,D2,,\n")  # the largest id, written exactly
+
+
+def test_writer_and_estimates_reject_a_record_of_another_experiment():
+    # A weak-cheshire batch written against which-path glued its two
+    # readouts into one field, the reverse raised a bare reshape error, and
+    # a one-axis tally summarised against weak-cheshire returned one axis.
+    # Each pair of axis counts now raises before anything is written.
+    pre, _ = cheshire.canonical_states()
+    experiments = [build_experiment(parse_config(["--preset", preset])) for preset in ("weak-cheshire", "which-path")]
+    experiments.append(cheshire.Experiment(pre=pre, couplings=()))
+    for drawn in experiments:
+        batch = sample_shots(drawn, 200, seed=3)
+        tally = cheshire.Tally(len(drawn.couplings))
+        tally.add(batch)
+        assert tally.d1_count >= 2
+        for other in experiments:
+            have, want = len(drawn.couplings), len(other.couplings)
+            if have == want:
+                continue
+            fh = io.StringIO()
+            with pytest.raises(ValueError, match=f"^batch has {have} readout axes, the experiment {want}$"):
+                cli.write_shots_csv(fh, batch, other)
+            assert fh.getvalue() == ""
+            with pytest.raises(ValueError, match=f"^tally has {have} readout axes, the experiment {want}$"):
+                cli.estimated_summary(tally, other)
 
 
 @pytest.mark.parametrize("preset", ["weak-cheshire", "which-path"])

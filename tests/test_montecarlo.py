@@ -54,9 +54,12 @@ def single_probe_experiment(name, g, axis=Axis.HORIZONTAL, s=1.0, pre=PRE):
 
 
 def concatenate(batches) -> ShotBatch:
+    """One batch of consecutive shot ranges: each batch must start where the previous one ended."""
     batches = list(batches)
+    for previous, batch in zip(batches, batches[1:]):
+        assert batch.first_shot == previous.first_shot + len(previous)
     return ShotBatch(
-        shot_id=np.concatenate([b.shot_id for b in batches]),
+        first_shot=batches[0].first_shot,
         detector=np.concatenate([b.detector for b in batches]),
         readout=np.concatenate([b.readout for b in batches]),
         attempts=sum(b.attempts for b in batches),
@@ -71,7 +74,7 @@ def sharded(experiment, n: int, seed: int, size: int, first_shot: int = 0) -> Sh
 
 
 def assert_batches_equal(first: ShotBatch, second: ShotBatch) -> None:
-    assert np.array_equal(first.shot_id, second.shot_id)
+    assert (first.first_shot, len(first)) == (second.first_shot, len(second))
     assert np.array_equal(first.detector, second.detector)
     assert np.array_equal(first.readout, second.readout)
     assert first.attempts == second.attempts
@@ -239,8 +242,10 @@ def test_stream_v4_golden_vector():
 def test_shot_ids_are_contiguous_from_first_shot():
     experiment = cheshire_experiment()
     batch = sample_shots(experiment, 10, seed=0, first_shot=40)
-    assert batch.shot_id.dtype == np.int64
-    assert batch.shot_id.tolist() == list(range(40, 50))
+    assert type(batch.first_shot) is int
+    assert (batch.first_shot, len(batch), batch.detector.shape) == (40, 10, (10,))
+    # The range's records are those shots' records in a run from shot 0.
+    assert np.array_equal(batch.detector, sample_shots(experiment, 50, seed=0).detector[40:])
 
 
 @pytest.mark.parametrize(
@@ -249,6 +254,23 @@ def test_shot_ids_are_contiguous_from_first_shot():
 def test_sample_shots_rejects_out_of_range_keys(seed, first_shot):
     with pytest.raises(ValueError):
         sample_shots(cheshire_experiment(), 1, seed=seed, first_shot=first_shot)
+
+
+def test_numpy_integer_first_shots_give_the_same_records():
+    # A numpy first_shot is taken as the Python int it equals: the readout
+    # keys of shots above 2**53 stay exact (an int64 id plus a uint64 is a
+    # float64), and a range past 2**63 - 1 is refused rather than wrapped.
+    experiment = cheshire_experiment()
+    for first_shot in (2**60, 2**63 - 64):
+        reference = sample_shots(experiment, 64, seed=7, first_shot=first_shot)
+        assert np.count_nonzero(reference.detector == 1) > 0
+        for kind in (np.int64, np.uint64):
+            assert_batches_equal(sample_shots(experiment, 64, seed=7, first_shot=kind(first_shot)), reference)
+    for kind in (int, np.int64, np.uint64):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*63\)"):
+            sample_shots(experiment, 5, seed=7, first_shot=kind(2**63 - 1))
+    with pytest.raises(TypeError):
+        sample_shots(experiment, 5, seed=7, first_shot=1.0)
 
 
 def test_near_null_postselection_fails_fast():
@@ -577,26 +599,23 @@ def test_readout_present_exactly_for_d1():
     for row in (0, d1.size // 2, d1.size - 1):
         alone = sample_shots(experiment, 1, seed=3, first_shot=int(d1[row]))
         assert np.array_equal(alone.readout[0], batch.readout[row])
-    ids = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError, match="one row per D1 shot"):
-        ShotBatch(ids, np.array([2], dtype=np.uint8), np.array([[0.1, 0.2]]))
+        ShotBatch(0, np.array([2], dtype=np.uint8), np.array([[0.1, 0.2]]))
     with pytest.raises(ValueError, match="one row per D1 shot"):
-        ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[np.nan, np.nan]]))
+        ShotBatch(0, np.array([1], dtype=np.uint8), np.array([[np.nan, np.nan]]))
     with pytest.raises(ValueError, match="one row per D1 shot"):
-        ShotBatch(ids, np.array([1], dtype=np.uint8), np.array([[0.1, np.nan]]))
+        ShotBatch(0, np.array([1], dtype=np.uint8), np.array([[0.1, np.nan]]))
     for code in (0, 4, 255):
         with pytest.raises(ValueError, match="detector codes"):
-            ShotBatch(ids, np.array([code], dtype=np.uint8), np.empty((0, 2)))
+            ShotBatch(0, np.array([code], dtype=np.uint8), np.empty((0, 2)))
     d2, off_d1 = np.array([2], dtype=np.uint8), np.empty((0, 2))
-    for shot_id, detector in ((ids.astype(np.int32), d2), (ids, d2.astype(np.int64))):
-        with pytest.raises(ValueError, match="int64 and detector uint8"):
-            ShotBatch(shot_id, detector, off_d1)
-    with pytest.raises(ValueError, match="shot_id and detector rows must agree"):
-        ShotBatch(ids, np.repeat(d2, 2), off_d1)
+    for detector in (d2.astype(np.int64), d2.astype(np.int8), np.repeat(d2, 2)[None, :], d2[0]):
+        with pytest.raises(ValueError, match="1-d uint8"):
+            ShotBatch(0, detector, off_d1)
 
 
-#: Shots D1, D2, D1, which take exactly two readout rows.
-ONE_D2_BETWEEN_D1 = (np.arange(3, dtype=np.int64), np.array([1, 2, 1], dtype=np.uint8))
+#: Shots D1, D2, D1 from shot 0, which take exactly two readout rows.
+ONE_D2_BETWEEN_D1 = (0, np.array([1, 2, 1], dtype=np.uint8))
 
 
 def test_shot_batch_takes_one_readout_row_per_d1_shot():
@@ -626,11 +645,40 @@ def test_shot_batch_rejects_a_readout_not_one_finite_row_per_d1_shot(readout):
 def test_shot_batch_rejects_negative_shot_ids():
     # The CSV writer formats ids as unsigned digits; sample_shots never makes a
     # negative one, and a hand-built batch with one cannot be built.
-    shot_id, detector = np.array([0, -1], dtype=np.int64), np.array([2, 3], dtype=np.uint8)
-    with pytest.raises(ValueError, match="non-negative"):
-        ShotBatch(shot_id=shot_id, detector=detector, readout=np.empty((0, 1)))
-    empty = ShotBatch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), np.zeros((0, 1)))
+    detector = np.array([2, 3], dtype=np.uint8)
+    for first_shot in (-1, -2, np.int64(-1)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*63\)"):
+            ShotBatch(first_shot=first_shot, detector=detector, readout=np.empty((0, 1)))
+    empty = ShotBatch(0, np.zeros(0, dtype=np.uint8), np.zeros((0, 1)))
     assert len(empty) == 0
+
+
+def test_shot_batch_ids_end_below_2_to_63():
+    # Shots first_shot .. first_shot + n - 1 must all lie below 2**63, the
+    # rule sample_shots applies: the last accepted range ends at 2**63 - 1.
+    detector = np.array([2, 3, 2], dtype=np.uint8)
+    for first_shot in (2**63 - 3, np.int64(2**63 - 3), np.uint64(2**63 - 3)):
+        batch = ShotBatch(first_shot, detector, np.empty((0, 2)))
+        assert (type(batch.first_shot), batch.first_shot) == (int, 2**63 - 3)
+    for first_shot in (2**63 - 2, 2**63, 2**64 + 1, np.uint64(2**63 - 2)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*63\)"):
+            ShotBatch(first_shot, detector, np.empty((0, 2)))
+    assert len(ShotBatch(2**63, np.zeros(0, dtype=np.uint8), np.empty((0, 2)))) == 0
+
+
+@pytest.mark.parametrize("first_shot", [0.0, 1.5, "0", None, np.float64(0.0), np.array([0])])
+def test_shot_batch_rejects_a_non_integer_first_shot(first_shot):
+    with pytest.raises(TypeError, match="integer"):
+        ShotBatch(first_shot, *ONE_D2_BETWEEN_D1[1:], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, ">f8", np.float16, np.int64, np.complex128])
+def test_shot_batch_rejects_readouts_not_native_float64(dtype):
+    # The CSV formatter reads the readouts' float64 bits as they are, so a
+    # batch holds no other precision or byte order.
+    readout = np.array([[0.1, 0.2], [0.3, 0.4]]).astype(dtype)
+    with pytest.raises(ValueError, match="native float64"):
+        ShotBatch(*ONE_D2_BETWEEN_D1, readout)
 
 
 def test_sample_shots_rejects_empty_run():
@@ -664,7 +712,7 @@ def test_estimate_interface():
         assert estimated["standard_errors"][axis] > 0
         assert estimated["mean_over_coupling"][axis] == pytest.approx(mean / 1e-2)
     empty = Tally(2)
-    empty.add(ShotBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), np.empty((0, 2))))
+    empty.add(ShotBatch(0, np.empty(0, dtype=np.uint8), np.empty((0, 2))))
     with pytest.raises(ValueError, match="no shots"):
         cli.estimated_summary(empty, experiment)
 
@@ -715,7 +763,7 @@ def test_estimate_requires_two_d1_shots():
     detector = np.full(51, 2, dtype=np.uint8)
     detector[50] = 1
     tally = Tally(2)
-    tally.add(ShotBatch(np.arange(51, dtype=np.int64), detector, np.zeros((1, 2))))
+    tally.add(ShotBatch(0, detector, np.zeros((1, 2))))
     assert (tally.n_shots, tally.d1_count) == (51, 1)
     with pytest.raises(InsufficientData):
         cli.estimated_summary(tally, experiment)

@@ -3,11 +3,12 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cheshire import Axis, cli
+from cheshire import Axis, cli, sample_shots
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,3 +52,24 @@ def test_readme_cli_quick_start_runs(tmp_path):
     diagnostics = summary["diagnostics"]
     for block in (summary, summary["estimated"], diagnostics, diagnostics["sampler"], diagnostics["checks"]):
         assert set(block) <= named, set(block) - named
+
+
+def test_readme_sampler_peaks_hold():
+    # The traced sample_shots peak a shot at 65,536 shots is at most the
+    # README's whole-byte figure for each preset.  tracemalloc counts the
+    # numpy arrays' bytes, so the peak does not depend on the host's memory.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"traced at 65,536 shots \(seed 0, after a warm-up call\), (.*?), and 1e6", text).group(1)
+    figures = {preset: int(figure) for figure, preset in re.findall(r"(\d+) (?:bytes a shot )?on ([a-z-]+)", sentence)}
+    assert set(figures) == set(cli.PRESETS), figures
+    n = 65_536
+    for preset, figure in figures.items():
+        experiment = cli.build_experiment(cli.parse_config(["--preset", preset]))
+        sample_shots(experiment, 1000, seed=0)  # builds the analysis and the envelope
+        tracemalloc.start()
+        try:
+            sample_shots(experiment, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert round(peak / n) <= figure, (preset, peak / n, figure)
