@@ -20,11 +20,12 @@ row text, so neither grows with the chunk.
   AVX512_SPR"`` changed 78 of 49,665 D1 rows of a 200k-shot weak-cheshire
   run in their last digit.  The digits come from integer arithmetic in
   numpy (``cheshire._csvtext``) for |x| in [1e-4, 2**52) and from ``repr``
-  itself outside it.  Rows go to ``shots.csv.partial`` and the summary to
-  ``summary.json.partial``; both are renamed once the summary is written,
-  so a failed or interrupted run leaves neither file.  A run whose file
-  could not fit in the free space at ``7`` bytes a row (``0,D2,,`` and a
-  newline) is refused before anything is created.
+  itself outside it.  The rows are ASCII bytes, written as they are to a
+  binary file, so no codec is involved.  Rows go to ``shots.csv.partial``
+  and the summary to ``summary.json.partial``; both are renamed once the
+  summary is written, so a failed or interrupted run leaves neither file.
+  A run whose file could not fit in the free space at ``7`` bytes a row
+  (``0,D2,,`` and a newline) is refused before anything is created.
 - ``summary.json`` with keys ``config`` (the fully resolved configuration),
   ``expected`` (analytic weak values as {re, im} pairs, conditional outcome
   tables, pointer moments -- never derived from the samples), ``estimated``
@@ -65,7 +66,7 @@ import shutil
 import sys
 from functools import cache
 from pathlib import Path
-from typing import NamedTuple, Sequence, TextIO
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -427,15 +428,15 @@ _WRITE_ROWS = 1 << 11
 #: rows, so this count bounds the digit arithmetic's memory, as
 #: ``_WRITE_ROWS`` bounds the row text's.  A pass costs a fixed ~0.1 ms of
 #: numpy calls, so one pass spans many blocks.  At 8192 values a chunk's
-#: writer peaks at 1.4-1.5 MB traced, and at 16384 at 2.2-2.8 MB.
+#: writer peaks at 1.1-1.3 MB traced, and at 16384 at 2.1-2.3 MB.
 _PASS_VALUES = 1 << 13
-_CSV_HEADER = "shot_id,detector,x,y\n"
+_CSV_HEADER = b"shot_id,detector,x,y\n"
 #: Bytes of the shortest ``shots.csv`` row, ``0,D2,,`` and its newline.
 _MIN_ROW_BYTES = 7
 
 
-def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> None:
-    """Append one CSV row per shot of ``batch`` to the open file ``fh``; x = horizontal readout, y = vertical.
+def write_shots_csv(fh: BinaryIO, batch: ShotBatch, experiment: Experiment) -> None:
+    """Append one CSV row per shot of ``batch`` to the binary file ``fh``; x = horizontal readout, y = vertical.
 
     A row is ``shot_id,Dk,x,y``: the shot id in decimal, the detector, and
     on D1 each readout's ``repr`` (shortest round-trip form), so identical
@@ -444,11 +445,12 @@ def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> Non
     values (one D1 row at least), and a pass's rows run to the next pass's
     first D1 row.  A pass's rows are built in blocks of at most
     ``_WRITE_ROWS``, each as one NUL-padded uint8 matrix whose NULs are
-    dropped before one write, so neither the digits nor the text held at
-    once grows with the batch.  The shot ids are the batch's range
-    ``first_shot ..``, below 2**63 as ``ShotBatch`` requires.  Raises
-    ValueError, before writing anything, unless the batch has one readout
-    column per experiment axis.
+    dropped before its ASCII bytes are written as they are, so neither the
+    digits nor the text held at once grows with the batch.  The shot ids
+    are the batch's range ``first_shot ..``, below 2**63 as ``ShotBatch``
+    requires.  Raises ValueError, before writing anything, unless the batch
+    has one readout column per experiment axis; a text handle raises
+    TypeError at the first write.
     """
     axes = experiment.axes()
     if batch.readout.shape[1] != len(axes):
@@ -456,37 +458,38 @@ def write_shots_csv(fh: TextIO, batch: ShotBatch, experiment: Experiment) -> Non
     columns = [axes.index(axis) if axis in axes else None for axis in (Axis.HORIZONTAL, Axis.VERTICAL)]
     d1 = np.flatnonzero(batch.detector == _D1)
     pass_rows = max(_PASS_VALUES // max(len(axes), 1), 1)
-    start, first = 0, batch.first_shot
-    for p, end in enumerate([*d1[pass_rows::pass_rows].tolist(), len(batch)]):
-        in_pass = slice(p * pass_rows, (p + 1) * pass_rows)  # the pass's entries of d1 and of the readout rows
-        pass_d1 = d1[in_pass]
-        readouts = np.empty((pass_d1.size, len(axes), 0), dtype=np.uint8)
-        if pass_d1.size and axes:
-            readouts = _readout_text(batch.readout[in_pass].ravel()).reshape(pass_d1.size, len(axes), -1)
-        readout_width, done = readouts.shape[2], 0
+    edges = [0, *d1[pass_rows::pass_rows].tolist(), len(batch)]
+    for p, (start, end) in enumerate(zip(edges, edges[1:])):
+        first = p * pass_rows  # the pass's first entry of d1 and of the readout rows
+        values = batch.readout[first : first + pass_rows]
+        readouts = np.empty((len(values), len(axes), 0), dtype=np.uint8)
+        if values.size:
+            readouts = _readout_text(values.ravel()).reshape(len(values), len(axes), -1)
+        readout_width = readouts.shape[2]
         for block in range(start, end, _WRITE_ROWS):
             stop = min(block + _WRITE_ROWS, end)
             # dtype: np.arange of Python ints near 2**63 would give float64.
-            shot_id, detector = np.arange(first + block, first + stop, dtype=np.int64), batch.detector[block:stop]
-            edge = pass_d1.searchsorted(stop)
-            rows, block_readouts, done = pass_d1[done:edge] - block, readouts[done:edge], edge
+            shot_id = np.arange(batch.first_shot + block, batch.first_shot + stop, dtype=np.int64)
+            # The block's entries of d1.  Its readouts are sliced afresh per column: a view kept past
+            # the block would hold the pass's digits while the next pass finds its own (0.2 MB a chunk).
+            low, high = d1.searchsorted([block, stop])
+            rows = d1[low:high] - block
             id_digits = _digit_count(shot_id)
             id_width = int(id_digits.max())
-            text = np.zeros((len(detector), id_width + 6 + len(axes) * readout_width), dtype=np.uint8)
+            text = np.zeros((len(shot_id), id_width + 6 + len(axes) * readout_width), dtype=np.uint8)
             text[:, :id_width] = _ascii(shot_id, id_digits, id_width)
             text[:, id_width] = ord(",")
             text[:, id_width + 1] = ord("D")
-            text[:, id_width + 2] = detector + ord("0")
+            text[:, id_width + 2] = batch.detector[block:stop] + ord("0")
             at = id_width + 3
             for column in columns:
                 text[:, at] = ord(",")
                 at += 1
                 if column is not None:
-                    text[rows, at : at + readout_width] = block_readouts[:, column]
+                    text[rows, at : at + readout_width] = readouts[low - first : high - first, column]
                     at += readout_width
             text[:, at] = ord("\n")
-            fh.write(text.tobytes().translate(None, b"\0").decode())
-        start = end
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _check_free_space(out_dir: Path, shots: int) -> None:
@@ -534,8 +537,7 @@ def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
     partial = config.out_dir / "shots.csv.partial"
     tally = Tally(len(experiment.couplings))
     try:
-        # The rows are ASCII, so utf-8 writes the same bytes without importing a codec module as "ascii" does.
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
+        with open(partial, "wb") as fh:
             fh.write(_CSV_HEADER)
             for start in range(0, config.shots, _CHUNK_SHOTS):
                 n = min(_CHUNK_SHOTS, config.shots - start)

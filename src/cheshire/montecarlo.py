@@ -549,17 +549,21 @@ def sample_shots(
     post-selection that can never succeed is not an error here: every shot
     is simply rejected to D2/D3.  A near-null one, whose expected readout
     acceptance is below MIN_ACCEPTANCE, raises LowAcceptance before any
-    shot is drawn.  The batch stores the range as its ``first_shot``, and
-    its readout holds the D1 shots' rows only, in shot order
-    (``ShotBatch``).  The whole range is held at once; the readout sampler
-    sets the peak, 45 (which-path) to 84 (joint-strong) traced bytes a shot
-    at 65,536 shots.  Shard a large range to bound memory.
+    shot is drawn.  ``n``, ``seed`` and ``first_shot`` are taken as the
+    Python ints they equal (``operator.index``), so numpy integers give the
+    same records and a float raises TypeError before any draw.  The batch
+    stores the range as its ``first_shot``, and its readout holds the D1
+    shots' rows only, in shot order (``ShotBatch``).  The whole range is
+    held at once; the readout sampler sets the peak, 45 (which-path) to 84
+    (joint-strong) traced bytes a shot at 65,536 shots.  Shard a large
+    range to bound memory.
     """
+    # A numpy integer would wrap, overflow in the Philox arithmetic, or turn the keys into floats.
+    n, seed, first_shot = operator.index(n), operator.index(seed), operator.index(first_shot)
     if n < 1:
         raise ValueError("need at least one shot")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    first_shot = operator.index(first_shot)  # a numpy integer would wrap, or turn the keys into floats
     if first_shot < 0 or first_shot + n > 2**63:
         raise ValueError("shot ids must lie in [0, 2**63)")
     analysis = analyze(experiment)

@@ -178,7 +178,7 @@ def test_criterion_9_monte_carlo_statistical_tier(tmp_path):
     first_csv = tmp_path / "first.csv"
     second_csv = tmp_path / "second.csv"
     for path, records in ((first_csv, batch), (second_csv, sample_shots(experiment, n, seed=0))):
-        with open(path, "w", newline="", encoding="ascii") as fh:
+        with open(path, "wb") as fh:
             write_shots_csv(fh, records, experiment)
     csv_ok = first_csv.read_bytes() == second_csv.read_bytes()
 

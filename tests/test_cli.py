@@ -571,11 +571,11 @@ def edge_batch(experiment, first_shot: int) -> ShotBatch:
 
 def write_csv(batches, experiment) -> bytes:
     """``shots.csv`` as ``cli.write_shots_csv`` writes ``batches``, one call each, after the header."""
-    fh = io.StringIO()
+    fh = io.BytesIO()
     fh.write(cli._CSV_HEADER)
     for batch in batches:
         cli.write_shots_csv(fh, batch, experiment)
-    return fh.getvalue().encode("ascii")
+    return fh.getvalue()
 
 
 def test_csv_bytes_match_the_csv_module(tmp_path, monkeypatch):
@@ -628,7 +628,9 @@ def test_writer_and_estimates_reject_a_record_of_another_experiment():
     # A weak-cheshire batch written against which-path glued its two
     # readouts into one field, the reverse raised a bare reshape error, and
     # a one-axis tally summarised against weak-cheshire returned one axis.
-    # Each pair of axis counts now raises before anything is written.
+    # Each pair of axis counts now raises before anything is written.  The
+    # writer's own batch raises TypeError on a text handle, since shots.csv
+    # is written as bytes, and again nothing is written.
     pre, _ = cheshire.canonical_states()
     experiments = [build_experiment(parse_config(["--preset", preset])) for preset in ("weak-cheshire", "which-path")]
     experiments.append(cheshire.Experiment(pre=pre, couplings=()))
@@ -637,14 +639,18 @@ def test_writer_and_estimates_reject_a_record_of_another_experiment():
         tally = cheshire.Tally(len(drawn.couplings))
         tally.add(batch)
         assert tally.d1_count >= 2
+        text = io.StringIO()
+        with pytest.raises(TypeError):
+            cli.write_shots_csv(text, batch, drawn)
+        assert text.getvalue() == ""
         for other in experiments:
             have, want = len(drawn.couplings), len(other.couplings)
             if have == want:
                 continue
-            fh = io.StringIO()
+            fh = io.BytesIO()
             with pytest.raises(ValueError, match=f"^batch has {have} readout axes, the experiment {want}$"):
                 cli.write_shots_csv(fh, batch, other)
-            assert fh.getvalue() == ""
+            assert fh.getvalue() == b""
             with pytest.raises(ValueError, match=f"^tally has {have} readout axes, the experiment {want}$"):
                 cli.estimated_summary(tally, other)
 
@@ -673,7 +679,7 @@ def test_csv_writer_holds_one_block_of_text():
     for preset in ("weak-cheshire", "which-path", "smile-only", "joint-strong"):
         experiment = build_experiment(parse_config(["--preset", preset]))
         batch = sample_shots(experiment, cli._CHUNK_SHOTS, seed=0)
-        with open(os.devnull, "w", encoding="ascii") as fh:
+        with open(os.devnull, "wb") as fh:
             tracemalloc.start()
             try:
                 cli.write_shots_csv(fh, batch, experiment)

@@ -256,21 +256,34 @@ def test_sample_shots_rejects_out_of_range_keys(seed, first_shot):
         sample_shots(cheshire_experiment(), 1, seed=seed, first_shot=first_shot)
 
 
-def test_numpy_integer_first_shots_give_the_same_records():
-    # A numpy first_shot is taken as the Python int it equals: the readout
-    # keys of shots above 2**53 stay exact (an int64 id plus a uint64 is a
-    # float64), and a range past 2**63 - 1 is refused rather than wrapped.
+def test_numpy_integer_first_shots_give_the_same_records(monkeypatch):
+    # A numpy first_shot, count or seed is taken as the Python int it
+    # equals: the readout keys of shots above 2**53 stay exact (an int64 id
+    # plus a uint64 is a float64), a numpy seed draws the Python int's
+    # stream rather than overflowing in the Philox arithmetic, and a range
+    # past 2**63 - 1 is refused rather than wrapped, whether its first shot
+    # or its count is the numpy integer.
     experiment = cheshire_experiment()
     for first_shot in (2**60, 2**63 - 64):
         reference = sample_shots(experiment, 64, seed=7, first_shot=first_shot)
         assert np.count_nonzero(reference.detector == 1) > 0
         for kind in (np.int64, np.uint64):
             assert_batches_equal(sample_shots(experiment, 64, seed=7, first_shot=kind(first_shot)), reference)
+            assert_batches_equal(sample_shots(experiment, kind(64), seed=kind(7), first_shot=first_shot), reference)
+    for seed, kinds in ((5, (np.int64, np.uint64)), (2**64 - 1, (np.uint64,))):
+        reference = sample_shots(experiment, 64, seed=seed)
+        for kind in kinds:
+            assert_batches_equal(sample_shots(experiment, 64, seed=kind(seed)), reference)
     for kind in (int, np.int64, np.uint64):
         with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*63\)"):
             sample_shots(experiment, 5, seed=7, first_shot=kind(2**63 - 1))
-    with pytest.raises(TypeError):
-        sample_shots(experiment, 5, seed=7, first_shot=1.0)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*63\)"):
+            sample_shots(experiment, kind(10), seed=7, first_shot=2**63 - 5)
+    # A float count, seed or first shot raises before any draw.
+    monkeypatch.setattr(montecarlo, "_detector_uniforms", lambda *args: pytest.fail("drawn"))
+    for floats in ({"n": 5.0}, {"seed": 7.0}, {"first_shot": 1.0}):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            sample_shots(experiment, **({"n": 5, "seed": 7} | floats))
 
 
 def test_near_null_postselection_fails_fast():

@@ -1,6 +1,7 @@
 """The README's quick starts, run against the package as documented."""
 
 import json
+import os
 import re
 import shlex
 import tracemalloc
@@ -73,3 +74,25 @@ def test_readme_sampler_peaks_hold():
         finally:
             tracemalloc.stop()
         assert round(peak / n) <= figure, (preset, peak / n, figure)
+
+
+def test_readme_writer_peaks_hold():
+    # The traced write_shots_csv peak on a 65,536-shot chunk is at most the
+    # README's figure in MB for each preset, as the sampler's peaks are
+    # pinned above.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"chunk \(seed 0, after a warm-up call\), the writer (.*?)\. It read", text).group(1)
+    figures = {preset: float(mb) for mb, preset in re.findall(r"(\d+\.\d+) (?:MB )?on ([a-z-]+)", sentence)}
+    assert set(figures) == set(cli.PRESETS), figures
+    for preset, figure in figures.items():
+        experiment = cli.build_experiment(cli.parse_config(["--preset", preset]))
+        batch = sample_shots(experiment, cli._CHUNK_SHOTS, seed=0)
+        with open(os.devnull, "wb") as fh:
+            cli.write_shots_csv(fh, sample_shots(experiment, 1000, seed=0), experiment)  # warm-up
+            tracemalloc.start()
+            try:
+                cli.write_shots_csv(fh, batch, experiment)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= figure * 1e6, (preset, peak / 1e6, figure)
