@@ -16,9 +16,11 @@ then per metric each side's median and quartiles, the number of pairs the
 change won (had a strictly better value, in the direction
 ``BENCHMARK.json`` gives for the metric), the change's median relative to
 the parent's, signed so that positive is better, and the metric's verdict
-(``verdict``): a resolved gain, unresolved, within the metric's ``bound``
-or beyond it.  Exits 0 when every run was correct, 1 as soon as a run
-fails or reports a failed process, and 2 on wrong arguments.
+(``verdict``): a resolved gain (larger than the parent's interquartile
+range and than a tenth of the metric's ``bound``), unresolved, within the
+metric's ``bound`` or beyond it.  Exits 0 when every run was correct, 1
+as soon as a run fails or reports a failed process, and 2 on wrong
+arguments.
 """
 
 from __future__ import annotations
@@ -93,7 +95,10 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     - ``"gain"``: at least ``MIN_PAIRS`` pairs were run, the change won at
       least 9 of every 10 (a tie is a win for neither side), and its median
       is better than the parent's by more than the parent's interquartile
-      range.  Only this verdict supports a claimed gain.
+      range and by more than a tenth of ``bound`` of the parent's median,
+      so that a difference below the metric's own noise floor does not
+      read as a gain however tight the parent's runs are.  Only this
+      verdict supports a claimed gain.
     - ``"unresolved"``: the parent's interquartile range is wider than
       ``bound`` of its median, so the runs cannot tell whether the change
       is within the bound; unless every change run is better than every
@@ -104,7 +109,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     sign = 1.0 if better == "higher" else -1.0
     q1, parent_median, q3 = quartiles(parent)
     gain = sign * (quartiles(change)[1] - parent_median)
-    if len(parent) >= MIN_PAIRS and 10 * change_wins(parent, change, better) >= 9 * len(parent) and gain > q3 - q1:
+    floor = max(q3 - q1, bound / 10 * abs(parent_median))
+    if len(parent) >= MIN_PAIRS and 10 * change_wins(parent, change, better) >= 9 * len(parent) and gain > floor:
         return "gain"
     if q3 - q1 > bound * abs(parent_median) and not min(sign * c for c in change) > max(sign * p for p in parent):
         return "unresolved"

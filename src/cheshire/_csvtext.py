@@ -4,7 +4,8 @@
 ``_EXACT_WINDOW`` the digits come from integer arithmetic in numpy, a whole
 array of values in one pass; the rest (zero, subnormals, and the values that
 ``repr`` writes with an exponent or a 16-digit integer part) go through
-``repr`` itself.
+``repr`` itself.  ``_consecutive_ascii`` writes a block's consecutive shot
+ids from the same table of four-digit groups that the readout digits use.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from .montecarlo import _U32, _mulhilo
 #: 5**k as uint64 and 10**k as int64, the scales of the readout digits.
 _POW5 = 5 ** np.arange(23, dtype=np.uint64)
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
-#: ASCII of 0 .. 9999 zero-padded to four digits, one uint32 a number whose
-#: bytes, stored little-endian, read the digits in order (40 KB, built in
-#: about 30 us).
+#: ASCII of 0 .. 9999 zero-padded to four digits, one little-endian uint32 a
+#: number, so its bytes read the digits in order (40 KB, built in about 30 us).
 _DIGITS4 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
 _DIGITS4 = _DIGITS4[:, None, None, None] | _DIGITS4[:, None, None] << 8 | _DIGITS4[:, None] << 16 | _DIGITS4 << 24
-_DIGITS4 = _DIGITS4.ravel()
+_DIGITS4 = _DIGITS4.ravel().astype("<u4", copy=False)
 #: Row d keeps the last d of 20 columns: 1 there, 0 (NUL) before them.
 _KEEP = (np.arange(21)[:, None] > np.arange(19, -1, -1)).view(np.uint8)
 #: Readouts with |x| in [low, high) get their digits from ``_positional``;
@@ -50,6 +50,33 @@ def _ascii(values: np.ndarray, digits: np.ndarray, width: int) -> np.ndarray:
     chars = words.view(np.uint8)
     chars *= _KEEP[:, 20 - 4 * groups :].take(digits, axis=0)
     return chars[:, 4 * groups - width :]
+
+
+def _consecutive_ascii(out: np.ndarray, first: int) -> None:
+    """Write the ids ``first ..``, one a row of the uint8 matrix ``out``, in decimal right-aligned after NULs.
+
+    ``out`` has as many columns as the last id has digits.  The ids that
+    share a quotient by 10**4 and a digit count take their last digits
+    from one contiguous slice of ``_DIGITS4`` and the rest from the
+    quotient's digits, written once for all of them; columns are cleared
+    to NULs only before ids shorter than ``out`` is wide.
+    """
+    width = out.shape[1]
+    row = 0
+    while row < out.shape[0]:
+        high, low = divmod(first + row, 10000)
+        digits = 4 if high else len(str(low))  # below 10**4, the digits of low alone
+        stop = min(row + (10000 if high else 10**digits) - low, out.shape[0])
+        prefix = np.frombuffer(b"%d" % high if high else b"", dtype=np.uint8)
+        lead = width - digits - prefix.size
+        rows = out[row:stop]
+        if digits == 4:  # one (unaligned) uint32 a row copies faster than four bytes
+            rows[:, width - 4 :].view("<u4")[:, 0] = _DIGITS4[low : low + stop - row]
+        else:
+            rows[:, width - digits :] = _DIGITS4[low : low + stop - row, None].view(np.uint8)[:, 4 - digits :]
+        rows[:, lead : width - digits] = prefix
+        rows[:, :lead] = 0
+        row = stop
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +137,12 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, k - r
 
 
-def _positional(x: np.ndarray) -> np.ndarray:
+def _positional(x: np.ndarray, width: int = 0) -> np.ndarray:
     """``repr`` of each float64 with |x| in ``_EXACT_WINDOW``, as ASCII rows with NULs between the parts.
 
     The rows read ``[-]int.frac``, the positional form that ``repr`` writes
-    for decimal exponents in (-4, 16].
+    for decimal exponents in (-4, 16], and are NUL-padded to at least
+    ``width`` columns.
     """
     digits, fraction = _shortest(x)
     int_width = np.maximum(_digit_count(digits) - fraction, 1)
@@ -125,12 +153,16 @@ def _positional(x: np.ndarray) -> np.ndarray:
     digits -= whole * scale  # now the fraction's digits
     del scale
     np.maximum(fraction, 1, out=fraction)  # now the fraction's width
-    parts = (
+    int_columns, fraction_columns = int(int_width.max()), int(fraction.max())
+    parts = [
         (np.signbit(x).view(np.uint8) * ord("-"))[:, None],
-        _ascii(whole, int_width, int(int_width.max())),
+        _ascii(whole, int_width, int_columns),
         np.full((x.shape[0], 1), ord("."), dtype=np.uint8),
-        _ascii(digits, fraction, int(fraction.max())),
-    )
+        _ascii(digits, fraction, fraction_columns),
+    ]
+    pad = width - (2 + int_columns + fraction_columns)
+    if pad > 0:
+        parts.append(np.zeros((x.shape[0], pad), dtype=np.uint8))
     return np.concatenate(parts, axis=1)
 
 
@@ -139,7 +171,10 @@ def _readout_text(x: np.ndarray) -> np.ndarray:
 
     The rows come from ``_positional`` inside ``_EXACT_WINDOW`` and from
     ``repr`` itself outside it.  ``x`` is native float64, as
-    ``ShotBatch`` requires of its readouts.
+    ``ShotBatch`` requires of its readouts.  A value outside the window is
+    formatted as 1.0 by ``_positional`` along with the rest, and its row
+    is then overwritten by its ``repr``, so the values inside it are
+    neither gathered nor copied into a second matrix.
     """
     size = np.abs(x)
     exact = (size >= _EXACT_WINDOW[0]) & (size < _EXACT_WINDOW[1])
@@ -153,9 +188,7 @@ def _readout_text(x: np.ndarray) -> np.ndarray:
     reprs = np.where(reprs == ord(" "), np.uint8(0), reprs)
     if outside.size == x.shape[0]:
         return reprs
-    inside = np.flatnonzero(exact)
-    positional = _positional(x[inside])
-    text = np.zeros((x.shape[0], max(reprs.shape[1], positional.shape[1])), dtype=np.uint8)
-    text[inside, : positional.shape[1]] = positional
+    text = _positional(np.where(exact, x, 1.0), reprs.shape[1])
     text[outside, : reprs.shape[1]] = reprs
+    text[outside, reprs.shape[1] :] = 0
     return text

@@ -8,7 +8,10 @@ so a run holds one chunk in memory whatever its shot count.  The writer
 finds the digits of a chunk's D1 readouts in passes of up to 8192 values,
 and assembles and writes its rows in blocks of up to 2048.  The pass size
 bounds the memory of the digit arithmetic, and the block size bounds the
-row text, so neither grows with the chunk.
+row text, so neither grows with the chunk.  Shot ids are consecutive, so
+a block's ids need no arithmetic: their last four digits are contiguous
+slices of a table of 0000 .. 9999, and the digits above them are one
+prefix for each run of 10**4 ids.
 
 - ``shots.csv`` with header ``shot_id,detector,x,y``; ``x`` is the
   horizontal readout, ``y`` the vertical one, both empty for shots that did
@@ -71,7 +74,7 @@ from typing import BinaryIO, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from ._csvtext import _ascii, _digit_count, _readout_text
+from ._csvtext import _consecutive_ascii, _readout_text
 from .montecarlo import (
     STREAM_VERSION,
     _D1,
@@ -419,16 +422,17 @@ def _diagnostics(experiment: Experiment, tally: Tally, checks: dict) -> dict:
 #: Shots sampled and tallied together: a run holds one chunk at a time.
 _CHUNK_SHOTS = 1 << 16
 #: Rows assembled and written together, so the row text held at once is
-#: bounded.  Blocks of 4096 rows gave which-path runs about 8% more
-#: throughput, but raised a 20k-shot weak-cheshire run's peak RSS by about
-#: 0.4 MB.
+#: bounded.  Blocks of 1024 rows wrote 20k-shot runs 6-9% slower, and
+#: blocks of 4096 no faster: 1-3% slower on which-path and 9-10% on
+#: weak-cheshire, whose traced writer peak per chunk they raised from 1.17
+#: to 1.29 MB.
 _WRITE_ROWS = 1 << 11
 #: Readout values formatted together by one ``_readout_text`` pass.  The
 #: pass's arrays grow with its values (about 105 traced bytes each), not its
 #: rows, so this count bounds the digit arithmetic's memory, as
 #: ``_WRITE_ROWS`` bounds the row text's.  A pass costs a fixed ~0.1 ms of
 #: numpy calls, so one pass spans many blocks.  At 8192 values a chunk's
-#: writer peaks at 1.1-1.3 MB traced, and at 16384 at 2.1-2.3 MB.
+#: writer peaks at 1.07-1.17 MB traced, and at 16384 at 1.98-2.13 MB.
 _PASS_VALUES = 1 << 13
 _CSV_HEADER = b"shot_id,detector,x,y\n"
 #: Bytes of the shortest ``shots.csv`` row, ``0,D2,,`` and its newline.
@@ -443,14 +447,20 @@ def write_shots_csv(fh: BinaryIO, batch: ShotBatch, experiment: Experiment) -> N
     batches give byte-identical rows.  The D1 readouts (``batch.readout``,
     one row per D1 shot) are formatted in passes of at most ``_PASS_VALUES``
     values (one D1 row at least), and a pass's rows run to the next pass's
-    first D1 row.  A pass's rows are built in blocks of at most
+    first D1 row; one search of the D1 rows per pass finds every block's
+    share of them.  A pass's rows are built in blocks of at most
     ``_WRITE_ROWS``, each as one NUL-padded uint8 matrix whose NULs are
     dropped before its ASCII bytes are written as they are, so neither the
-    digits nor the text held at once grows with the batch.  The shot ids
-    are the batch's range ``first_shot ..``, below 2**63 as ``ShotBatch``
-    requires.  Raises ValueError, before writing anything, unless the batch
-    has one readout column per experiment axis; a text handle raises
-    TypeError at the first write.
+    digits nor the text held at once grows with the batch.  In a block,
+    the bytes after the id take one assignment of the pass's row suffix,
+    whose detector digit the detector codes then raise from ``0``.  The
+    shot ids are the batch's range ``first_shot ..``, below 2**63 as
+    ``ShotBatch`` requires, and come from ``_consecutive_ascii``: slices of
+    the four-digit table and one prefix per run of 10**4 ids, with NUL
+    padding only before ids shorter than the block's last.  Raises
+    ValueError, before writing anything, unless the batch has one readout
+    column per experiment axis; a text handle raises TypeError at the first
+    write.
     """
     axes = experiment.axes()
     if batch.readout.shape[1] != len(axes):
@@ -466,29 +476,34 @@ def write_shots_csv(fh: BinaryIO, batch: ShotBatch, experiment: Experiment) -> N
         if values.size:
             readouts = _readout_text(values.ravel()).reshape(len(values), len(axes), -1)
         readout_width = readouts.shape[2]
-        for block in range(start, end, _WRITE_ROWS):
+        # The bytes after the shot id, with '0' for the detector digit and NULs for the readouts.
+        suffix = np.zeros(6 + len(axes) * readout_width, dtype=np.uint8)
+        suffix[:3] = tuple(b",D0")
+        slots, at = [], 3  # (readout column, first text column after the id) of each readout field
+        for column in columns:
+            suffix[at] = ord(",")
+            at += 1
+            if column is not None:
+                slots.append((column, at))
+                at += readout_width
+        suffix[at] = ord("\n")
+        blocks = range(start, end, _WRITE_ROWS)
+        # Each block's entries of d1, from one search per pass.
+        bounds = d1.searchsorted([*blocks, end]).tolist()
+        for block, low, high in zip(blocks, bounds, bounds[1:]):
             stop = min(block + _WRITE_ROWS, end)
-            # dtype: np.arange of Python ints near 2**63 would give float64.
-            shot_id = np.arange(batch.first_shot + block, batch.first_shot + stop, dtype=np.int64)
-            # The block's entries of d1.  Its readouts are sliced afresh per column: a view kept past
-            # the block would hold the pass's digits while the next pass finds its own (0.2 MB a chunk).
-            low, high = d1.searchsorted([block, stop])
+            id_width = len(str(batch.first_shot + stop - 1))
+            text = np.empty((stop - block, id_width + suffix.size), dtype=np.uint8)
+            _consecutive_ascii(text[:, :id_width], batch.first_shot + block)
+            text[:, id_width:] = suffix
+            digit = text[:, id_width + 2]
+            np.add(digit, batch.detector[block:stop], out=digit)
+            # The readouts are sliced afresh per block: a view kept past the block would
+            # hold the pass's digits while the next pass finds its own (0.2 MB a chunk).
             rows = d1[low:high] - block
-            id_digits = _digit_count(shot_id)
-            id_width = int(id_digits.max())
-            text = np.zeros((len(shot_id), id_width + 6 + len(axes) * readout_width), dtype=np.uint8)
-            text[:, :id_width] = _ascii(shot_id, id_digits, id_width)
-            text[:, id_width] = ord(",")
-            text[:, id_width + 1] = ord("D")
-            text[:, id_width + 2] = batch.detector[block:stop] + ord("0")
-            at = id_width + 3
-            for column in columns:
-                text[:, at] = ord(",")
-                at += 1
-                if column is not None:
-                    text[rows, at : at + readout_width] = readouts[low - first : high - first, column]
-                    at += readout_width
-            text[:, at] = ord("\n")
+            for column, at in slots:
+                at += id_width
+                text[rows, at : at + readout_width] = readouts[low - first : high - first, column]
             fh.write(text.tobytes().translate(None, b"\0"))
 
 

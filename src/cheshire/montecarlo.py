@@ -456,7 +456,11 @@ class _Envelope:
         to keep the number of passes small, up to ``_attempt_cap`` of the
         expected acceptance: beyond that cap a shot is still pending with
         probability below ``_PASS_MISS``, so further attempts in the same
-        pass would mostly be evaluated and discarded.
+        pass would mostly be evaluated and discarded.  A pass of one attempt
+        per shot, as every pass at acceptance 1 and the first of a large
+        batch are, draws the next stream block for the pending shots as
+        they are and keeps its accepted rows, without the tiling, reshaping
+        and first-accepted search that several attempts need.
         """
         readout = np.empty((shot_ids.shape[0], self.widths.shape[0]))
         pending = np.arange(shot_ids.shape[0])
@@ -464,14 +468,19 @@ class _Envelope:
         cap = _attempt_cap(self.acceptance)
         while pending.size:
             per_shot = min(cap, max(1, _PASS_ROWS // pending.size))
-            blocks = block + np.tile(np.arange(per_shot), pending.size)
-            points, accepted = self._attempt(_philox(seed, np.repeat(shot_ids[pending], per_shot), blocks))
-            accepted = accepted.reshape(pending.size, per_shot)
-            done = accepted.any(axis=1)
-            first = accepted.argmax(axis=1)
-            points = points.reshape(pending.size, per_shot, -1)
-            readout[pending[done]] = points[done, first[done]]
-            attempts += int(np.where(done, first + 1, per_shot).sum())
+            if per_shot == 1:
+                points, done = self._attempt(_philox(seed, shot_ids[pending], block))
+                readout[pending[done]] = points[done]
+                attempts += pending.size
+            else:
+                blocks = block + np.tile(np.arange(per_shot), pending.size)
+                points, accepted = self._attempt(_philox(seed, np.repeat(shot_ids[pending], per_shot), blocks))
+                accepted = accepted.reshape(pending.size, per_shot)
+                done = accepted.any(axis=1)
+                first = accepted.argmax(axis=1)
+                points = points.reshape(pending.size, per_shot, -1)
+                readout[pending[done]] = points[done, first[done]]
+                attempts += int(np.where(done, first + 1, per_shot).sum())
             pending = pending[~done]
             block += per_shot
         return readout, attempts

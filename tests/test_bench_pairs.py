@@ -32,6 +32,16 @@ def shifted(values, by):
         pytest.param(PARENT, [*shifted(PARENT[:8], 10.0), PARENT[8], 80.0], "higher", 0.25, "within", id="tie"),
         # Won every pair, but the medians differ by the parent's spread, not more.
         pytest.param(PARENT, shifted(PARENT, 4.5), "higher", 0.25, "within", id="gain-equal-to-spread"),
+        # Won every pair by more than a tight parent spread (0.006), but by less than a
+        # tenth of the bound (1% of the median): heap noise, not a gain.
+        pytest.param(
+            [31.7227, 31.72, 31.725, 31.721, 31.7235, 31.7222, 31.726, 31.719, 31.7229, 31.724],
+            [31.707, 31.705, 31.709, 31.706, 31.708, 31.7065, 31.71, 31.704, 31.7075, 31.708],
+            "lower", 0.1, "within", id="gain-below-the-bound-floor",
+        ),
+        # With no parent spread, the gain must still exceed a tenth of the bound (2.5 here).
+        pytest.param([100.0] * 10, [102.5] * 10, "higher", 0.25, "within", id="gain-equal-to-the-floor"),
+        pytest.param([100.0] * 10, [102.6] * 10, "higher", 0.25, "gain", id="gain-above-the-floor"),
         # No gain: worse by at most the bound of the parent's median, or by more.
         pytest.param(PARENT, shifted(PARENT, -25.0), "higher", 0.25, "within", id="worse-by-the-bound"),
         pytest.param(PARENT, shifted(PARENT, -25.5), "higher", 0.25, "BEYOND", id="beyond-higher"),

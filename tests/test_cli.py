@@ -555,8 +555,13 @@ EDGE_READOUTS = (
 EDGE_SHOTS = 2 * len(EDGE_READOUTS)
 #: First shots of the edge batches: 0, two below each power of ten from 10
 #: to 10**18, so that each change of digit count falls inside a batch and
-#: inside a 5-row block, and the range that ends at the largest id, 2**63 - 1.
-EDGE_FIRST_SHOTS = (0, *(10**k - 2 for k in range(1, 19)), 2**63 - EDGE_SHOTS)
+#: inside a 5-row block; ranges across multiples of 10**4 that are not
+#: powers of ten, where the ids' high digits change but not their count,
+#: inside a 5-row block (29,998 and 10**12 + 9,998) and on its edge
+#: (29,995); and the range that ends at the largest id, 2**63 - 1.
+EDGE_FIRST_SHOTS = (
+    0, *(10**k - 2 for k in range(1, 19)), 29_998, 29_995, 10**12 + 9_998, 2**63 - EDGE_SHOTS
+)
 
 
 def edge_batch(experiment, first_shot: int) -> ShotBatch:

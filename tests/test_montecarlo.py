@@ -117,7 +117,7 @@ def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
     # Shards of 7 shots, one readout attempt per pass, and the per-pass
     # attempt cap at 1 or binding at its derived value give the same
     # records, under the centre envelope (weak-cheshire) and the midpoint one
-    # (g/s = 1).
+    # (g/s = 1).  A 300-shot batch never makes a single-attempt pass by default.
     assert montecarlo._attempt_cap(0.4) == 14
     assert montecarlo._attempt_cap(1.0) == 1
     for ratio, envelope in ((1e-2, "centre"), (1.0, "midpoint")):
@@ -134,6 +134,16 @@ def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_PASS_ROWS", 1)
             assert_batches_equal(sharded(experiment, 300, 13, 7), baseline)
+    # A weak-cheshire batch with more D1 shots than half of _PASS_ROWS makes a
+    # single-attempt first pass by default, then multi-attempt ones; one
+    # attempt per pass throughout, and the cap binding on every pass, agree.
+    experiment = cheshire_experiment()
+    baseline = sample_shots(experiment, 10_000, seed=13)
+    assert np.count_nonzero(baseline.detector == 1) > montecarlo._PASS_ROWS // 2
+    for name, value in (("_attempt_cap", lambda acceptance: 1), ("_PASS_ROWS", 1 << 20)):
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, name, value)
+            assert_batches_equal(sample_shots(experiment, 10_000, seed=13), baseline)
 
 
 def test_one_component_envelope_ignores_word_0():
