@@ -222,12 +222,16 @@ class ShotBatch(_Frozen):
     ``readout`` is native float64 of shape (D1 shots, axes), the readouts
     of the D1 shots in shot order, one column per pointer axis in
     experiment order, none of them NaN.  ``attempts`` counts the readout
-    proposals drawn for the batch.  A ``first_shot`` that is not an
-    integer raises TypeError.
+    proposals drawn for the batch, and a negative count raises ValueError.
+    A ``first_shot`` or ``attempts`` that is not an integer raises
+    TypeError.
     """
 
     def __init__(self, first_shot: int, detector: np.ndarray, readout: np.ndarray, attempts: int = 0) -> None:
-        vars(self).update(first_shot=operator.index(first_shot), detector=detector, readout=readout, attempts=attempts)
+        first_shot, attempts = operator.index(first_shot), operator.index(attempts)
+        vars(self).update(first_shot=first_shot, detector=detector, readout=readout, attempts=attempts)
+        if attempts < 0:
+            raise ValueError(f"attempts must be nonnegative, got {attempts}")
         if detector.dtype != np.uint8 or detector.ndim != 1 or readout.dtype != np.float64:
             raise ValueError("detector must be a 1-d uint8 array and readout native float64")
         if not 0 <= self.first_shot <= 2**63 - len(detector):
@@ -341,16 +345,22 @@ def _mulhilo(a: np.ndarray, multiplier: tuple[np.ndarray, np.ndarray, np.ndarray
     return a * m, a_hi
 
 
-def _philox(seed: int, keys: np.ndarray, block) -> np.ndarray:
-    """Block ``block`` (one number, or one per row) of the streams with keys ``[seed, keys[row]]``.
+def _philox(seed: int, keys, blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks ``blocks`` of the streams with keys ``[seed, keys]``: the Philox4x64-10 words ``w0 .. w3``.
 
-    Returns the Philox4x64-10 words, shape (rows, 4).
+    ``keys`` and ``blocks`` are integers or integer arrays, broadcast
+    against each other: a key or a block shared by every row is passed as
+    one number.  Each word comes back as its own contiguous array of the
+    broadcast shape, so row i of the readout form ``(keys[i], block)``
+    holds ``w0[i] .. w3[i]``, and the (n, 1) keys against (p,) blocks give
+    (n, p) words that flatten to key-major rows.  A word shared by every
+    row stays 0-d until a round mixes it with a row-varying one: the zero
+    counter words and a shared block through rounds 0 and 1, and a shared
+    key through every round.
     """
-    n = keys.shape[0]
-    key = keys.astype(np.uint64)
-    c0 = np.empty(n, dtype=np.uint64)
-    c0[:] = block
-    c1, c2, c3 = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+    key = np.array(keys, dtype=np.uint64)  # a copy, bumped in place
+    c0 = np.asarray(blocks, dtype=np.uint64)
+    c1 = c2 = c3 = _word(0)
     for round_ in range(_PHILOX_ROUNDS):
         seed_key = _word((seed + round_ * _PHILOX_W[0]) & _MASK64)
         if round_:
@@ -360,9 +370,8 @@ def _philox(seed: int, keys: np.ndarray, block) -> np.ndarray:
         hi1 ^= c1
         hi1 ^= seed_key
         hi0 ^= c3
-        hi0 ^= key
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
+        c0, c1, c2, c3 = hi1, lo1, hi0 ^ key, lo0  # not in place: in rounds 0-1 hi0 may lack the key's axes
+    return c0, c1, c2, c3
 
 
 def _uniform(words: np.ndarray) -> np.ndarray:
@@ -373,18 +382,18 @@ def _detector_uniforms(seed: int, first_shot: int, n: int) -> np.ndarray:
     """Words ``first_shot .. first_shot + n - 1`` of the detector stream, as uniforms."""
     skip = first_shot % 4
     blocks = np.arange(first_shot // 4 + 1, (first_shot + n - 1) // 4 + 2, dtype=np.uint64)
-    words = _philox(seed, np.full(blocks.shape[0], _DETECTOR_KEY, dtype=np.uint64), blocks)
+    words = np.stack(_philox(seed, _DETECTOR_KEY, blocks), axis=1)  # w0 .. w3 of each block in turn
     return _uniform(words.ravel()[skip : skip + n])
 
 
-def _normals(words: np.ndarray, axes: int) -> np.ndarray:
+def _normals(w1: np.ndarray, w2: np.ndarray, axes: int) -> np.ndarray:
     """Box-Muller standard normals from words 1 and 2, shape (rows, axes) for 0-2 axes.
 
     Only the returned columns are computed: the cosine one, then the sine one.
     """
-    radius = np.sqrt(-2.0 * np.log(((words[:, 1] >> _S12) + 0.5) * 2.0**-52))
-    theta = (2.0 * np.pi) * _uniform(words[:, 2])
-    normals = np.empty((words.shape[0], axes))
+    radius = np.sqrt(-2.0 * np.log(((w1 >> _S12) + 0.5) * 2.0**-52))
+    theta = (2.0 * np.pi) * _uniform(w2)
+    normals = np.empty((w1.shape[0], axes))
     for k, trig in enumerate((np.cos, np.sin)[:axes]):
         np.multiply(radius, trig(theta), out=normals[:, k])
     return normals
@@ -438,14 +447,17 @@ class _Envelope:
         exponent = _gaussian_exponent(points, self.means, self.widths, 2.0 * self.sigma**2)
         return self._peak * (self.weights[:, None] * np.exp(exponent, out=exponent)).sum(axis=0)
 
-    def _attempt(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Proposals and accept flags of one attempt per row of Philox words."""
-        component = np.searchsorted(self._cdf, _uniform(words[:, 0]), side="right")
-        steps = (self.sigma * self.widths) * _normals(words, self.widths.shape[0])
-        points = self.means.take(component, axis=0) + steps  # take: faster than fancy indexing
+    def _attempt(self, words) -> tuple[np.ndarray, np.ndarray]:
+        """Proposals and accept flags of one attempt per row of the 1-d Philox words ``w0 .. w3``.
+
+        A one-component envelope reads no ``w0``: its component is always 0.
+        """
+        component = np.searchsorted(self._cdf, _uniform(words[0]), side="right") if self._cdf.size else 0
+        points = (self.sigma * self.widths) * _normals(words[1], words[2], self.widths.shape[0])
+        points += self.means.take(component, axis=0)  # take: faster than fancy indexing
         target, envelope = mixture_density(self.mixture, points), self.evaluate(points)
         assert np.all(target <= envelope * (1.0 + 1e-9)), "rejection envelope violated"
-        return points, _uniform(words[:, 3]) * envelope < target
+        return points, _uniform(words[3]) * envelope < target
 
     def sample(self, seed: int, shot_ids: np.ndarray) -> tuple[np.ndarray, int]:
         """One accepted readout per shot id (stream blocks 2, 3, ...), and the attempts used.
@@ -458,9 +470,10 @@ class _Envelope:
         probability below ``_PASS_MISS``, so further attempts in the same
         pass would mostly be evaluated and discarded.  A pass of one attempt
         per shot, as every pass at acceptance 1 and the first of a large
-        batch are, draws the next stream block for the pending shots as
-        they are and keeps its accepted rows, without the tiling, reshaping
-        and first-accepted search that several attempts need.
+        batch are, writes every pending row's proposal, accepted or not: a
+        rejected row stays pending, so a later pass overwrites it.  A pass
+        of several attempts draws them as (pending, per_shot) words and
+        writes only the rows it accepted, each at its first accepted attempt.
         """
         readout = np.empty((shot_ids.shape[0], self.widths.shape[0]))
         pending = np.arange(shot_ids.shape[0])
@@ -470,11 +483,11 @@ class _Envelope:
             per_shot = min(cap, max(1, _PASS_ROWS // pending.size))
             if per_shot == 1:
                 points, done = self._attempt(_philox(seed, shot_ids[pending], block))
-                readout[pending[done]] = points[done]
+                readout[pending] = points
                 attempts += pending.size
             else:
-                blocks = block + np.tile(np.arange(per_shot), pending.size)
-                points, accepted = self._attempt(_philox(seed, np.repeat(shot_ids[pending], per_shot), blocks))
+                words = _philox(seed, shot_ids[pending, None], np.arange(block, block + per_shot))
+                points, accepted = self._attempt([word.ravel() for word in words])
                 accepted = accepted.reshape(pending.size, per_shot)
                 done = accepted.any(axis=1)
                 first = accepted.argmax(axis=1)
@@ -563,7 +576,7 @@ def sample_shots(
     same records and a float raises TypeError before any draw.  The batch
     stores the range as its ``first_shot``, and its readout holds the D1
     shots' rows only, in shot order (``ShotBatch``).  The whole range is
-    held at once; the readout sampler sets the peak, 45 (which-path) to 84
+    held at once; the readout sampler sets the peak, 42 (which-path) to 73
     (joint-strong) traced bytes a shot at 65,536 shots.  Shard a large
     range to bound memory.
     """

@@ -134,16 +134,23 @@ def test_evaluation_grouping_leaves_records_unchanged(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "_PASS_ROWS", 1)
             assert_batches_equal(sharded(experiment, 300, 13, 7), baseline)
-    # A weak-cheshire batch with more D1 shots than half of _PASS_ROWS makes a
+    # A batch with more D1 shots than half of _PASS_ROWS makes a
     # single-attempt first pass by default, then multi-attempt ones; one
     # attempt per pass throughout, and the cap binding on every pass, agree.
-    experiment = cheshire_experiment()
-    baseline = sample_shots(experiment, 10_000, seed=13)
-    assert np.count_nonzero(baseline.detector == 1) > montecarlo._PASS_ROWS // 2
-    for name, value in (("_attempt_cap", lambda acceptance: 1), ("_PASS_ROWS", 1 << 20)):
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, name, value)
-            assert_batches_equal(sample_shots(experiment, 10_000, seed=13), baseline)
+    # That first pass writes every pending row's proposal, so the rows it
+    # rejects (attempts exceed the D1 shots) must be overwritten by later
+    # passes: multi-attempt ones under weak-cheshire (acceptance 0.976) and
+    # by default, single-attempt ones under _attempt_cap = 1, and more often
+    # under the midpoint envelope at g/s = 1.
+    for ratio, shots in ((1e-2, 10_000), (1.0, 12_000)):
+        experiment = cheshire_experiment(ratio, ratio)
+        baseline = sample_shots(experiment, shots, seed=13)
+        d1 = np.count_nonzero(baseline.detector == 1)
+        assert d1 > montecarlo._PASS_ROWS // 2 and baseline.attempts > d1
+        for name, value in (("_attempt_cap", lambda acceptance: 1), ("_PASS_ROWS", 1 << 20)):
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, name, value)
+                assert_batches_equal(sample_shots(experiment, shots, seed=13), baseline)
 
 
 def test_one_component_envelope_ignores_word_0():
@@ -151,29 +158,45 @@ def test_one_component_envelope_ignores_word_0():
     # only w1-w3 and any w0 gives the same proposals and accept flags.
     envelope = analyze(cheshire_experiment()).envelope
     assert envelope.name == "centre" and envelope.weights.shape == (1,)
-    ids = np.repeat(np.arange(500, dtype=np.uint64), 4)
-    words = _philox(2**64 - 1, ids, np.tile(np.arange(2, 6), 500))
+    words = [word.ravel() for word in _philox(2**64 - 1, np.arange(500)[:, None], np.arange(2, 6))]
     points, accepted = envelope._attempt(words)
     assert 0 < accepted.sum() < accepted.size
     rng = np.random.default_rng(0)
-    for w0 in (0, 2**64 - 1, 2**63, rng.integers(0, 2**64, words.shape[0], dtype=np.uint64)):
-        replaced = words.copy()
-        replaced[:, 0] = w0
+    for w0 in (0, 2**64 - 1, 2**63, rng.integers(0, 2**64, words[0].shape, dtype=np.uint64)):
+        replaced = [np.full(words[0].shape, w0, dtype=np.uint64), *words[1:]]
         other_points, other_accepted = envelope._attempt(replaced)
         assert np.array_equal(other_points, points)
         assert np.array_equal(other_accepted, accepted)
 
 
+def numpy_block(seed: int, key: int, block: int) -> list[int]:
+    """Words w0 .. w3 of block ``block`` of numpy's Philox stream on the key [seed, key]."""
+    bit_generator = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
+    return bit_generator.random_raw(4 * block)[-4:].tolist()
+
+
 def test_philox_blocks_match_numpy_random_raw():
     # Block j under key [seed, k1] is numpy's j-th Philox block: k1 is a shot id,
-    # or 2**64 - 1 for the detector stream.
+    # or 2**64 - 1 for the detector stream.  Keys and blocks broadcast, each
+    # word is its own array, and a shared key or block may be one number.
     ids = np.array([0, 1, 17, 2**40, 2**64 - 1], dtype=np.uint64)
+    blocks = np.array([1, 2, 7], dtype=np.uint64)
     for seed in (0, 1, 987654321, 2**64 - 1):
-        for block in (1, 2, 7):
+        for block in blocks.tolist():  # a key array against one block: a single-attempt pass
             words = _philox(seed, ids, block)
-            for row, shot_id in zip(words, ids):
-                bit_generator = np.random.Philox(key=np.array([seed, shot_id], dtype=np.uint64))
-                assert row.tolist() == bit_generator.random_raw(4 * block)[-4:].tolist()
+            assert all(word.shape == ids.shape for word in words)
+            for row, shot_id in enumerate(ids.tolist()):
+                assert [word[row] for word in words] == numpy_block(seed, shot_id, block)
+        for shot_id in ids.tolist():  # one key against a block array: the detector stream
+            words = _philox(seed, shot_id, blocks)
+            assert all(word.shape == blocks.shape for word in words)
+            for row, block in enumerate(blocks.tolist()):
+                assert [word[row] for word in words] == numpy_block(seed, shot_id, block)
+        words = _philox(seed, ids[:, None], blocks)  # keys (n, 1) against blocks (p,): a multi-attempt pass
+        assert all(word.shape == (ids.size, blocks.size) and word.flags.c_contiguous for word in words)
+        for row, shot_id in enumerate(ids.tolist()):
+            for column, block in enumerate(blocks.tolist()):
+                assert [word[row, column] for word in words] == numpy_block(seed, shot_id, block)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -693,6 +716,21 @@ def test_shot_batch_ids_end_below_2_to_63():
 def test_shot_batch_rejects_a_non_integer_first_shot(first_shot):
     with pytest.raises(TypeError, match="integer"):
         ShotBatch(first_shot, *ONE_D2_BETWEEN_D1[1:], np.zeros((2, 2)))
+
+
+def test_shot_batch_takes_a_nonnegative_integer_attempt_count():
+    # Tally adds a batch's attempts into the run's count, which the summary
+    # reports as diagnostics.sampler: a negative or fractional count is refused.
+    assert ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1))).attempts == 0
+    for attempts in (0, 5, np.int64(5), np.uint8(2)):
+        batch = ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1)), attempts=attempts)
+        assert (type(batch.attempts), batch.attempts) == (int, int(attempts))
+    for attempts in (-1, -3, np.int64(-1)):
+        with pytest.raises(ValueError, match="attempts must be nonnegative"):
+            ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1)), attempts=attempts)
+    for attempts in (1.5, 2.0, "3", None, np.float64(2.0)):
+        with pytest.raises(TypeError, match="integer"):
+            ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1)), attempts=attempts)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, ">f8", np.float16, np.int64, np.complex128])
