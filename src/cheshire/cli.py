@@ -1,8 +1,15 @@
 """Command-line front end: presets, config handling, CSV/JSON outputs.
 
 ``cheshire --preset weak-cheshire --shots 100000 --out-dir out`` runs one
-experiment and writes two files into the output directory.  The run is one
-loop over chunks of ``_CHUNK_SHOTS`` shots: each chunk is sampled, appended
+experiment and writes two files into the output directory.  Every preset
+runs through one loop in ``run_preset`` over its points (``_points``): the
+config itself, or for ``sweep`` one weak-cheshire config per
+``SWEEP_RATIOS`` ratio in the subdirectory ``g_over_s_<ratio>``.  Each point
+is sampled and written by ``_run_single``; the sweep then writes its
+aggregate (``_sweep_summary``) from the points' (ratio, config, experiment,
+summary) records.  A point that fails ends the run: earlier points keep
+their files and no aggregate is written.  A single run is one loop over
+chunks of ``_CHUNK_SHOTS`` shots: each chunk is sampled, appended
 to ``shots.csv`` and folded into a running :class:`~cheshire.montecarlo.Tally`,
 so a run holds one chunk in memory whatever its shot count.  The writer
 finds the digits of a chunk's D1 readouts in passes of up to 8192 values,
@@ -27,15 +34,19 @@ prefix for each run of 10**4 ids.
   binary file, so no codec is involved.  Rows go to ``shots.csv.partial``
   and the summary to ``summary.json.partial``; both are renamed once the
   summary is written, so a failed or interrupted run leaves neither file.
-  A run whose file could not fit in the free space at ``7`` bytes a row
-  (``0,D2,,`` and a newline) is refused before anything is created.
+  A run whose files could not fit in the free space at ``7`` bytes a row
+  (``0,D2,,`` and a newline), counted once over all its points' shots, is
+  refused before anything is created, a sweep as a single run.
 - ``summary.json`` with keys ``config`` (the fully resolved configuration),
   ``expected`` (analytic weak values as {re, im} pairs, conditional outcome
   tables, pointer moments -- never derived from the samples), ``estimated``
   (post_rate, d1_count, per-axis means, standard errors and
   mean_over_coupling, built from the run's Tally) and ``diagnostics``
-  (g/s per axis, branch count, ``stream_version``, the cheshire, numpy and
-  python ``versions`` that byte identity depends on, the readout
+  (g/s per axis, branch count, ``stream_version``, ``summary_version``
+  (``SUMMARY_VERSION``, the layout of this file), the cheshire, numpy and
+  python ``versions`` that byte identity depends on with
+  ``numpy_dispatch``, the SIMD targets numpy dispatches to (null where
+  numpy does not list them), the readout
   ``sampler``: its ``envelope`` (``midpoint`` or ``centre``), attempts,
   accepted count and expected against observed acceptance, and the
   ``checks`` z-scores of the estimates against their analytic values).
@@ -53,7 +64,8 @@ and ``smile-only`` couple one of them; ``joint-strong`` runs both at
 coupling/width = 10; ``sweep`` repeats weak-cheshire at coupling/width
 ratios 0.1, 0.01, 0.001 (one subdirectory each) and aggregates the
 convergence of mean/coupling toward the weak values (the
-``weak_limit_error`` |mean/coupling - Re A_w| per point and axis).
+``weak_limit_error`` |mean/coupling - Re A_w| per point and axis); its
+aggregate ``diagnostics`` hold ``sweep_ratios`` and ``summary_version``.
 
 Exit codes: 0 success, 1 runtime failure (impossible or near-null
 post-selection, too few post-selected shots, too little free disk space,
@@ -91,12 +103,24 @@ from .pointer import Axis, GaussianPointer, mixture_moments, weak_limit_error
 from .postselect import abl_distribution, weak_value
 from .qstate import canonical_observables, canonical_states, observable_operator
 
+try:  # numpy's private dispatch tables; other builds may lack or rename them
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    _NUMPY_DISPATCH = None
+else:
+    #: The dispatched SIMD targets this process runs, which the readouts' last digits depend on.
+    _NUMPY_DISPATCH = tuple(name for name in __cpu_dispatch__ if __cpu_features__.get(name))
+
 DEFAULT_PRESET = "weak-cheshire"
 DEFAULT_WIDTH = 1.0
 DEFAULT_SHOTS = 100_000
 DEFAULT_SEED = 0
 DEFAULT_OUT_DIR = "out"
 SWEEP_RATIOS = (1e-1, 1e-2, 1e-3)
+#: Version of the ``summary.json`` layout, written as ``diagnostics.summary_version``.
+#: A change that adds, renames or redefines a summary key bumps it; a summary
+#: that lacks the key predates it and reads as version 0.
+SUMMARY_VERSION = 1
 #: Accepted pointer widths s.  Inside this range s**2, 1/s**2 and the
 #: two-axis density normalisation 1/(2 pi s**2) are normal float64 numbers.
 #: Couplings set explicitly are 0 or lie in it too: the upper end keeps squared
@@ -403,10 +427,12 @@ def _diagnostics(experiment: Experiment, tally: Tally, checks: dict) -> dict:
         },
         "branch_count": len(analysis.mixture.weights) if analysis.mixture is not None else 0,
         "stream_version": STREAM_VERSION,
+        "summary_version": SUMMARY_VERSION,
         "versions": {
             "cheshire": __version__,
             "numpy": np.__version__,
             "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy_dispatch": _NUMPY_DISPATCH,
         },
         "sampler": {
             "envelope": envelope.name if envelope is not None else None,
@@ -546,8 +572,10 @@ def _publish(out_dir: Path, summary: dict, *partials: Path) -> None:
 
 
 def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
-    """Sample the configured experiment chunk by chunk, write its files, and return its summary dict."""
-    _check_free_space(config.out_dir, config.shots)
+    """Sample the configured experiment chunk by chunk, write its files, and return its summary dict.
+
+    The caller checks the free space first, once for all of a run's points (``run_preset``).
+    """
     config.out_dir.mkdir(parents=True, exist_ok=True)
     partial = config.out_dir / "shots.csv.partial"
     tally = Tally(len(experiment.couplings))
@@ -574,59 +602,63 @@ def _run_single(config: ExperimentConfig, experiment: Experiment) -> dict:
     return summary
 
 
-def _run_sweep(config: ExperimentConfig) -> dict:
-    """Weak-cheshire at each sweep ratio, plus a convergence aggregate."""
+def _points(config: ExperimentConfig) -> list[tuple[float | None, ExperimentConfig]]:
+    """The (sweep ratio, config) of each run of a preset: the config itself, or one weak-cheshire config per ratio."""
+    if config.preset != "sweep":
+        return [(None, config)]
+    return [
+        (ratio, config._replace(preset="weak-cheshire", g_vertical=ratio * config.s, g_horizontal=ratio * config.s,
+                                out_dir=config.out_dir / f"g_over_s_{ratio:g}"))
+        for ratio in SWEEP_RATIOS
+    ]
+
+
+def _sweep_summary(config: ExperimentConfig, records: list[tuple]) -> dict:
+    """The sweep's convergence aggregate from its points' (ratio, config, experiment, summary) records."""
     observables = [name for name, _ in PRESETS["weak-cheshire"].couplings]
     points = []
-    for ratio in SWEEP_RATIOS:
-        point_config = config._replace(
-            preset="weak-cheshire",
-            g_vertical=ratio * config.s,
-            g_horizontal=ratio * config.s,
-            out_dir=config.out_dir / f"g_over_s_{ratio:g}",
-        )
-        experiment = build_experiment(point_config)
-        summary = _run_single(point_config, experiment)
+    for ratio, point_config, experiment, summary in records:
         weak_values = [summary["expected"]["weak_values"][name]["re"] for name in observables]
-        errors = weak_limit_error(
-            analyze(experiment).mixture, [p.coupling for p in experiment.pointers()], weak_values
-        )
+        errors = weak_limit_error(analyze(experiment).mixture, [p.coupling for p in experiment.pointers()], weak_values)
         points.append(
             {
                 "g_over_s": ratio,
                 "out_dir": str(point_config.out_dir),
                 "expected_mean_over_coupling": summary["expected"]["pointer_mean_over_coupling"],
                 "estimated_mean_over_coupling": summary["estimated"]["mean_over_coupling"],
-                "weak_limit_error": {
-                    axis.value: float(error) for axis, error in zip(experiment.axes(), errors)
-                },
+                "weak_limit_error": {axis.value: float(error) for axis, error in zip(experiment.axes(), errors)},
             }
         )
     error_ratios = {}
     for axis in ("vertical", "horizontal"):
         errors = [point["weak_limit_error"][axis] for point in points]
         error_ratios[axis] = [error / finer if finer else None for error, finer in zip(errors, errors[1:])]
-    summary = {
+    return {
         "config": config.as_dict(),
         "expected": {"weak_limit_error_ratio_per_decade": error_ratios},
         "estimated": {"points": points},
-        "diagnostics": {"sweep_ratios": list(SWEEP_RATIOS)},
+        "diagnostics": {"sweep_ratios": list(SWEEP_RATIOS), "summary_version": SUMMARY_VERSION},
     }
-    _publish(config.out_dir, summary)
-    return summary
 
 
 def run_preset(config: ExperimentConfig) -> int:
     """Run the configured preset and write its outputs; returns the exit code.
 
-    The sweep preset derives each point's couplings from its ratio and the
-    width, ignoring explicit --g-vertical/--g-horizontal values.
+    Every preset runs as a list of points (``_points``), each sampled and
+    written by ``_run_single`` in its own directory, after one free-space
+    check for the shots of all of them.  The sweep preset derives each
+    point's couplings from its ratio and the width, ignoring explicit
+    --g-vertical/--g-horizontal values, and then writes its aggregate.
     """
     try:
+        points = _points(config)
+        _check_free_space(config.out_dir, sum(point.shots for _, point in points))
+        records = []
+        for ratio, point in points:
+            experiment = build_experiment(point)
+            records.append((ratio, point, experiment, _run_single(point, experiment)))
         if config.preset == "sweep":
-            _run_sweep(config)
-        else:
-            _run_single(config, build_experiment(config))
+            _publish(config.out_dir, _sweep_summary(config, records))
     except (InsufficientData, LowAcceptance) as exc:
         print(f"cheshire: {exc}", file=sys.stderr)
         return 1

@@ -222,9 +222,10 @@ class ShotBatch(_Frozen):
     ``readout`` is native float64 of shape (D1 shots, axes), the readouts
     of the D1 shots in shot order, one column per pointer axis in
     experiment order, none of them NaN.  ``attempts`` counts the readout
-    proposals drawn for the batch, and a negative count raises ValueError.
-    A ``first_shot`` or ``attempts`` that is not an integer raises
-    TypeError.
+    proposals drawn for the batch; every readout took at least one, so a
+    negative count, or one below the number of readout rows, raises
+    ValueError.  A ``first_shot`` or ``attempts`` that is not an integer
+    raises TypeError.
     """
 
     def __init__(self, first_shot: int, detector: np.ndarray, readout: np.ndarray, attempts: int = 0) -> None:
@@ -240,6 +241,8 @@ class ShotBatch(_Frozen):
             raise ValueError("detector codes must be 1, 2 or 3")
         if readout.ndim != 2 or len(readout) != np.count_nonzero(detector == _D1) or np.isnan(readout).any():
             raise ValueError("readout must hold one row per D1 shot and no NaN")
+        if attempts < len(readout):
+            raise ValueError(f"attempts must be at least the {len(readout)} readout rows, got {attempts}")
 
     def __len__(self) -> int:
         return self.detector.shape[0]

@@ -267,7 +267,8 @@ def test_run_writes_csv_and_summary(tmp_path):
     assert summary["diagnostics"]["g_over_s"] == {"vertical": 0.01, "horizontal": 0.01}
     assert summary["diagnostics"]["branch_count"] == 3
     assert summary["diagnostics"]["stream_version"] == 4
-    assert set(summary["diagnostics"]["versions"]) == {"cheshire", "numpy", "python"}
+    assert summary["diagnostics"]["summary_version"] == cli.SUMMARY_VERSION == 1
+    assert set(summary["diagnostics"]["versions"]) == {"cheshire", "numpy", "python", "numpy_dispatch"}
     assert summary["diagnostics"]["versions"]["numpy"] == np.__version__
 
 
@@ -571,7 +572,7 @@ def edge_batch(experiment, first_shot: int) -> ShotBatch:
     readout = np.empty((readings.size, len(experiment.couplings)))
     for axis in range(readout.shape[1]):
         readout[:, axis] = np.roll(readings, 5 * axis)
-    return ShotBatch(first_shot=first_shot, detector=detector, readout=readout)
+    return ShotBatch(first_shot=first_shot, detector=detector, readout=readout, attempts=len(readout))
 
 
 def write_csv(batches, experiment) -> bytes:
@@ -812,6 +813,38 @@ def test_sweep_weak_limit_error_matches_mpmath_oracle(tmp_path):
             assert point["weak_limit_error"][axis.value] == pytest.approx(exact, rel=1e-14, abs=0)
 
 
+def test_sweep_that_cannot_fit_is_refused_before_any_point(tmp_path, monkeypatch, capsys):
+    # Room for one 1000-shot point (7000 bytes of rows) but not for three: the
+    # whole sweep is checked at once, so no point is written and no directory made.
+    disk_usage = shutil.disk_usage
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: disk_usage(path)._replace(free=7 * 1000))
+    out_dir = tmp_path / "sweep"
+    assert main(["--preset", "sweep", "--shots", "1000", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cheshire: cannot write outputs: 3000 shots need at least 21000 bytes")
+    assert not out_dir.exists()
+
+
+def test_sweep_point_failure_keeps_earlier_points_and_writes_no_aggregate(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def failing_second_point(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise cheshire.InsufficientData("second point failed")
+        return sample_shots(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_shots", failing_second_point)
+    out_dir = tmp_path / "sweep"
+    assert main(["--preset", "sweep", "--shots", "400", "--out-dir", str(out_dir)]) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err == "cheshire: second point failed\n"
+    assert sorted(path.name for path in (out_dir / "g_over_s_0.1").iterdir()) == ["shots.csv", "summary.json"]
+    assert_no_outputs(out_dir / "g_over_s_0.01")
+    assert not (out_dir / "g_over_s_0.001").exists()
+    assert_no_outputs(out_dir)
+
+
 def test_runtime_failures_exit_1(tmp_path, capsys):
     # far too few shots for an estimate
     assert main(["--shots", "1", "--out-dir", str(tmp_path / "tiny")]) == 1
@@ -960,10 +993,15 @@ def test_main_happy_path(tmp_path):
     assert "photon_in_arm1" not in summary["expected"]["abl"]
 
 
-def run_fresh(script: str) -> None:
-    """Run ``script`` in a fresh interpreter that imports this package, and assert it exits 0."""
-    path = [str(Path(cheshire.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+def run_fresh(script: str, environ: dict[str, str] | None = None) -> None:
+    """Run ``script`` in a fresh interpreter that imports this package, and assert it exits 0.
+
+    ``environ`` is the interpreter's environment (this process's by default),
+    with ``PYTHONPATH`` extended to reach the package.
+    """
+    environ = os.environ if environ is None else environ
+    path = [str(Path(cheshire.__file__).parents[1]), environ.get("PYTHONPATH", "")]
+    env = dict(environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
 
@@ -979,6 +1017,35 @@ def assert_fresh_run_leaves_unloaded(prefix: str, out_dir: Path) -> None:
         "assert not loaded, loaded\n"
     )
     assert (out_dir / "shots.csv").exists()
+
+
+#: The SIMD targets whose exp and log differ from libm's in the last bit.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_summary_names_the_numpy_dispatch_of_its_run(tmp_path):
+    # The readouts' last digits depend on numpy's SIMD dispatch, so the
+    # summary lists the targets its process ran; switching the AVX-512 ones
+    # off takes them out of the list.  numpy refuses to switch off a target
+    # it does not dispatch, so the test runs only where it dispatches all.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        pytest.skip("numpy does not list its dispatch targets")
+    if not all(target in __cpu_dispatch__ for target in AVX512_TARGETS):
+        pytest.skip(f"numpy does not dispatch all of {AVX512_TARGETS}")
+    base = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    dispatch = {}
+    for name, environ in (("on", base), ("off", dict(base, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS)))):
+        out_dir = tmp_path / name
+        run_fresh(
+            "import cheshire.cli\n"
+            f"assert cheshire.cli.main(['--shots', '200', '--out-dir', {str(out_dir)!r}]) == 0\n",
+            environ,
+        )
+        dispatch[name] = read_summary(out_dir / "summary.json")["diagnostics"]["versions"]["numpy_dispatch"]
+    assert set(dispatch["on"]) <= set(__cpu_dispatch__)
+    assert dispatch["off"] == [target for target in dispatch["on"] if target not in AVX512_TARGETS]
 
 
 def test_runs_do_not_load_numpy_random(tmp_path):

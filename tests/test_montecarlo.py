@@ -666,9 +666,9 @@ ONE_D2_BETWEEN_D1 = (0, np.array([1, 2, 1], dtype=np.uint8))
 
 def test_shot_batch_takes_one_readout_row_per_d1_shot():
     readout = np.array([[0.1, 0.2], [0.3, 0.4]])
-    assert ShotBatch(*ONE_D2_BETWEEN_D1, readout).readout is readout
+    assert ShotBatch(*ONE_D2_BETWEEN_D1, readout, attempts=2).readout is readout
     # A pointer-free experiment's readout has one row of no columns per D1 shot.
-    assert ShotBatch(*ONE_D2_BETWEEN_D1, np.empty((2, 0))).readout.shape == (2, 0)
+    assert ShotBatch(*ONE_D2_BETWEEN_D1, np.empty((2, 0)), attempts=2).readout.shape == (2, 0)
 
 
 @pytest.mark.parametrize(
@@ -720,14 +720,19 @@ def test_shot_batch_rejects_a_non_integer_first_shot(first_shot):
 
 def test_shot_batch_takes_a_nonnegative_integer_attempt_count():
     # Tally adds a batch's attempts into the run's count, which the summary
-    # reports as diagnostics.sampler: a negative or fractional count is refused.
-    assert ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1))).attempts == 0
-    for attempts in (0, 5, np.int64(5), np.uint8(2)):
+    # reports as diagnostics.sampler: a negative or fractional count is refused,
+    # and so is one below the readout rows, since each readout took a proposal.
+    assert ShotBatch(0, np.array([2, 3], dtype=np.uint8), np.empty((0, 1))).attempts == 0
+    for attempts in (2, 5, np.int64(5), np.uint8(2)):
         batch = ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1)), attempts=attempts)
         assert (type(batch.attempts), batch.attempts) == (int, int(attempts))
     for attempts in (-1, -3, np.int64(-1)):
         with pytest.raises(ValueError, match="attempts must be nonnegative"):
             ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1)), attempts=attempts)
+    # The default of 0 attempts holds only for a batch without readouts.
+    for attempts in ({}, {"attempts": 0}, {"attempts": 1}, {"attempts": np.uint8(1)}):
+        with pytest.raises(ValueError, match="attempts must be at least the 2 readout rows"):
+            ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1)), **attempts)
     for attempts in (1.5, 2.0, "3", None, np.float64(2.0)):
         with pytest.raises(TypeError, match="integer"):
             ShotBatch(*ONE_D2_BETWEEN_D1, np.zeros((2, 1)), attempts=attempts)
@@ -824,7 +829,7 @@ def test_estimate_requires_two_d1_shots():
     detector = np.full(51, 2, dtype=np.uint8)
     detector[50] = 1
     tally = Tally(2)
-    tally.add(ShotBatch(0, detector, np.zeros((1, 2))))
+    tally.add(ShotBatch(0, detector, np.zeros((1, 2)), attempts=1))
     assert (tally.n_shots, tally.d1_count) == (51, 1)
     with pytest.raises(InsufficientData):
         cli.estimated_summary(tally, experiment)
